@@ -16,7 +16,6 @@
 //!   tie-break) its current one under the decision process.
 
 use crate::churn::LinkChange;
-use crate::paths::FxMap;
 use quicksand_net::Asn;
 use quicksand_obs as obs;
 use quicksand_topology::{
@@ -29,72 +28,109 @@ use quicksand_topology::{
 /// the two directed bitmaps for the failed link — no per-tree
 /// `uses_link` scan.
 ///
+/// Node-indexed and flat: the edges out of node `v` are the base
+/// graph's neighbors of `v`, `start[v]..start[v + 1]` in `to` (ascending
+/// node index), and edge `e` owns the `words` bitmap words at
+/// `bits[e * words..]`. A next hop is always a neighbor in the graph
+/// `FastConverge` was built over — events only remove those links and
+/// restore them — so the layout is fixed at construction and every
+/// update is an in-place bit flip (DESIGN.md §17).
+///
 /// Seeded from [`RoutingTree::next_hops`] at construction and kept
 /// current by replaying each reconvergence's next-hop trace
 /// ([`RoutingTree::trace`]); `FastConverge::index_is_consistent`
 /// cross-checks the two in tests.
+#[derive(Clone)]
 struct LinkIndex {
     /// Bitmap length in u64 words (`ceil(n_slots / 64)`).
     words: usize,
-    /// `(from << 32) | to` → bitmap over tree slots.
-    map: FxMap<Vec<u64>>,
-}
-
-fn edge_key(from: usize, to: usize) -> u64 {
-    ((from as u64) << 32) | to as u64
+    /// Per node, the first of its edges in `to`; `n + 1` entries.
+    start: Vec<usize>,
+    /// Edge targets, ascending within each node's range.
+    to: Vec<u32>,
+    /// `words` bitmap words per edge, over tree slots.
+    bits: Vec<u64>,
 }
 
 impl LinkIndex {
-    fn new(n_slots: usize) -> Self {
+    /// An empty index over the directed edges of `graph`.
+    fn new(graph: &AsGraph, n_slots: usize) -> Self {
+        let words = n_slots.div_ceil(64);
+        let mut start = Vec::with_capacity(graph.len() + 1);
+        let mut to = Vec::with_capacity(2 * graph.link_count());
+        for v in 0..graph.len() {
+            start.push(to.len());
+            to.extend(
+                graph
+                    .neighbors_idx(v)
+                    .iter()
+                    .map(|&(w, _)| u32::try_from(w).expect("node index fits u32")),
+            );
+            to[start[v]..].sort_unstable();
+        }
+        start.push(to.len());
+        let bits = vec![0u64; to.len() * words];
         LinkIndex {
-            words: n_slots.div_ceil(64),
-            map: FxMap::default(),
+            words,
+            start,
+            to,
+            bits,
         }
     }
 
+    /// The edge id of `from → to`, if `to` is a base-graph neighbor.
+    fn edge(&self, from: usize, to: usize) -> Option<usize> {
+        let (lo, hi) = (self.start[from], self.start[from + 1]);
+        let pos = self.to[lo..hi]
+            .binary_search(&u32::try_from(to).ok()?)
+            .ok()?;
+        Some(lo + pos)
+    }
+
+    /// The bit for `slot` in edge `from → to`.
+    fn bit(&mut self, from: usize, to: usize, slot: usize) -> (&mut u64, u64) {
+        let e = self
+            .edge(from, to)
+            .expect("next hop is a base-graph neighbor");
+        (
+            &mut self.bits[e * self.words + slot / 64],
+            1u64 << (slot % 64),
+        )
+    }
+
     fn set(&mut self, from: usize, to: usize, slot: usize) {
-        let words = self.words;
-        let bits = self
-            .map
-            .entry(edge_key(from, to))
-            .or_insert_with(|| vec![0u64; words]);
-        bits[slot / 64] |= 1u64 << (slot % 64);
+        let (word, mask) = self.bit(from, to, slot);
+        *word |= mask;
     }
 
     fn clear(&mut self, from: usize, to: usize, slot: usize) {
-        if let Some(bits) = self.map.get_mut(&edge_key(from, to)) {
-            bits[slot / 64] &= !(1u64 << (slot % 64));
+        let (word, mask) = self.bit(from, to, slot);
+        *word &= !mask;
+    }
+
+    /// Record every tree edge of `tree` under `slot`.
+    fn seed(&mut self, slot: usize, tree: &RoutingTree) {
+        for (v, next) in tree.next_hops() {
+            if v != next {
+                self.set(v, next, slot);
+            }
         }
     }
 
     /// Push (ascending) every slot whose tree uses the undirected link
     /// `a`–`b`, i.e. has `a → b` or `b → a` as a tree edge.
     fn union_into(&self, a: usize, b: usize, out: &mut Vec<usize>) {
-        let x = self.map.get(&edge_key(a, b));
-        let y = self.map.get(&edge_key(b, a));
-        if x.is_none() && y.is_none() {
+        let (Some(x), Some(y)) = (self.edge(a, b), self.edge(b, a)) else {
             return;
-        }
+        };
+        let (x, y) = (&self.bits[x * self.words..], &self.bits[y * self.words..]);
         for w in 0..self.words {
-            let mut bits = x.map_or(0, |v| v[w]) | y.map_or(0, |v| v[w]);
+            let mut bits = x[w] | y[w];
             while bits != 0 {
                 out.push(w * 64 + bits.trailing_zeros() as usize);
                 bits &= bits - 1;
             }
         }
-    }
-
-    /// Equal as a set of (edge, slot) pairs — all-zero bitmaps and
-    /// absent entries are the same thing.
-    fn same_bits(&self, other: &LinkIndex) -> bool {
-        let zeros = vec![0u64; self.words];
-        let covered = |a: &LinkIndex, b: &LinkIndex| {
-            a.map.iter().all(|(k, bits)| {
-                let theirs = b.map.get(k).unwrap_or(&zeros);
-                bits == theirs || (bits.iter().all(|&w| w == 0) && theirs.iter().all(|&w| w == 0))
-            })
-        };
-        self.words == other.words && covered(self, other) && covered(other, self)
     }
 }
 
@@ -160,13 +196,9 @@ impl FastConverge {
                 (o, Some(t))
             })
             .collect();
-        let mut link_index = LinkIndex::new(trees.len());
+        let mut link_index = LinkIndex::new(&graph, trees.len());
         for (slot, (_, t)) in trees.iter().enumerate() {
-            for (v, next) in t.as_ref().expect("tree present").next_hops() {
-                if v != next {
-                    link_index.set(v, next, slot);
-                }
-            }
+            link_index.seed(slot, t.as_ref().expect("tree present"));
         }
         FastConverge {
             graph,
@@ -216,15 +248,14 @@ impl FastConverge {
     /// support (the index is exactly the `uses_link` relation).
     #[doc(hidden)]
     pub fn index_is_consistent(&self) -> bool {
-        let mut fresh = LinkIndex::new(self.trees.len());
+        let mut fresh = LinkIndex {
+            bits: vec![0; self.link_index.bits.len()],
+            ..self.link_index.clone()
+        };
         for (slot, (_, t)) in self.trees.iter().enumerate() {
-            for (v, next) in t.as_ref().expect("tree present").next_hops() {
-                if v != next {
-                    fresh.set(v, next, slot);
-                }
-            }
+            fresh.seed(slot, t.as_ref().expect("tree present"));
         }
-        fresh.same_bits(&self.link_index)
+        fresh.bits == self.link_index.bits
     }
 
     /// Apply a link change; returns the tracked origins whose trees

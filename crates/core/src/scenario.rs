@@ -503,11 +503,10 @@ impl Scenario {
             .iter()
             .map(|(p, a)| (*p, *a))
             .collect();
-        for &o in &self.control_origins {
-            for p in self.plan.table.prefixes_of(o) {
-                out.insert(p, o);
-            }
-        }
+        // One pass over the table: per-origin `prefixes_of` calls would
+        // each scan all of it.
+        let control: BTreeSet<Asn> = self.control_origins.iter().copied().collect();
+        out.extend(self.plan.table.iter().filter(|(_, o)| control.contains(o)));
         out
     }
 
@@ -623,6 +622,7 @@ impl Scenario {
         every: u64,
         mut hook: impl FnMut(&PipelineSnapshot) -> HookAction,
     ) -> QsResult<MonthResult> {
+        let prep_span = obs::prof::span("scenario", "prep");
         let tracked = self.tracked_prefixes();
         let origins: BTreeSet<Asn> = tracked.values().copied().collect();
         let prefixes_by_origin: BTreeMap<Asn, Vec<Ipv4Prefix>> = {
@@ -634,8 +634,11 @@ impl Scenario {
         };
         let all_prefixes: Vec<Ipv4Prefix> = tracked.keys().copied().collect();
         let all_origin_of: Vec<Asn> = tracked.values().copied().collect();
+        drop(prep_span);
 
+        let init_span = obs::prof::span("fast", "init");
         let mut fc = FastConverge::new(self.topo.graph.clone(), origins.iter().copied());
+        drop(init_span);
         let mut collector = Collector::new(&self.session_peers, &self.config.collector)?;
         let mut log = UpdateLog::default();
         let horizon_end = SimTime::ZERO + self.config.churn.horizon;
@@ -1030,6 +1033,28 @@ mod tests {
         // Tracked = tor + control prefixes.
         let tracked = s.tracked_prefixes();
         assert!(tracked.len() >= s.tor_prefixes.len());
+    }
+
+    /// The one-pass `tracked_prefixes` equals the per-origin
+    /// `prefixes_of` construction it replaced.
+    #[test]
+    fn tracked_prefixes_match_per_origin_construction() {
+        let medium = Scenario::build(ScenarioConfig::medium(7));
+        for s in [&world().0, &medium] {
+            let mut want: BTreeMap<Ipv4Prefix, Asn> = s
+                .tor_prefixes
+                .origin_by_prefix
+                .iter()
+                .map(|(p, a)| (*p, *a))
+                .collect();
+            for &o in &s.control_origins {
+                for p in s.plan.table.prefixes_of(o) {
+                    want.insert(p, o);
+                }
+            }
+            assert!(want.len() > s.tor_prefixes.len(), "control prefixes tracked");
+            assert_eq!(s.tracked_prefixes(), want);
+        }
     }
 
     #[test]

@@ -97,6 +97,38 @@ struct Entry {
     next: usize,
 }
 
+/// Offer `via`'s route to node `to` as a `class` route of length `dist`
+/// during [`RoutingTree::compute`]. An unrouted `to` takes it (returns
+/// true: newly routed); a route of the same class is replaced when the
+/// offer is shorter, or as short from a lower next-hop ASN; a route of
+/// any other class stays.
+fn offer(
+    entries: &mut [Option<Entry>],
+    graph: &AsGraph,
+    to: usize,
+    via: usize,
+    class: RouteClass,
+    dist: u32,
+) -> bool {
+    match &mut entries[to] {
+        slot @ None => {
+            *slot = Some(Entry {
+                class,
+                dist,
+                next: via,
+            });
+            true
+        }
+        Some(e) => {
+            if e.class == class && (dist, graph.asn_of(via)) < (e.dist, graph.asn_of(e.next)) {
+                e.dist = dist;
+                e.next = via;
+            }
+            false
+        }
+    }
+}
+
 /// Sentinel node id in a [`RoutingTree`] trace entry: "no route", i.e.
 /// the node had (or ends up with) no next hop at all.
 pub const TRACE_UNROUTED: u32 = u32::MAX;
@@ -138,48 +170,39 @@ impl RoutingTree {
             next: d,
         });
 
-        // Phase 1: customer routes — BFS from d along "to my provider"
-        // direction. An AS x with a customer-or-origin route offers the
-        // route to each of its providers p; p installs it as a Customer
-        // route. BFS order guarantees shortest distance; among equal
-        // distances the lowest next-hop ASN wins, which we enforce by
-        // scanning candidates per level.
+        // Every phase routes through `offer`: the first offer claims an
+        // unrouted node, and a later offer of the same class replaces
+        // the incumbent only if it is shorter, or as short from a lower
+        // next-hop ASN. Offers of another class never displace a route:
+        // the phases run in class-preference order (DESIGN.md §17).
+
+        // Phase 1: customer routes — level-synchronous BFS from d along
+        // "to my provider" links. Every offer made while expanding level
+        // k has length k + 1, so a node first reached at level k keeps
+        // that length and ends on the lowest-ASN offering neighbor.
         let mut frontier = vec![d];
+        let mut next_frontier = Vec::new();
         let mut dist = 0u32;
         while !frontier.is_empty() {
             dist += 1;
-            // Gather candidate (provider <- via) offers for this level.
-            let mut offers: Vec<(usize, usize)> = Vec::new(); // (provider, via)
             for &x in &frontier {
                 for &(p, rel) in graph.neighbors_idx(x) {
                     // rel is p's relationship w.r.t. x; p is x's provider.
-                    if rel == Relationship::Provider && entries[p].is_none() {
-                        offers.push((p, x));
+                    if rel == Relationship::Provider
+                        && offer(&mut entries, graph, p, x, RouteClass::Customer, dist)
+                    {
+                        next_frontier.push(p);
                     }
                 }
             }
-            // Deterministic: among multiple offers to the same provider,
-            // choose lowest next-hop ASN.
-            offers.sort_by_key(|&(p, via)| (p, graph.asn_of(via)));
-            let mut next_frontier = Vec::new();
-            for (p, via) in offers {
-                if entries[p].is_none() {
-                    entries[p] = Some(Entry {
-                        class: RouteClass::Customer,
-                        dist,
-                        next: via,
-                    });
-                    next_frontier.push(p);
-                }
-            }
-            frontier = next_frontier;
+            std::mem::swap(&mut frontier, &mut next_frontier);
+            next_frontier.clear();
         }
 
         // Phase 2: peer routes — every AS x with a customer-or-origin
-        // route offers it across each peering link; the peer q installs
-        // it (class Peer) unless q already has a customer/origin route.
-        // Peer routes are not re-exported, so a single pass suffices.
-        let mut peer_offers: Vec<(usize, u32, Asn, usize)> = Vec::new(); // (q, dist, via_asn, via)
+        // route offers it across each peering link. Peer routes are not
+        // re-exported to peers, so a single pass suffices; `offer` keeps
+        // the shortest, lowest-ASN one per node.
         for x in 0..n {
             let Some(e) = entries[x] else { continue };
             if e.class > RouteClass::Customer {
@@ -187,66 +210,54 @@ impl RoutingTree {
             }
             for &(q, rel) in graph.neighbors_idx(x) {
                 if rel == Relationship::Peer {
-                    let better = match entries[q] {
-                        None => true,
-                        Some(eq) => eq.class > RouteClass::Peer,
-                    };
-                    if better {
-                        peer_offers.push((q, e.dist + 1, graph.asn_of(x), x));
-                    }
+                    offer(&mut entries, graph, q, x, RouteClass::Peer, e.dist + 1);
                 }
-            }
-        }
-        peer_offers.sort_by_key(|&(q, dist, via_asn, _)| (q, dist, via_asn));
-        for (q, dist, _, via) in peer_offers {
-            let take = match entries[q] {
-                None => true,
-                Some(eq) => {
-                    eq.class > RouteClass::Peer
-                        || (eq.class == RouteClass::Peer && dist < eq.dist)
-                }
-            };
-            if take {
-                entries[q] = Some(Entry {
-                    class: RouteClass::Peer,
-                    dist,
-                    next: via,
-                });
             }
         }
 
-        // Phase 3: provider routes — Dijkstra (unit weights) *down*
-        // customer links from every already-routed AS. Any AS x with any
-        // route offers it to its customers c; c installs the shortest
-        // such offer as a Provider route only if it has no route yet
-        // (policy beats length, so customer/peer routes are never
-        // displaced). Sources have heterogeneous distances, so a plain
-        // level-order BFS would be wrong; a distance-ordered heap keeps
-        // shortest-AS-path semantics. Ties break on lowest next-hop ASN
-        // via the heap key.
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let mut heap: BinaryHeap<Reverse<(u32, Asn, usize, usize)>> = BinaryHeap::new();
-        for x in 0..n {
-            let Some(e) = entries[x] else { continue };
-            for &(c, rel) in graph.neighbors_idx(x) {
-                if rel == Relationship::Customer && entries[c].is_none() {
-                    heap.push(Reverse((e.dist + 1, graph.asn_of(x), c, x)));
+        // Phase 3: provider routes ripple *down* customer links from
+        // every routed AS. Sources start at mixed lengths, so the walk
+        // is level-synchronous over two length-sorted streams: the ASes
+        // routed by phases 1–2 (sorted once) and the queue of ASes this
+        // phase routes, which is appended in nondecreasing length. Each
+        // AS at length k offers length k + 1 to its customers; the first
+        // offer routes an unrouted customer and queues it, and a later
+        // offer of the same length from a lower ASN replaces its next
+        // hop. Every offer of length k + 1 is made before any of length
+        // k + 2, so each customer ends on its minimum (length, next-hop
+        // ASN) offer.
+        let mut seeds: Vec<(u32, usize)> = entries
+            .iter()
+            .enumerate()
+            .filter_map(|(x, e)| e.map(|e| (e.dist, x)))
+            .collect();
+        seeds.sort_unstable();
+        let dist_of =
+            |entries: &[Option<Entry>], x: usize| entries[x].expect("queued nodes are routed").dist;
+        let mut queue: Vec<usize> = Vec::new();
+        let (mut s, mut q) = (0, 0);
+        loop {
+            let x = match (seeds.get(s), queue.get(q)) {
+                (Some(&(ds, x)), Some(&c)) if ds <= dist_of(&entries, c) => {
+                    s += 1;
+                    x
                 }
-            }
-        }
-        while let Some(Reverse((dist, _, c, via))) = heap.pop() {
-            if entries[c].is_some() {
-                continue;
-            }
-            entries[c] = Some(Entry {
-                class: RouteClass::Provider,
-                dist,
-                next: via,
-            });
-            for &(cc, rel) in graph.neighbors_idx(c) {
-                if rel == Relationship::Customer && entries[cc].is_none() {
-                    heap.push(Reverse((dist + 1, graph.asn_of(c), cc, c)));
+                (_, Some(&c)) => {
+                    q += 1;
+                    c
+                }
+                (Some(&(_, x)), None) => {
+                    s += 1;
+                    x
+                }
+                (None, None) => break,
+            };
+            let dist = dist_of(&entries, x) + 1;
+            for &(c, rel) in graph.neighbors_idx(x) {
+                if rel == Relationship::Customer
+                    && offer(&mut entries, graph, c, x, RouteClass::Provider, dist)
+                {
+                    queue.push(c);
                 }
             }
         }
@@ -818,5 +829,225 @@ mod reconverge_tests {
             tree.path_from(&g, Asn(3)),
             Some(vec![Asn(3), Asn(2), Asn(1)])
         );
+    }
+}
+
+#[cfg(test)]
+mod oracle_tests {
+    use super::*;
+    use crate::gen::{TopologyConfig, TopologyGenerator};
+    use crate::graph::Tier;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The heap-based construction `compute` replaced, kept as its
+    /// independent oracle: phase 1 sorts each level's offers, phase 2
+    /// sorts every peer offer, phase 3 is a Dijkstra keyed on
+    /// `(dist, via ASN)`.
+    fn reference(graph: &AsGraph, dest: Asn) -> Option<RoutingTree> {
+        let n = graph.len();
+        let d = graph.index_of(dest)?;
+        let mut entries: Vec<Option<Entry>> = vec![None; n];
+        entries[d] = Some(Entry {
+            class: RouteClass::Origin,
+            dist: 0,
+            next: d,
+        });
+
+        let mut frontier = vec![d];
+        let mut dist = 0u32;
+        while !frontier.is_empty() {
+            dist += 1;
+            let mut offers: Vec<(usize, usize)> = Vec::new();
+            for &x in &frontier {
+                for &(p, rel) in graph.neighbors_idx(x) {
+                    if rel == Relationship::Provider && entries[p].is_none() {
+                        offers.push((p, x));
+                    }
+                }
+            }
+            offers.sort_by_key(|&(p, via)| (p, graph.asn_of(via)));
+            let mut next_frontier = Vec::new();
+            for (p, via) in offers {
+                if entries[p].is_none() {
+                    entries[p] = Some(Entry {
+                        class: RouteClass::Customer,
+                        dist,
+                        next: via,
+                    });
+                    next_frontier.push(p);
+                }
+            }
+            frontier = next_frontier;
+        }
+
+        let mut peer_offers: Vec<(usize, u32, Asn, usize)> = Vec::new();
+        for x in 0..n {
+            let Some(e) = entries[x] else { continue };
+            if e.class > RouteClass::Customer {
+                continue;
+            }
+            for &(q, rel) in graph.neighbors_idx(x) {
+                let better = entries[q].map_or(true, |eq| eq.class > RouteClass::Peer);
+                if rel == Relationship::Peer && better {
+                    peer_offers.push((q, e.dist + 1, graph.asn_of(x), x));
+                }
+            }
+        }
+        peer_offers.sort_by_key(|&(q, dist, via_asn, _)| (q, dist, via_asn));
+        for (q, dist, _, via) in peer_offers {
+            let take = entries[q].map_or(true, |eq| {
+                eq.class > RouteClass::Peer || (eq.class == RouteClass::Peer && dist < eq.dist)
+            });
+            if take {
+                entries[q] = Some(Entry {
+                    class: RouteClass::Peer,
+                    dist,
+                    next: via,
+                });
+            }
+        }
+
+        let mut heap: BinaryHeap<Reverse<(u32, Asn, usize, usize)>> = BinaryHeap::new();
+        for x in 0..n {
+            let Some(e) = entries[x] else { continue };
+            for &(c, rel) in graph.neighbors_idx(x) {
+                if rel == Relationship::Customer && entries[c].is_none() {
+                    heap.push(Reverse((e.dist + 1, graph.asn_of(x), c, x)));
+                }
+            }
+        }
+        while let Some(Reverse((dist, _, c, via))) = heap.pop() {
+            if entries[c].is_some() {
+                continue;
+            }
+            entries[c] = Some(Entry {
+                class: RouteClass::Provider,
+                dist,
+                next: via,
+            });
+            for &(cc, rel) in graph.neighbors_idx(c) {
+                if rel == Relationship::Customer && entries[cc].is_none() {
+                    heap.push(Reverse((dist + 1, graph.asn_of(c), cc, c)));
+                }
+            }
+        }
+
+        Some(RoutingTree {
+            dest,
+            dest_idx: d,
+            entries,
+            epoch: 0,
+            tracing: false,
+            trace: Vec::new(),
+        })
+    }
+
+    /// Every origin's tree, node by node, against the oracle.
+    fn assert_all_trees_match(g: &AsGraph, what: &str) {
+        for dest in g.asns() {
+            let got = RoutingTree::compute(g, dest).unwrap();
+            let want = reference(g, dest).unwrap();
+            for i in 0..g.len() {
+                assert_eq!(
+                    got.route_at_idx(i),
+                    want.route_at_idx(i),
+                    "{what}: tree toward {dest} differs at {}",
+                    g.asn_of(i)
+                );
+            }
+        }
+    }
+
+    /// Remove each link of `g` with probability `frac`, drawn from `seed`.
+    fn remove_links(g: &mut AsGraph, frac: f64, seed: u64) {
+        let mut rng = proptest::TestRng::from_seed(seed);
+        let mut links = Vec::new();
+        for i in 0..g.len() {
+            for &(j, _) in g.neighbors_idx(i) {
+                if i < j {
+                    links.push((g.asn_of(i), g.asn_of(j)));
+                }
+            }
+        }
+        for (a, b) in links {
+            if rng.unit_f64() < frac {
+                g.remove_link(a, b).unwrap();
+            }
+        }
+    }
+
+    /// A generated topology, intact and after random link removals
+    /// that strand ASes and leave multihomed stubs with equal-length
+    /// provider routes.
+    fn check_generated(config: TopologyConfig, frac: f64) {
+        let seed = config.seed;
+        let mut g = TopologyGenerator::new(config).generate().graph;
+        assert_all_trees_match(&g, "intact");
+        remove_links(&mut g, frac, seed ^ 0x5EED);
+        assert_all_trees_match(&g, "after removals");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// The small tier's 200-AS topology (legacy generator path).
+        #[test]
+        fn compute_matches_heap_reference_on_small_topologies(
+            seed in any::<u64>(),
+            frac in 0.0f64..0.15,
+        ) {
+            check_generated(TopologyConfig::small(seed), frac);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2))]
+
+        /// An 800-AS topology on the regional generator path.
+        #[test]
+        fn compute_matches_heap_reference_on_medium_topologies(
+            seed in any::<u64>(),
+            frac in 0.0f64..0.15,
+        ) {
+            check_generated(TopologyConfig::internet(800, seed), frac);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random layered graphs whose ASN order disagrees with node
+        /// order, so every tie-break is decided by ASN, not by index.
+        #[test]
+        fn compute_matches_heap_reference_on_random_graphs(
+            n in 3usize..40,
+            links in proptest::collection::vec(
+                (any::<proptest::sample::Index>(), any::<proptest::sample::Index>(), any::<bool>()),
+                0..90,
+            ),
+        ) {
+            let asn = |i: usize| Asn(((i * 37) % 101 + 1) as u32);
+            let mut g = AsGraph::new();
+            for i in 0..n {
+                g.add_as(asn(i), Tier::Tier2).unwrap();
+            }
+            for (a, b, peer) in links {
+                let (a, b) = (a.index(n), b.index(n));
+                if a == b || g.relationship(asn(a), asn(b)).is_some() {
+                    continue;
+                }
+                // Provider links point from higher to lower node index,
+                // so the customer-provider hierarchy is acyclic.
+                let (c, p) = (a.max(b), a.min(b));
+                if peer {
+                    g.add_peering(asn(a), asn(b)).unwrap();
+                } else {
+                    g.add_customer_provider(asn(c), asn(p)).unwrap();
+                }
+            }
+            assert_all_trees_match(&g, "random graph");
+        }
     }
 }
