@@ -102,9 +102,8 @@ fn ablate_observation_mode(c: &mut Criterion) {
 
 /// Micro-bench for the collector's flat-table merge-diff: a full-feed
 /// observation over a sorted prefix table, driven through
-/// [`Collector::observe`] so the galloped `diff_session` cursor walk
-/// and the batched `apply_ops` table merge are both on the measured
-/// path.
+/// [`Collector::observe`] so the diff kernel's galloped cursor walk
+/// and the batched table merge are both on the measured path.
 ///
 /// * `replace_all` — every entry re-announces with an alternating path:
 ///   one op per (session, prefix), applied by the in-place replacement

@@ -53,22 +53,31 @@ pub struct UpdateRecord {
     pub msg: UpdateMessage,
 }
 
-/// The table changes one [`Collector::observe`] computes for one
-/// session before any state is applied: for each prefix whose recorded
-/// entry changes, the new entry — `Some(id)` to insert or replace (an
-/// announcement), `None` to remove (a withdrawal) — in the prefix
-/// iteration order of the observe call. Paths are interned
-/// [`PathId`]s into the collector's [`PathArena`].
-///
-/// Produced by [`Collector::diff_session`] against pre-observe state
-/// and consumed by [`Collector::apply_ops`]; the parallel month-replay
-/// engine computes these on worker threads and applies them serially.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SessionOps {
-    /// Index of the session into the collector's roster.
-    pub session: usize,
-    /// Changed entries as `(prefix, new interned table entry)`.
-    pub ops: Vec<(Ipv4Prefix, Option<PathId>)>,
+/// The table changes one observation computes for one session before
+/// any state is applied: for each prefix whose recorded entry changes,
+/// the new entry — `Some(id)` to insert or replace (an announcement),
+/// `None` to remove (a withdrawal) — in diff order. Produced by
+/// [`diff_run`] against pre-observe state (possibly on a worker shard)
+/// and consumed serially by [`Collector::apply_ops`].
+type SessionOps = Vec<(Ipv4Prefix, Option<PathId>)>;
+
+/// One unit of a sharded observation, handed to the caller's region
+/// runner (see [`Collector::observe_dirty_sharded`]).
+pub type ShardTask<'s> = Box<dyn FnOnce() + Send + 's>;
+
+/// Parallelize a collector diff only when its actual work — (session,
+/// prefix) pairs to diff — reaches this; below it the observation stays
+/// on the caller thread. Galloped merge-diff retires a pair in tens of
+/// nanoseconds, so a region has to carry a few thousand before threads
+/// pay for themselves. Output is identical either way.
+const MIN_DIFF_WORK: usize = 4096;
+
+/// Run shard tasks one after another on the caller thread — the region
+/// runner of every width-1 observation.
+fn run_serially(tasks: Vec<ShardTask<'_>>) {
+    for task in tasks {
+        task();
+    }
 }
 
 /// A time-ordered log of updates across all sessions of all collectors.
@@ -177,19 +186,6 @@ struct FlatTable {
     entries: Vec<(Ipv4Prefix, PathId)>,
 }
 
-impl FlatTable {
-    fn get(&self, prefix: &Ipv4Prefix) -> Option<PathId> {
-        self.entries
-            .binary_search_by(|e| e.0.cmp(prefix))
-            .ok()
-            .map(|i| self.entries[i].1)
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-    }
-}
-
 /// Index of the first entry of `table` with prefix `>= p`, by
 /// exponential probing from the front. The diff walks ascending query
 /// runs against the table with a moving cursor, so the answer is
@@ -208,6 +204,51 @@ fn gallop(table: &[(Ipv4Prefix, PathId)], p: Ipv4Prefix) -> usize {
     }
     let hi = (lo + step).min(table.len());
     lo + table[lo..hi].partition_point(|e| e.0 < p)
+}
+
+/// The diff kernel: diff one strictly ascending `run` of prefixes
+/// against a session's recorded `table`, pushing onto `ops` the new
+/// entry of every prefix whose recorded entry changes. `export(i)` is
+/// the peer's interned recorded path and route class for `run[i]`; a
+/// partial feed sees only origin- and customer-learned routes. An op is
+/// pushed iff the visible export differs from the recorded entry: a
+/// changed or new path announces, a vanished one withdraws.
+///
+/// `cursor` is the gallop position in `table`, carried across the runs
+/// of one session so consecutive ascending runs merge in one lockstep
+/// walk; a run that starts at or below the cursor restarts from the
+/// front. Reads only `table`, so distinct sessions diff concurrently.
+fn diff_run(
+    kind: FeedKind,
+    table: &[(Ipv4Prefix, PathId)],
+    cursor: &mut usize,
+    run: &[Ipv4Prefix],
+    export: impl Fn(usize) -> Option<(PathId, RouteClass)>,
+    ops: &mut SessionOps,
+) {
+    debug_assert!(
+        run.windows(2).all(|w| w[0] < w[1]),
+        "run must be strictly ascending"
+    );
+    if run
+        .first()
+        .is_some_and(|&p| *cursor > 0 && table[*cursor - 1].0 >= p)
+    {
+        *cursor = 0;
+    }
+    for (i, &prefix) in run.iter().enumerate() {
+        let now = export(i).and_then(|(id, class)| {
+            let visible = kind == FeedKind::Full
+                || matches!(class, RouteClass::Origin | RouteClass::Customer);
+            visible.then_some(id)
+        });
+        let pos = *cursor + gallop(&table[*cursor..], prefix);
+        let hit = pos < table.len() && table[pos].0 == prefix;
+        *cursor = if hit { pos + 1 } else { pos };
+        if hit.then(|| table[pos].1) != now {
+            ops.push((prefix, now));
+        }
+    }
 }
 
 /// A set of collector sessions that observes route changes and appends
@@ -231,11 +272,8 @@ pub struct Collector {
     /// Arena of every distinct recorded path; `state` and [`SessionOps`]
     /// refer into it, and records resolve through it on append.
     arena: PathArena,
-    /// Per-session peer graph indices, memoized on the first
-    /// [`Collector::refresh_exports`] call (parallel to `sessions`;
-    /// empty until then). Node indices are stable for a graph's
-    /// lifetime — link churn never renumbers nodes — so one resolution
-    /// serves the whole replay.
+    /// Per-session peer graph indices, memoized on the first refresh
+    /// (parallel to `sessions`; empty until then).
     peer_idx: Vec<Option<usize>>,
     /// Reset schedule: sorted (time, session index).
     resets: Vec<(SimTime, usize)>,
@@ -246,9 +284,10 @@ pub struct Collector {
     /// every up/down transition so the per-event observe reads a slice
     /// instead of rebuilding a `Vec`.
     live_idx: Vec<usize>,
-    /// One reusable [`SessionOps`] slot per session (slot `si` has
-    /// `session == si`), lent out by [`Collector::take_ops_scratch`] so
-    /// per-event diffs reuse warm op buffers instead of allocating.
+    /// One reusable [`SessionOps`] slot per session (slot `si` holds
+    /// session `si`'s ops), taken by the observe driver for each
+    /// observation so per-event diffs reuse warm op buffers instead of
+    /// allocating.
     ops_scratch: Vec<SessionOps>,
     /// Reusable `(prefix, op seq, entry)` buffer for sorting a batch of
     /// table deltas in [`Collector::apply_ops`].
@@ -400,25 +439,15 @@ impl Collector {
 
     /// Bring `cache` up to date for `tree`'s origin at every session
     /// peer of this collector, interning newly seen recorded paths into
-    /// this collector's arena. The replay loop calls this for each
-    /// origin whose tree changed before observing; epoch-unchanged
-    /// entries return immediately.
+    /// this collector's arena. Epoch-unchanged entries return
+    /// immediately.
     pub fn refresh_exports(
         &mut self,
         graph: &AsGraph,
         tree: &RoutingTree,
         cache: &mut ExportCache,
     ) {
-        self.ensure_peer_idx(graph);
-        for i in 0..self.sessions.len() {
-            cache.refresh_at(
-                graph,
-                tree,
-                self.sessions[i].peer,
-                self.peer_idx[i],
-                &mut self.arena,
-            );
-        }
+        self.refresh_sessions(graph, tree, cache, |_| {});
     }
 
     /// [`Collector::refresh_exports`] that also reports *where* the
@@ -435,30 +464,34 @@ impl Collector {
         cache: &mut ExportCache,
         dirty: &mut [Vec<Asn>],
     ) {
-        debug_assert!(dirty.len() >= self.sessions.len());
-        self.ensure_peer_idx(graph);
         let origin = tree.dest();
-        for (i, d) in dirty.iter_mut().enumerate().take(self.sessions.len()) {
-            let changed = cache.refresh_at(
-                graph,
-                tree,
-                self.sessions[i].peer,
-                self.peer_idx[i],
-                &mut self.arena,
-            );
-            if changed {
-                d.push(origin);
-            }
-        }
+        self.refresh_sessions(graph, tree, cache, |si| dirty[si].push(origin));
     }
 
-    fn ensure_peer_idx(&mut self, graph: &AsGraph) {
+    /// The refresh loop: refresh `tree`'s export at every session peer,
+    /// calling `changed(si)` for each session whose export value moved.
+    /// Peer graph indices are resolved once, on the first call — node
+    /// indices are stable for a graph's lifetime (link churn never
+    /// renumbers nodes), so one resolution serves the whole replay.
+    fn refresh_sessions(
+        &mut self,
+        graph: &AsGraph,
+        tree: &RoutingTree,
+        cache: &mut ExportCache,
+        mut changed: impl FnMut(usize),
+    ) {
         if self.peer_idx.len() != self.sessions.len() {
             self.peer_idx = self
                 .sessions
                 .iter()
                 .map(|s| graph.index_of(s.peer))
                 .collect();
+        }
+        for si in 0..self.sessions.len() {
+            let peer = self.sessions[si].peer;
+            if cache.refresh_at(graph, tree, peer, self.peer_idx[si], &mut self.arena) {
+                changed(si);
+            }
         }
     }
 
@@ -541,7 +574,7 @@ impl Collector {
                 // Forget the session's table: the peer re-dumps on
                 // re-establishment, so the next observe re-announces
                 // every live route.
-                self.state[i].clear();
+                self.state[i].entries.clear();
                 obs::incr("collector", "reconnects", 1);
                 obs::incr_session("collector", "reconnects", id.0, 1);
                 recovered.push(id);
@@ -693,7 +726,7 @@ impl Collector {
     /// current best route as `(path-after-peer, class)` — i.e. what
     /// `RoutingTree::as_path_at` yields — or `None` when unrouted. The
     /// collector applies the per-session feed filter and prepends the
-    /// peer to recorded paths.
+    /// peer to recorded paths. `prefixes` must be strictly ascending.
     pub fn observe<F>(
         &mut self,
         at: SimTime,
@@ -705,18 +738,12 @@ impl Collector {
     {
         // Convenience form: pre-intern the recorded (peer-prepended)
         // path for every queried (peer, prefix) pair, then run the
-        // interned observe against the resulting table. The replay hot
-        // path skips this and calls [`Collector::observe_interned`]
-        // with an [`ExportCache`]-backed closure directly.
-        let peers: Vec<Asn> = self
-            .live_session_indices()
-            .iter()
-            .map(|&si| self.sessions[si].peer)
-            .collect();
+        // interned observe against the resulting table.
         let arena = &mut self.arena;
         let mut table: BTreeMap<(Asn, Ipv4Prefix), Option<(PathId, RouteClass)>> =
             BTreeMap::new();
-        for &peer in &peers {
+        for &si in &self.live_idx {
+            let peer = self.sessions[si].peer;
             for &prefix in prefixes {
                 table.entry((peer, prefix)).or_insert_with(|| {
                     exported(peer, prefix)
@@ -732,15 +759,21 @@ impl Collector {
         );
     }
 
-    /// [`Collector::observe`] over pre-interned exports: `exported`
-    /// yields, for a peer and an index into `prefixes`, the interned id
-    /// of the *recorded* path (the peer-prepended path the session would
-    /// log — the full peer→origin walk) plus the peer's route class,
-    /// typically straight out of an [`ExportCache`]. Passing the index
-    /// rather than the prefix lets callers answer from a slice aligned
-    /// with `prefixes` instead of a per-query map lookup. This is the
-    /// month-replay hot path: diffing compares path ids and touches no
-    /// allocator.
+    /// The full scan: [`Collector::observe`] over pre-interned exports.
+    /// `exported` yields, for a peer and an index into `prefixes`, the
+    /// interned id of the *recorded* path (the peer-prepended path the
+    /// session would log — the full peer→origin walk) plus the peer's
+    /// route class, typically straight out of an [`ExportCache`].
+    /// Passing the index rather than the prefix lets callers answer
+    /// from a slice aligned with `prefixes` instead of a per-query map
+    /// lookup. Every live session diffs `prefixes` as one run, one
+    /// export per prefix.
+    ///
+    /// # Panics
+    ///
+    /// When `prefixes` is not strictly ascending: a prefix listed twice
+    /// would diff against the table its first occurrence was about to
+    /// change.
     pub fn observe_interned<F>(
         &mut self,
         at: SimTime,
@@ -748,37 +781,49 @@ impl Collector {
         exported: &F,
         log: &mut UpdateLog,
     ) where
-        F: Fn(Asn, usize) -> Option<(PathId, RouteClass)>,
+        F: Fn(Asn, usize) -> Option<(PathId, RouteClass)> + Sync,
     {
-        let _span = obs::prof::span("collector", "observe");
-        let recorded_before = log.records.len();
-        self.emit_due_resets(at, log);
-        let mut ops = self.take_ops_scratch();
-        for idx in 0..self.live_idx.len() {
-            let si = self.live_idx[idx];
-            self.diff_session_into(si, prefixes, exported, &mut ops[si]);
-        }
-        self.apply_ops(at, &ops, log);
-        self.restore_ops_scratch(ops);
-        Self::count_observation(log.records.len() - recorded_before);
+        assert!(
+            prefixes.windows(2).all(|w| w[0] < w[1]),
+            "observe_interned: prefixes must be strictly ascending"
+        );
+        self.observe_with(
+            at,
+            log,
+            1,
+            run_serially,
+            |_| prefixes.len(),
+            |_, info, table, ops| {
+                diff_run(
+                    info.kind,
+                    table,
+                    &mut 0,
+                    prefixes,
+                    |pi| exported(info.peer, pi),
+                    ops,
+                )
+            },
+        );
     }
 
     /// Observe at time `at` only the **dirty** part of the routing
     /// state: `dirty[si]` lists, ascending, the origins whose export
     /// toward session `si`'s peer changed since the last observe (as
     /// reported by [`Collector::refresh_exports_dirty`]), and
-    /// `prefixes_of` maps an origin to its tracked prefixes (ascending;
-    /// an origin's prefixes must not appear under another origin).
-    /// `exported` answers `(peer, origin)` queries, typically
-    /// [`ExportCache::get`].
+    /// `prefixes_of` maps an origin to its tracked prefixes (strictly
+    /// ascending; an origin's prefixes must not appear under another
+    /// origin). `exported` answers `(peer, origin)` queries, typically
+    /// [`ExportCache::get`]. Each dirty origin is one diff run with one
+    /// export.
     ///
     /// Produces byte-for-byte the records a full
     /// [`Collector::observe_interned`] over all tracked prefixes would
     /// append: a record is emitted only when a session's recorded entry
     /// changes, which requires that (origin, peer) export to have
     /// changed — membership in `dirty` — and clean origins' prefix runs
-    /// diff to nothing. This is the replay hot path: per event it
-    /// touches only changed (session, origin) pairs.
+    /// diff to nothing. With every origin dirty it *is* the full dump,
+    /// in the same record order whenever origins in ascending order
+    /// own ascending prefix runs (as the tracked prefixes do).
     pub fn observe_dirty<'a, F, P>(
         &mut self,
         at: SimTime,
@@ -787,61 +832,163 @@ impl Collector {
         exported: &F,
         log: &mut UpdateLog,
     ) where
-        F: Fn(Asn, Asn) -> Option<(PathId, RouteClass)>,
-        P: Fn(Asn) -> &'a [Ipv4Prefix],
+        F: Fn(Asn, Asn) -> Option<(PathId, RouteClass)> + Sync,
+        P: Fn(Asn) -> &'a [Ipv4Prefix] + Sync,
+    {
+        self.observe_dirty_sharded(at, dirty, prefixes_of, exported, log, 1, run_serially);
+    }
+
+    /// [`Collector::observe_dirty`] with per-session diffing fanned out
+    /// over up to `width` shards, each a task handed to `run_region`
+    /// (which must run every task before returning, e.g. a scoped
+    /// thread pool's region runner). The split is work-weighted — cut
+    /// points fall where cumulative dirty work (prefix count over each
+    /// session's dirty origins) crosses the next `total·k/width`
+    /// boundary, a pure function of the dirty sets — so one full-feed
+    /// session re-dumping its table does not serialize behind idle
+    /// peers. Below `MIN_DIFF_WORK` pairs the observation stays on the
+    /// caller thread. Shards read only pre-observe state
+    /// and write only their own sessions' op slots, and ops apply
+    /// serially in ascending session order, so the log is
+    /// record-for-record the width-1 log (DESIGN.md §10).
+    #[allow(clippy::too_many_arguments)]
+    pub fn observe_dirty_sharded<'a, F, P, R>(
+        &mut self,
+        at: SimTime,
+        dirty: &[Vec<Asn>],
+        prefixes_of: &P,
+        exported: &F,
+        log: &mut UpdateLog,
+        width: usize,
+        run_region: R,
+    ) where
+        F: Fn(Asn, Asn) -> Option<(PathId, RouteClass)> + Sync,
+        P: Fn(Asn) -> &'a [Ipv4Prefix] + Sync,
+        R: for<'s> FnOnce(Vec<ShardTask<'s>>),
+    {
+        self.observe_with(
+            at,
+            log,
+            width,
+            run_region,
+            |si| dirty[si].iter().map(|&o| prefixes_of(o).len()).sum(),
+            |si, info, table, ops| {
+                let mut cursor = 0;
+                for &origin in &dirty[si] {
+                    let now = exported(info.peer, origin);
+                    diff_run(
+                        info.kind,
+                        table,
+                        &mut cursor,
+                        prefixes_of(origin),
+                        |_| now,
+                        ops,
+                    );
+                }
+            },
+        );
+    }
+
+    /// The observe driver: emit due resets, diff every live session
+    /// with `diff(si, info, table, ops)` against pre-observe state —
+    /// on the caller thread, or across up to `width` work-weighted
+    /// shards via `run_region` when the total `work(si)` warrants it —
+    /// then apply the ops and count the observation.
+    fn observe_with<R, W, D>(
+        &mut self,
+        at: SimTime,
+        log: &mut UpdateLog,
+        width: usize,
+        run_region: R,
+        work: W,
+        diff: D,
+    ) where
+        R: for<'s> FnOnce(Vec<ShardTask<'s>>),
+        W: Fn(usize) -> usize,
+        D: Fn(usize, &SessionInfo, &[(Ipv4Prefix, PathId)], &mut SessionOps) + Sync,
     {
         let _span = obs::prof::span("collector", "observe");
         let recorded_before = log.records.len();
         self.emit_due_resets(at, log);
-        let mut ops = self.take_ops_scratch();
-        for idx in 0..self.live_idx.len() {
-            let si = self.live_idx[idx];
-            if dirty[si].is_empty() {
-                continue;
-            }
-            self.diff_dirty_into(si, &dirty[si], prefixes_of, exported, &mut ops[si]);
-        }
-        self.apply_ops(at, &ops, log);
-        self.restore_ops_scratch(ops);
-        Self::count_observation(log.records.len() - recorded_before);
-    }
-
-    /// Lend out the per-session [`SessionOps`] scratch: one slot per
-    /// session, `ops[si].session == si`, every op list cleared but with
-    /// its warm capacity. Callers (the observe entry points and the
-    /// parallel engine, which hands disjoint slots to worker shards)
-    /// fill slots, run [`Collector::apply_ops`] over the whole slice —
-    /// untouched slots are empty and apply as no-ops — and give the
-    /// buffer back via [`Collector::restore_ops_scratch`].
-    pub fn take_ops_scratch(&mut self) -> Vec<SessionOps> {
         let mut ops = std::mem::take(&mut self.ops_scratch);
-        if ops.len() != self.sessions.len() {
-            ops = (0..self.sessions.len())
-                .map(|si| SessionOps {
-                    session: si,
-                    ops: Vec::new(),
+        ops.resize_with(self.sessions.len(), Vec::new);
+        let this: &Collector = self;
+        let diff_session = |si: usize, out: &mut SessionOps| {
+            let _span = obs::prof::span("collector", "diff_session");
+            diff(si, &this.sessions[si], &this.state[si].entries, out);
+        };
+        let shards = if width > 1 {
+            this.shard_sessions(width, work)
+        } else {
+            Vec::new()
+        };
+        if shards.len() < 2 {
+            for &si in &this.live_idx {
+                diff_session(si, &mut ops[si]);
+            }
+        } else {
+            // Hand each shard the op slots of its own sessions.
+            let mut slots: Vec<Option<&mut SessionOps>> = ops.iter_mut().map(Some).collect();
+            let diff_session = &diff_session;
+            let tasks: Vec<ShardTask<'_>> = shards
+                .into_iter()
+                .map(|sessions| {
+                    let mine: Vec<(usize, &mut SessionOps)> = sessions
+                        .into_iter()
+                        .map(|si| (si, slots[si].take().expect("one shard per session")))
+                        .collect();
+                    Box::new(move || {
+                        for (si, out) in mine {
+                            diff_session(si, out);
+                        }
+                    }) as ShardTask<'_>
                 })
                 .collect();
-        } else {
-            for so in ops.iter_mut() {
-                so.ops.clear();
+            run_region(tasks);
+        }
+        self.apply_ops(at, &mut ops, log);
+        self.ops_scratch = ops;
+        obs::incr("collector", "observe_calls", 1);
+        obs::incr(
+            "collector",
+            "records",
+            (log.records.len() - recorded_before) as u64,
+        );
+    }
+
+    /// Split the live sessions with work into at most `width`
+    /// contiguous, ascending shards of roughly equal total `work`.
+    /// Empty when the observation is too small to be worth threads.
+    fn shard_sessions(&self, width: usize, work: impl Fn(usize) -> usize) -> Vec<Vec<usize>> {
+        let work_of: Vec<(usize, usize)> = self
+            .live_idx
+            .iter()
+            .map(|&si| (si, work(si)))
+            .filter(|&(_, w)| w > 0)
+            .collect();
+        let total: usize = work_of.iter().map(|&(_, w)| w).sum();
+        let n = width.min(work_of.len());
+        if n < 2 || total < MIN_DIFF_WORK {
+            return Vec::new();
+        }
+        let mut shards = vec![Vec::new(); n];
+        let (mut acc, mut k) = (0usize, 0usize);
+        for (si, w) in work_of {
+            shards[k].push(si);
+            acc += w;
+            if k + 1 < n && acc * n >= total * (k + 1) {
+                k += 1;
             }
         }
-        ops
+        shards.retain(|s| !s.is_empty());
+        shards
     }
 
-    /// Return the buffer borrowed by [`Collector::take_ops_scratch`].
-    pub fn restore_ops_scratch(&mut self, ops: Vec<SessionOps>) {
-        self.ops_scratch = ops;
-    }
-
-    /// First phase of [`Collector::observe`]: emit every scheduled
-    /// session reset due by `at` (re-dumping the session's recorded
-    /// table into `log` at the reset's scheduled time) and advance the
-    /// reset cursor. Serial by design — resets append in schedule order
-    /// and read table state that subsequent diffing may mutate.
-    pub fn emit_due_resets(&mut self, at: SimTime, log: &mut UpdateLog) {
-        // Emit any resets due before `at`: re-dump the session table.
+    /// Emit every scheduled session reset due by `at` (re-dumping the
+    /// session's recorded table into `log` at the reset's scheduled
+    /// time) and advance the reset cursor. Runs before any diff: resets
+    /// append in schedule order and read pre-observe table state.
+    fn emit_due_resets(&mut self, at: SimTime, log: &mut UpdateLog) {
         while self.next_reset < self.resets.len() && self.resets[self.next_reset].0 <= at
         {
             let (rt, si) = self.resets[self.next_reset];
@@ -866,199 +1013,33 @@ impl Collector {
         }
     }
 
-    /// Indices of the sessions currently up, ascending — the sessions
-    /// [`Collector::observe`] diffs, in the order it diffs them.
-    /// Maintained on up/down transitions; reading it allocates nothing.
-    pub fn live_session_indices(&self) -> &[usize] {
-        &self.live_idx
-    }
-
-    /// Pure per-session half of [`Collector::observe`]: diff the
-    /// interned exports `exported` yields for `prefixes` against session
-    /// `si`'s recorded table and return the entries that change,
-    /// mutating nothing. `exported` must yield the *recorded* path id
-    /// (peer-prepended, as [`Collector::observe_interned`] documents);
-    /// the per-session feed filter is applied here.
-    ///
-    /// Reads only session `si`'s slice of the table — the `(si, prefix)`
-    /// keyspaces of distinct sessions are disjoint — so different
-    /// sessions can be diffed concurrently against the same pre-observe
-    /// state, and [`Collector::apply_ops`] applied in ascending session
-    /// order reproduces the serial observe record for record (DESIGN.md
-    /// §10). A prefix listed twice diffs against the pending entry its
-    /// first occurrence produced, exactly as the serial in-place loop
-    /// would.
-    pub fn diff_session<F>(&self, si: usize, prefixes: &[Ipv4Prefix], exported: &F) -> SessionOps
-    where
-        F: Fn(Asn, usize) -> Option<(PathId, RouteClass)>,
-    {
-        let mut out = SessionOps {
-            session: si,
-            ops: Vec::new(),
-        };
-        self.diff_session_into(si, prefixes, exported, &mut out);
-        out
-    }
-
-    /// [`Collector::diff_session`] into a caller-owned [`SessionOps`]
-    /// (cleared first), typically a slot from
-    /// [`Collector::take_ops_scratch`], so the per-event hot path reuses
-    /// warm op buffers.
-    pub fn diff_session_into<F>(
-        &self,
-        si: usize,
-        prefixes: &[Ipv4Prefix],
-        exported: &F,
-        out: &mut SessionOps,
-    ) where
-        F: Fn(Asn, usize) -> Option<(PathId, RouteClass)>,
-    {
-        let _span = obs::prof::span("collector", "diff_session");
-        let info = &self.sessions[si];
-        out.session = si;
-        out.ops.clear();
-        let table = &self.state[si].entries;
-        // Queries usually arrive in long ascending runs (table dumps are
-        // fully sorted); a moving cursor turns each run into a lockstep
-        // merge instead of a per-query search of the whole table.
-        let mut cursor = 0usize;
-        let mut max_seen: Option<Ipv4Prefix> = None;
-        for (pi, &prefix) in prefixes.iter().enumerate() {
-            let now = exported(info.peer, pi).and_then(|(id, class)| {
-                let visible = match info.kind {
-                    FeedKind::Full => true,
-                    FeedKind::Partial => {
-                        matches!(class, RouteClass::Origin | RouteClass::Customer)
-                    }
-                };
-                visible.then_some(id)
-            });
-            let prev = if max_seen.map_or(true, |m| m < prefix) {
-                // Strictly above everything queried so far: this prefix
-                // cannot repeat an earlier query, so there is no pending
-                // op to overlay, and the answer sits at or right of the
-                // cursor.
-                max_seen = Some(prefix);
-                let pos = cursor + gallop(&table[cursor..], prefix);
-                let hit = pos < table.len() && table[pos].0 == prefix;
-                cursor = if hit { pos + 1 } else { pos };
-                hit.then(|| table[pos].1)
-            } else {
-                // Query order regressed. Duplicate prefixes in one call
-                // must see their own effect: the latest not-yet-applied
-                // op for this prefix overlays the table — `out.ops`
-                // mirrors the pending set exactly, since an op is pushed
-                // iff the entry changes. The cursor no longer bounds the
-                // search, so fall back to a full binary search.
-                cursor = 0;
-                match out.ops.iter().rev().find(|&&(q, _)| q == prefix) {
-                    Some(&(_, overlaid)) => overlaid,
-                    None => self.state[si].get(&prefix),
-                }
-            };
-            match (prev, now) {
-                (None, None) => {}
-                (Some(_), None) => out.ops.push((prefix, None)),
-                (prev, Some(id)) => {
-                    if prev != Some(id) {
-                        out.ops.push((prefix, Some(id)));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Dirty-set twin of [`Collector::diff_session_into`]: diff only the
-    /// prefix runs of `dirty_origins` against session `si`'s table,
-    /// probing `exported` once per origin (every prefix of an origin
-    /// shares one export). Requirements, both guaranteed by the replay's
-    /// `tracked_prefixes`-derived indexes: each `prefixes_of(origin)`
-    /// slice is ascending, and no prefix appears under two origins.
-    /// Mutates nothing; shards can run it concurrently against the same
-    /// pre-observe state, exactly like `diff_session`.
-    pub fn diff_dirty_into<'a, F, P>(
-        &self,
-        si: usize,
-        dirty_origins: &[Asn],
-        prefixes_of: &P,
-        exported: &F,
-        out: &mut SessionOps,
-    ) where
-        F: Fn(Asn, Asn) -> Option<(PathId, RouteClass)>,
-        P: Fn(Asn) -> &'a [Ipv4Prefix],
-    {
-        let _span = obs::prof::span("collector", "diff_session");
-        let info = &self.sessions[si];
-        out.session = si;
-        out.ops.clear();
-        let table = &self.state[si].entries;
-        for &origin in dirty_origins {
-            let prefixes = prefixes_of(origin);
-            if prefixes.is_empty() {
+    /// Apply the per-session diffs (`ops[si]` for session `si`) in
+    /// ascending session order, appending one record per op at `at` and
+    /// merging the ops into the session tables. Leaves every slot empty
+    /// with its capacity kept for the next observation.
+    fn apply_ops(&mut self, at: SimTime, ops: &mut [SessionOps], log: &mut UpdateLog) {
+        for (si, so) in ops.iter_mut().enumerate() {
+            if so.is_empty() {
                 continue;
             }
-            let now = exported(info.peer, origin).and_then(|(id, class)| {
-                let visible = match info.kind {
-                    FeedKind::Full => true,
-                    FeedKind::Partial => {
-                        matches!(class, RouteClass::Origin | RouteClass::Customer)
-                    }
+            let sid = self.sessions[si].id;
+            for &(prefix, entry) in so.iter() {
+                let msg = match entry {
+                    None => UpdateMessage::Withdraw(prefix),
+                    Some(id) => UpdateMessage::Announce(Route {
+                        prefix,
+                        as_path: self.arena.resolve(id).clone(),
+                        communities: Default::default(),
+                    }),
                 };
-                visible.then_some(id)
-            });
-            let mut cursor = 0usize;
-            for &prefix in prefixes {
-                let pos = cursor + gallop(&table[cursor..], prefix);
-                let hit = pos < table.len() && table[pos].0 == prefix;
-                cursor = if hit { pos + 1 } else { pos };
-                let prev = hit.then(|| table[pos].1);
-                match (prev, now) {
-                    (None, None) => {}
-                    (Some(_), None) => out.ops.push((prefix, None)),
-                    (prev, Some(id)) => {
-                        if prev != Some(id) {
-                            out.ops.push((prefix, Some(id)));
-                        }
-                    }
-                }
+                log.records.push(UpdateRecord {
+                    at,
+                    session: sid,
+                    msg,
+                });
             }
-        }
-    }
-
-    /// Final phase of [`Collector::observe`]: apply per-session diffs
-    /// produced by [`Collector::diff_session`] against the current
-    /// (pre-apply) state, mutating the table and appending one record
-    /// per entry at `at`. `ops` must be in ascending session order —
-    /// the order the serial observe emits.
-    pub fn apply_ops(&mut self, at: SimTime, ops: &[SessionOps], log: &mut UpdateLog) {
-        debug_assert!(
-            ops.windows(2).all(|w| w[0].session < w[1].session),
-            "session diffs must apply in ascending session order"
-        );
-        for so in ops {
-            if so.ops.is_empty() {
-                continue;
-            }
-            let sid = self.sessions[so.session].id;
-            for &(prefix, entry) in &so.ops {
-                match entry {
-                    None => log.records.push(UpdateRecord {
-                        at,
-                        session: sid,
-                        msg: UpdateMessage::Withdraw(prefix),
-                    }),
-                    Some(id) => log.records.push(UpdateRecord {
-                        at,
-                        session: sid,
-                        msg: UpdateMessage::Announce(Route {
-                            prefix,
-                            as_path: self.arena.resolve(id).clone(),
-                            communities: Default::default(),
-                        }),
-                    }),
-                }
-            }
-            self.apply_table_ops(so.session, &so.ops);
+            self.apply_table_ops(si, so);
+            so.clear();
         }
     }
 
@@ -1117,15 +1098,6 @@ impl Collector {
         merged.extend_from_slice(&table[ti..]);
         std::mem::swap(table, merged);
     }
-
-    /// Record the metrics of one completed observation, where `appended`
-    /// is the number of records it added to the log (resets included).
-    /// Serial and sharded observes both finish through here, so the
-    /// counters are independent of execution width.
-    pub fn count_observation(appended: usize) {
-        obs::incr("collector", "observe_calls", 1);
-        obs::incr("collector", "records", appended as u64);
-    }
 }
 
 /// Configuration for [`clean_session_resets`].
@@ -1178,8 +1150,7 @@ pub fn clean_session_resets(
         table.entry(r.session).or_default().insert(r.msg.prefix());
         match &r.msg {
             UpdateMessage::Announce(route) => {
-                let prev = last_path.get(&key);
-                if prev == Some(&Some(route.as_path.clone())) {
+                if matches!(last_path.get(&key), Some(Some(prev)) if *prev == route.as_path) {
                     removed += 1;
                     dup_times.entry(r.session).or_default().push(r.at);
                     continue;
@@ -1356,6 +1327,23 @@ mod tests {
         );
         assert_eq!(log.len(), 2);
         assert!(log.records[1].msg.is_withdraw());
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn observe_interned_rejects_duplicate_prefixes() {
+        let config = CollectorConfig {
+            resets_per_session: 0.0,
+            ..Default::default()
+        };
+        let mut coll = Collector::new(&[Asn(10)], &config).unwrap();
+        let prefix = p("10.0.0.0/8");
+        coll.observe_interned(
+            SimTime::ZERO,
+            &[prefix, prefix],
+            &|_, _| None,
+            &mut UpdateLog::default(),
+        );
     }
 
     #[test]

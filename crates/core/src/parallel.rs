@@ -1,29 +1,31 @@
 //! Deterministic parallel execution for the month-replay engine.
 //!
-//! The month-long churn study (`Scenario::run_month`) spends nearly all
-//! of its wall clock in two per-event loops: recomputing the candidate
-//! routing trees in [`FastConverge`] and diffing exported routes across
-//! collector sessions. Both decompose into *independent shards* — a
-//! tree's reconvergence reads only the shared (immutable during the
-//! region) graph and its own state; a session's diff reads only its own
-//! disjoint `(session, prefix)` slice of the collector table — so this
-//! module fans each region out over a small scoped-thread pool and
-//! merges the shard results back in the serial order.
+//! The month-long churn study (`Scenario::run_month`) spends its
+//! per-event time in two loops: recomputing the candidate routing trees
+//! in [`FastConverge`] and diffing exported routes across collector
+//! sessions. Both decompose into *independent shards* — a tree's
+//! reconvergence reads only the shared (immutable during the region)
+//! graph and its own state; a session's diff reads only its own slice
+//! of the collector table. This module owns the scoped-thread
+//! [`WorkerPool`] that runs such regions and the sharded tree
+//! recompute, [`apply_event_sharded`]. Collector diffing has no driver
+//! here: [`quicksand_bgp::Collector::observe_dirty_sharded`] is the one
+//! observe driver at width `jobs`, and takes [`WorkerPool::run_region`]
+//! as its region runner.
 //!
 //! Determinism is structural, not coincidental (DESIGN.md §10):
 //!
 //! 1. **Static assignment.** A region's work list is split into at most
-//!    `jobs` contiguous chunks, a pure function of the list length —
+//!    `jobs` contiguous chunks, a pure function of the work list —
 //!    never of thread timing. There is no work stealing.
 //! 2. **Pure shards.** Shards read the shared pre-region state and
 //!    write only their own preallocated output slot.
-//! 3. **Canonical merge.** Outputs are concatenated in chunk order,
-//!    which — because chunks are contiguous over a list the serial
-//!    engine iterates in order (ascending origin ASN for trees,
-//!    ascending session index for collector diffs) — *is* the serial
-//!    order. State mutation and log appends then happen serially on the
-//!    caller thread, records keyed `(time, session, prefix)` exactly as
-//!    the serial engine appends them.
+//! 3. **Canonical merge.** Outputs are combined in chunk order, which —
+//!    because chunks are contiguous over a list the serial engine
+//!    iterates in order (ascending origin ASN for trees, ascending
+//!    session index for collector diffs) — *is* the serial order. State
+//!    mutation and log appends then happen serially on the caller
+//!    thread.
 //!
 //! Hence the parallel engine is bitwise-identical to the serial one at
 //! any jobs count, which the differential harness
@@ -32,10 +34,10 @@
 //! from scenario identity so checkpoints written at one `--jobs` value
 //! resume under any other.
 
-use quicksand_bgp::{Collector, FastConverge, LinkChange, PathId, SessionOps, UpdateLog};
-use quicksand_net::{Asn, Ipv4Prefix, SimTime};
+use quicksand_bgp::{FastConverge, LinkChange};
+use quicksand_net::Asn;
 use quicksand_obs as obs;
-use quicksand_topology::{ReconvergeScratch, RouteClass};
+use quicksand_topology::ReconvergeScratch;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -46,14 +48,6 @@ use std::time::Instant;
 /// scoped-thread spawn costs more than a handful of reconvergences.
 /// Output is identical either way.
 const MIN_TREES_PER_REGION: usize = 8;
-
-/// Parallelize a collector-diff region only when its *actual* work —
-/// (session, prefix) pairs to be diffed, dirty pairs under dirty-set
-/// observation — reaches this; below it the region stays on the caller
-/// thread. Galloped merge-diff retires a pair in tens of nanoseconds,
-/// so a region has to carry a few thousand before threads pay for
-/// themselves. Output is identical either way.
-const MIN_DIFF_WORK: usize = 4096;
 
 /// Execution-width configuration for month replays.
 ///
@@ -284,150 +278,6 @@ pub fn apply_event_sharded(
     });
     pool.return_scratches(scratches);
     changed
-}
-
-/// The serial [`Collector::observe_interned`] with per-session diffing
-/// sharded across `pool`. `exported` yields interned recorded-path ids
-/// (see [`Collector::observe_interned`]); resets are emitted serially
-/// first (schedule order), live sessions are diffed against the shared
-/// pre-observe state in contiguous chunks of the ascending
-/// session-index list, and the per-session diffs are applied serially
-/// in that same order — so the log grows record-for-record as the
-/// serial engine's would.
-pub fn observe_sharded<F>(
-    collector: &mut Collector,
-    at: SimTime,
-    prefixes: &[Ipv4Prefix],
-    exported: &F,
-    log: &mut UpdateLog,
-    pool: &WorkerPool,
-) where
-    F: Fn(Asn, usize) -> Option<(PathId, RouteClass)> + Sync,
-{
-    let recorded_before = log.len();
-    collector.emit_due_resets(at, log);
-    let mut ops = collector.take_ops_scratch();
-    {
-        let snapshot: &Collector = collector;
-        let live = snapshot.live_session_indices();
-        let shards = pool.jobs().min(live.len());
-        // Every live session diffs every prefix on this (full-dump)
-        // path, so live × prefixes *is* the actual work.
-        if shards < 2 || live.len() * prefixes.len() < MIN_DIFF_WORK {
-            for &si in live {
-                snapshot.diff_session_into(si, prefixes, exported, &mut ops[si]);
-            }
-        } else {
-            let chunk = live.len().div_ceil(shards);
-            let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
-            // Hand each shard the disjoint `ops` sub-slice covering its
-            // (ascending, contiguous) chunk of live session indices.
-            let mut rest: &mut [SessionOps] = &mut ops;
-            let mut offset = 0usize;
-            for sessions in live.chunks(chunk) {
-                let last = *sessions.last().expect("chunks are non-empty");
-                let (head, tail) = std::mem::take(&mut rest).split_at_mut(last + 1 - offset);
-                let base = offset;
-                offset = last + 1;
-                rest = tail;
-                tasks.push(Box::new(move || {
-                    for &si in sessions {
-                        snapshot.diff_session_into(si, prefixes, exported, &mut head[si - base]);
-                    }
-                }));
-            }
-            pool.run_region(tasks);
-        }
-    }
-    collector.apply_ops(at, &ops, log);
-    collector.restore_ops_scratch(ops);
-    Collector::count_observation(log.len() - recorded_before);
-}
-
-/// The serial [`Collector::observe_dirty`] with per-session diffing
-/// sharded across `pool`: the dirty-set twin of [`observe_sharded`].
-/// The shard split is *work-weighted* — cut points fall where
-/// cumulative dirty work (prefix count over each session's dirty
-/// origins) crosses the next `total·k/shards` boundary, a pure function
-/// of the dirty sets — so one full-feed session re-dumping its table
-/// does not serialize behind fifteen idle peers. Diffs are applied
-/// serially in ascending session order, record-for-record as the
-/// serial engine appends them.
-pub fn observe_dirty_sharded<'a, F, P>(
-    collector: &mut Collector,
-    at: SimTime,
-    dirty: &[Vec<Asn>],
-    prefixes_of: &P,
-    exported: &F,
-    log: &mut UpdateLog,
-    pool: &WorkerPool,
-) where
-    F: Fn(Asn, Asn) -> Option<(PathId, RouteClass)> + Sync,
-    P: Fn(Asn) -> &'a [Ipv4Prefix] + Sync,
-{
-    let recorded_before = log.len();
-    collector.emit_due_resets(at, log);
-    let mut ops = collector.take_ops_scratch();
-    {
-        let snapshot: &Collector = collector;
-        // The sessions with anything to diff, each with its actual work.
-        let mut work_of: Vec<(usize, usize)> = Vec::new();
-        let mut total = 0usize;
-        for &si in snapshot.live_session_indices() {
-            if dirty[si].is_empty() {
-                continue;
-            }
-            let w: usize = dirty[si].iter().map(|&o| prefixes_of(o).len()).sum();
-            if w > 0 {
-                work_of.push((si, w));
-                total += w;
-            }
-        }
-        let shards = pool.jobs().min(work_of.len());
-        if shards < 2 || total < MIN_DIFF_WORK {
-            for &(si, _) in &work_of {
-                snapshot.diff_dirty_into(si, &dirty[si], prefixes_of, exported, &mut ops[si]);
-            }
-        } else {
-            let mut cuts: Vec<usize> = vec![0];
-            let mut acc = 0usize;
-            let mut k = 1usize;
-            for (i, &(_, w)) in work_of.iter().enumerate() {
-                acc += w;
-                if k < shards && acc * shards >= total * k {
-                    cuts.push(i + 1);
-                    k += 1;
-                }
-            }
-            cuts.push(work_of.len());
-            let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
-            let mut rest: &mut [SessionOps] = &mut ops;
-            let mut offset = 0usize;
-            for pair in cuts.windows(2) {
-                let sessions = &work_of[pair[0]..pair[1]];
-                let Some(&(last, _)) = sessions.last() else { continue };
-                let (head, tail) = std::mem::take(&mut rest).split_at_mut(last + 1 - offset);
-                let base = offset;
-                offset = last + 1;
-                rest = tail;
-                tasks.push(Box::new(move || {
-                    for &(si, _) in sessions {
-                        snapshot.diff_dirty_into(
-                            si,
-                            &dirty[si],
-                            prefixes_of,
-                            exported,
-                            &mut head[si - base],
-                        );
-                    }
-                }));
-            }
-            pool.run_region(tasks);
-        }
-    }
-    collector.apply_ops(at, &ops, log);
-    collector.restore_ops_scratch(ops);
-    Collector::count_observation(log.len() - recorded_before);
 }
 
 #[cfg(test)]

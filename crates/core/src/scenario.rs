@@ -632,8 +632,6 @@ impl Scenario {
             }
             m
         };
-        let all_prefixes: Vec<Ipv4Prefix> = tracked.keys().copied().collect();
-        let all_origin_of: Vec<Asn> = tracked.values().copied().collect();
         drop(prep_span);
 
         let init_span = obs::prof::span("fast", "init");
@@ -710,40 +708,51 @@ impl Scenario {
             None => 0,
         };
 
-        // Sharded engine, engaged only off the serial default. Both
-        // event application and collector observation route through
-        // `parallel` drivers proven (tests/parallel_equivalence.rs)
-        // bitwise-identical to the serial reference below.
+        // Sharded engine, engaged only off the serial default. Event
+        // application and collector observation both run at the pool's
+        // width with output proven (tests/parallel_equivalence.rs)
+        // bitwise-identical to the serial reference.
         let pool = self.config.parallelism.pool();
+        let prefixes_of = |o: Asn| prefixes_by_origin.get(&o).map_or(&[][..], |v| v.as_slice());
+        // Every observation — the two full dumps included — diffs the
+        // per-session dirty-origin lists `dirty` (DESIGN.md §16).
         let observe = |collector: &mut Collector,
                        log: &mut UpdateLog,
                        at: SimTime,
-                       prefixes: &[Ipv4Prefix],
-                       origins: &[Asn],
+                       dirty: &[Vec<Asn>],
                        cache: &ExportCache| {
-            // `origins[i]` is the origin of `prefixes[i]`: the export
-            // query is two array reads and one cache probe per
-            // (session, prefix) — no per-query map walk.
-            let exported = |peer: Asn, pi: usize| cache.get(origins[pi], peer);
+            let exported = |peer: Asn, origin: Asn| cache.get(origin, peer);
             match &pool {
-                Some(pool) => parallel::observe_sharded(
-                    collector, at, prefixes, &exported, log, pool,
+                Some(pool) => collector.observe_dirty_sharded(
+                    at,
+                    dirty,
+                    &prefixes_of,
+                    &exported,
+                    log,
+                    pool.jobs(),
+                    |tasks| pool.run_region(tasks),
                 ),
-                None => collector.observe_interned(at, prefixes, &exported, log),
+                None => collector.observe_dirty(at, dirty, &prefixes_of, &exported, log),
+            }
+        };
+        // A full dump is the dirty path with every origin dirty on every
+        // session. Tracked prefixes grouped by ascending origin are in
+        // ascending prefix order (the address plan hands each AS its
+        // blocks in index order), so the records come out exactly as a
+        // prefix-ordered full scan would emit them.
+        let mut dirty: Vec<Vec<Asn>> = vec![Vec::new(); self.session_peers.len()];
+        let mark_all_dirty = |dirty: &mut [Vec<Asn>]| {
+            for d in dirty.iter_mut() {
+                d.clear();
+                d.extend_from_slice(&all_origins);
             }
         };
 
         // Initial table dump at t = 0 (already in the log on resume).
         if resume.is_none() {
             refresh(&fc, &mut collector, &mut cache, &all_origins);
-            observe(
-                &mut collector,
-                &mut log,
-                SimTime::ZERO,
-                &all_prefixes,
-                &all_origin_of,
-                &cache,
-            );
+            mark_all_dirty(&mut dirty);
+            observe(&mut collector, &mut log, SimTime::ZERO, &dirty, &cache);
         }
 
         // Play the schedule (generation + replay are one churn span).
@@ -774,14 +783,10 @@ impl Scenario {
                     });
                 }
             }
-            // Per-session dirty-origin lists, reused across events. An
-            // event's observation diffs exactly the (session, origin)
+            // An event's observation diffs exactly the (session, origin)
             // pairs whose export value the refresh changed — the
             // dirty-set dataflow of DESIGN.md §16 — instead of every
             // prefix of every affected origin per session.
-            let mut dirty: Vec<Vec<Asn>> = vec![Vec::new(); self.session_peers.len()];
-            let prefixes_of =
-                |o: Asn| prefixes_by_origin.get(&o).map_or(&[][..], |v| v.as_slice());
             let mut seen = 0usize;
             for (i, ev) in events.by_ref().enumerate() {
                 let ev = ev?;
@@ -828,25 +833,7 @@ impl Scenario {
                     // time and emit — against an unchanged table — at
                     // the next observation.
                     if dirty.iter().any(|d| !d.is_empty()) {
-                        let exported = |peer: Asn, origin: Asn| cache.get(origin, peer);
-                        match &pool {
-                            Some(pool) => parallel::observe_dirty_sharded(
-                                &mut collector,
-                                ev.at,
-                                &dirty,
-                                &prefixes_of,
-                                &exported,
-                                &mut log,
-                                pool,
-                            ),
-                            None => collector.observe_dirty(
-                                ev.at,
-                                &dirty,
-                                &prefixes_of,
-                                &exported,
-                                &mut log,
-                            ),
-                        }
+                        observe(&mut collector, &mut log, ev.at, &dirty, &cache);
                     }
                 }
                 let done = i as u64 + 1;
@@ -875,18 +862,12 @@ impl Scenario {
             obs::gauge("churn", "replay_rate", n_events as f64 / replay_s);
         }
 
-        // Final observation flushes trailing session resets; it queries
-        // every tracked prefix, so every origin must be fresh (on
-        // resume this is also the first full-table refresh).
+        // Final observation flushes trailing session resets; it diffs
+        // every origin, so every origin must be fresh (on resume this
+        // is also the first full-table refresh).
         refresh(&fc, &mut collector, &mut cache, &all_origins);
-        observe(
-            &mut collector,
-            &mut log,
-            horizon_end,
-            &all_prefixes,
-            &all_origin_of,
-            &cache,
-        );
+        mark_all_dirty(&mut dirty);
+        observe(&mut collector, &mut log, horizon_end, &dirty, &cache);
 
         let (cleaned, removed_duplicates, reset_bursts) =
             obs::timed("collector", || {
@@ -1054,6 +1035,19 @@ mod tests {
             }
             assert!(want.len() > s.tor_prefixes.len(), "control prefixes tracked");
             assert_eq!(s.tracked_prefixes(), want);
+            // The full dumps observe every origin's prefix run in
+            // ascending origin order; that equals the prefix-ordered
+            // full scan only if, in prefix order, origins never decrease
+            // and each origin's prefixes form one contiguous run.
+            let origins: Vec<Asn> = want.values().copied().collect();
+            assert!(
+                origins.windows(2).all(|w| w[0] <= w[1]),
+                "tracked origins decrease in prefix order"
+            );
+            let mut runs: Vec<Asn> = origins.clone();
+            runs.dedup();
+            let distinct: BTreeSet<Asn> = origins.iter().copied().collect();
+            assert_eq!(runs.len(), distinct.len(), "an origin's prefixes are split");
         }
     }
 
