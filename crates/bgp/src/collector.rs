@@ -98,35 +98,9 @@ impl UpdateLog {
         self.records.is_empty()
     }
 
-    /// Group records by `(session, prefix)`, preserving time order
-    /// within each group.
-    pub fn by_session_prefix(
-        &self,
-    ) -> BTreeMap<(SessionId, Ipv4Prefix), Vec<&UpdateRecord>> {
-        let mut out: BTreeMap<(SessionId, Ipv4Prefix), Vec<&UpdateRecord>> =
-            BTreeMap::new();
-        for r in &self.records {
-            out.entry((r.session, r.msg.prefix())).or_default().push(r);
-        }
-        out
-    }
-
     /// The set of sessions that appear in the log.
     pub fn sessions(&self) -> Vec<SessionId> {
         let mut v: Vec<SessionId> = self.records.iter().map(|r| r.session).collect();
-        v.sort();
-        v.dedup();
-        v
-    }
-
-    /// The set of prefixes ever seen on `session`.
-    pub fn prefixes_on(&self, session: SessionId) -> Vec<Ipv4Prefix> {
-        let mut v: Vec<Ipv4Prefix> = self
-            .records
-            .iter()
-            .filter(|r| r.session == session)
-            .map(|r| r.msg.prefix())
-            .collect();
         v.sort();
         v.dedup();
         v
@@ -1229,24 +1203,6 @@ mod tests {
             session: SessionId(sess),
             msg: UpdateMessage::Withdraw(p(prefix)),
         }
-    }
-
-    #[test]
-    fn log_grouping() {
-        let log = UpdateLog {
-            records: vec![
-                announce(0, 0, "10.0.0.0/8", &[1, 2]),
-                announce(5, 1, "10.0.0.0/8", &[3, 2]),
-                announce(9, 0, "11.0.0.0/8", &[1, 4]),
-            ],
-        };
-        let g = log.by_session_prefix();
-        assert_eq!(g.len(), 3);
-        assert_eq!(log.sessions(), vec![SessionId(0), SessionId(1)]);
-        assert_eq!(
-            log.prefixes_on(SessionId(0)),
-            vec![p("10.0.0.0/8"), p("11.0.0.0/8")]
-        );
     }
 
     #[test]

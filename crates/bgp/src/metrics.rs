@@ -12,12 +12,92 @@
 //!   least a minimum cumulative duration (the paper uses 5 minutes,
 //!   "as it is anyway unlikely that an attack can be performed on such
 //!   a short timescale").
+//!
+//! All three reduce over one grouping of the log, [`SessionPrefixRuns`]:
+//! one time-ordered run of records per (session, prefix), optionally
+//! restricted to a prefix set before any per-record work (DESIGN.md §18).
 
-use crate::collector::{SessionId, UpdateLog};
+use crate::collector::{SessionId, UpdateLog, UpdateRecord};
 use crate::msg::UpdateMessage;
 use quicksand_net::{Asn, Ipv4Prefix, SimDuration, SimTime};
 use quicksand_obs as obs;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// The one grouping step behind every per-(session, prefix) statistic:
+/// the log's records regrouped into one run per (session, prefix), runs
+/// in `(session, prefix)` order, each run in log order.
+///
+/// The collector appends records in `(at, session)` order, so log order
+/// within a (session, prefix) is time order, and a stable sort by
+/// `(session, prefix)` turns every group into one time-ordered run
+/// (DESIGN.md §18). An optional prefix restriction is applied before
+/// the sort, so statistics over a handful of prefixes (the Tor ones)
+/// never touch the rest of the log beyond one membership test per
+/// record.
+pub struct SessionPrefixRuns<'a> {
+    records: Vec<&'a UpdateRecord>,
+}
+
+impl<'a> SessionPrefixRuns<'a> {
+    /// Group `log`, keeping only records whose prefix is in `only`
+    /// (every record when `None`).
+    pub fn new(log: &'a UpdateLog, only: Option<&BTreeSet<Ipv4Prefix>>) -> Self {
+        let mut order: Vec<(SessionId, Ipv4Prefix, usize)> = log
+            .records
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| only.map_or(true, |keep| keep.contains(&r.msg.prefix())))
+            .map(|(i, r)| (r.session, r.msg.prefix(), i))
+            .collect();
+        // The log index breaks every tie, so any sort gives the stable
+        // order by (session, prefix). The stable sort is chosen because
+        // it is adaptive: each table dump in the log is already one long
+        // ascending run per session, so it mostly merges.
+        order.sort();
+        SessionPrefixRuns {
+            records: order.into_iter().map(|(_, _, i)| &log.records[i]).collect(),
+        }
+    }
+
+    /// The runs in `(session, prefix)` order, each with its key and its
+    /// records in log (= time) order. Runs are never empty.
+    pub fn iter(
+        &self,
+    ) -> impl Iterator<Item = ((SessionId, Ipv4Prefix), &[&'a UpdateRecord])> + '_ {
+        let mut rest = self.records.as_slice();
+        std::iter::from_fn(move || {
+            let first = rest.first()?;
+            let key = (first.session, first.msg.prefix());
+            let len = rest
+                .iter()
+                .position(|r| (r.session, r.msg.prefix()) != key)
+                .unwrap_or(rest.len());
+            let (run, tail) = rest.split_at(len);
+            rest = tail;
+            Some((key, run))
+        })
+    }
+}
+
+/// Number of path changes in one run: consecutive records whose AS sets
+/// differ, a withdrawal counting as the empty set. Allocation-free.
+fn run_path_changes(run: &[&UpdateRecord]) -> u32 {
+    run.windows(2)
+        .filter(|w| !same_path_set(&w[0].msg, &w[1].msg))
+        .count() as u32
+}
+
+/// Do two updates leave the same set of ASes on the path?
+fn same_path_set(a: &UpdateMessage, b: &UpdateMessage) -> bool {
+    match (a, b) {
+        (UpdateMessage::Announce(x), UpdateMessage::Announce(y)) => {
+            x.as_path.same_as_set(&y.as_path)
+        }
+        (UpdateMessage::Withdraw(_), UpdateMessage::Withdraw(_)) => true,
+        (UpdateMessage::Announce(x), UpdateMessage::Withdraw(_))
+        | (UpdateMessage::Withdraw(_), UpdateMessage::Announce(x)) => x.as_path.is_empty(),
+    }
+}
 
 /// A per-(session, prefix) timeline of selected paths, as (start time,
 /// AS set on path) intervals; `None`-path periods are represented by an
@@ -29,18 +109,20 @@ pub struct PathTimeline {
 }
 
 impl PathTimeline {
-    /// Build timelines for every (session, prefix) in the log.
-    pub fn from_log(log: &UpdateLog) -> BTreeMap<(SessionId, Ipv4Prefix), PathTimeline> {
-        let mut out: BTreeMap<(SessionId, Ipv4Prefix), PathTimeline> = BTreeMap::new();
-        for r in &log.records {
-            let key = (r.session, r.msg.prefix());
-            let set = match &r.msg {
-                UpdateMessage::Announce(route) => route.as_path.as_set(),
-                UpdateMessage::Withdraw(_) => BTreeSet::new(),
-            };
-            out.entry(key).or_default().points.push((r.at, set));
-        }
-        out
+    /// The timeline of one (session, prefix) run (see
+    /// [`SessionPrefixRuns`]), one point per record.
+    pub fn from_run(run: &[&UpdateRecord]) -> PathTimeline {
+        let points = run
+            .iter()
+            .map(|r| {
+                let set = match &r.msg {
+                    UpdateMessage::Announce(route) => route.as_path.as_set(),
+                    UpdateMessage::Withdraw(_) => BTreeSet::new(),
+                };
+                (r.at, set)
+            })
+            .collect();
+        PathTimeline { points }
     }
 
     /// Number of path changes: transitions between *different* AS sets
@@ -111,9 +193,9 @@ impl PathTimeline {
 
 /// Per-(session, prefix) path-change counts for the whole log.
 pub fn path_changes(log: &UpdateLog) -> BTreeMap<(SessionId, Ipv4Prefix), u32> {
-    PathTimeline::from_log(log)
-        .into_iter()
-        .map(|(k, t)| (k, t.path_changes()))
+    SessionPrefixRuns::new(log, None)
+        .iter()
+        .map(|(key, run)| (key, run_path_changes(run)))
         .collect()
 }
 
@@ -147,10 +229,16 @@ pub fn churn_ratios(
             (s, m.max(1.0))
         })
         .collect();
-    changes
+    // Walking the Tor set per session yields the ratios in the map's
+    // (session, prefix) order, with one lookup per (session, Tor prefix)
+    // instead of one membership test per map entry.
+    medians
         .iter()
-        .filter(|((_, p), _)| tor_prefixes.contains(p))
-        .map(|((s, _), &c)| f64::from(c) / medians[s])
+        .flat_map(|(&s, &m)| {
+            tor_prefixes
+                .iter()
+                .filter_map(move |&p| changes.get(&(s, p)).map(|&c| f64::from(c) / m))
+        })
         .collect()
 }
 
@@ -162,15 +250,11 @@ pub fn extra_ases_per_prefix(
     horizon_end: SimTime,
     min_duration: SimDuration,
 ) -> BTreeMap<Ipv4Prefix, BTreeSet<Asn>> {
-    let timelines = PathTimeline::from_log(log);
     let mut out: BTreeMap<Ipv4Prefix, BTreeSet<Asn>> = BTreeMap::new();
-    for ((_, p), t) in timelines {
-        if !prefixes.contains(&p) {
-            continue;
-        }
+    for ((_, p), run) in SessionPrefixRuns::new(log, Some(prefixes)).iter() {
         out.entry(p)
             .or_default()
-            .extend(t.extra_ases(horizon_end, min_duration));
+            .extend(PathTimeline::from_run(run).extra_ases(horizon_end, min_duration));
     }
     // Prefixes never seen still get an entry (empty set).
     for &p in prefixes {
@@ -379,6 +463,53 @@ mod tests {
     }
 
     #[test]
+    fn runs_group_by_session_then_prefix_in_log_order() {
+        let log = UpdateLog {
+            records: vec![
+                ann(0, 1, "11.0.0.0/8", &[3, 4]),
+                ann(0, 0, "11.0.0.0/8", &[1, 4]),
+                ann(5, 1, "10.0.0.0/8", &[3, 2]),
+                ann(5, 0, "10.0.0.0/8", &[1, 2]),
+                // Two records for one key at the same instant: log order
+                // decides which comes first.
+                ann(9, 0, "10.0.0.0/8", &[1, 5]),
+                wd(9, 0, "10.0.0.0/8"),
+            ],
+        };
+        assert_eq!(log.sessions(), vec![SessionId(0), SessionId(1)]);
+        let runs = SessionPrefixRuns::new(&log, None);
+        let got: Vec<_> = runs
+            .iter()
+            .map(|(key, run)| {
+                let at: Vec<SimTime> = run.iter().map(|r| r.at).collect();
+                (key, at, run.last().unwrap().msg.is_withdraw())
+            })
+            .collect();
+        let key = |s: u32, pfx: &str| (SessionId(s), p(pfx));
+        let at = |secs: &[u64]| {
+            secs.iter()
+                .map(|&t| SimTime::from_secs(t))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            got,
+            vec![
+                (key(0, "10.0.0.0/8"), at(&[5, 9, 9]), true),
+                (key(0, "11.0.0.0/8"), at(&[0]), false),
+                (key(1, "10.0.0.0/8"), at(&[5]), false),
+                (key(1, "11.0.0.0/8"), at(&[0]), false),
+            ]
+        );
+        // A restriction drops other prefixes before grouping.
+        let only: BTreeSet<Ipv4Prefix> = [p("11.0.0.0/8")].into_iter().collect();
+        let keys: Vec<_> = SessionPrefixRuns::new(&log, Some(&only))
+            .iter()
+            .map(|(key, _)| key)
+            .collect();
+        assert_eq!(keys, vec![key(0, "11.0.0.0/8"), key(1, "11.0.0.0/8")]);
+    }
+
+    #[test]
     fn path_change_counting_uses_as_sets() {
         let log = UpdateLog {
             records: vec![
@@ -410,8 +541,8 @@ mod tests {
                 ann(3000, 0, "10.0.0.0/8", &[1, 2, 3]),
             ],
         };
-        let timelines = PathTimeline::from_log(&log);
-        let t = &timelines[&(SessionId(0), p("10.0.0.0/8"))];
+        let run: Vec<&UpdateRecord> = log.records.iter().collect();
+        let t = &PathTimeline::from_run(&run);
         assert_eq!(
             t.baseline(),
             [Asn(1), Asn(2), Asn(3)].into_iter().collect()

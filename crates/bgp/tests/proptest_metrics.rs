@@ -8,11 +8,15 @@
 //! * path-change counts are invariant under log *fragment order*: a log
 //!   assembled by merging per-session fragments in the canonical
 //!   `(time, session)` order is indistinguishable from the serially
-//!   appended log, the merge argument of DESIGN.md §10.
+//!   appended log, the merge argument of DESIGN.md §10;
+//! * the (session, prefix) run kernel behind the statistics
+//!   (DESIGN.md §18) agrees with the per-record construction it
+//!   replaced: the same change counts for every key and the same
+//!   timelines, with and without a prefix restriction.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use quicksand_bgp::metrics::{churn_ratios, path_changes, Ccdf};
+use quicksand_bgp::metrics::{churn_ratios, path_changes, Ccdf, PathTimeline, SessionPrefixRuns};
 use quicksand_bgp::{Route, SessionId, UpdateLog, UpdateMessage, UpdateRecord};
 use quicksand_net::{AsPath, Asn, Ipv4Prefix, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
@@ -44,6 +48,41 @@ fn record(at_s: u64, sess: u32, pfx: usize, pathseed: u32, announce: bool) -> Up
         msg,
     }
 }
+
+/// A timeline's (time, AS set) change points.
+type Points = Vec<(SimTime, BTreeSet<Asn>)>;
+
+/// The per-record timeline construction the run kernel replaced, kept
+/// as the oracle: one `BTreeSet` per record, appended to its (session,
+/// prefix) key's timeline in log order.
+fn oracle_timelines(log: &UpdateLog) -> BTreeMap<(SessionId, Ipv4Prefix), Points> {
+    let mut out: BTreeMap<(SessionId, Ipv4Prefix), Points> = BTreeMap::new();
+    for r in &log.records {
+        let set = match &r.msg {
+            UpdateMessage::Announce(route) => route.as_path.as_set(),
+            UpdateMessage::Withdraw(_) => BTreeSet::new(),
+        };
+        out.entry((r.session, r.msg.prefix()))
+            .or_default()
+            .push((r.at, set));
+    }
+    out
+}
+
+/// Paths the differential generator draws from: empty, single-AS,
+/// reorderings, and prepending on either side, so consecutive updates
+/// often differ in sequence but not in AS set.
+const PATHS: &[&[u32]] = &[
+    &[],
+    &[7],
+    &[1, 2, 3],
+    &[3, 2, 1],
+    &[1, 1, 2, 3],
+    &[1, 2, 3, 3, 3],
+    &[1, 2],
+    &[1, 4, 3],
+    &[7, 7],
+];
 
 proptest! {
     /// CCDF invariants: `points()` is strictly increasing in value with
@@ -149,5 +188,66 @@ proptest! {
         let merged = UpdateLog { records: merged };
         prop_assert_eq!(&merged, &canonical, "merge is not the canonical order");
         prop_assert_eq!(path_changes(&merged), path_changes(&canonical));
+    }
+}
+
+proptest! {
+    // Each case is a whole log: cheap enough to run many.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The run kernel against the per-record oracle on logs with
+    /// interleaved sessions, withdrawals, empty paths, prepending and
+    /// several records for one key at one instant (times drawn from a
+    /// narrow range): `path_changes` equals the oracle's count of
+    /// consecutive differing sets for every key, and the runs rebuild
+    /// the oracle's timelines, in full and restricted to a random
+    /// prefix subset.
+    #[test]
+    fn run_kernel_matches_per_record_oracle(
+        recs in vec((0u64..20, 0u32..4, 0usize..5, 0usize..PATHS.len(), 0u8..4), 0..120),
+        keep in vec(0usize..5, 0..4),
+    ) {
+        let mut records: Vec<UpdateRecord> = recs
+            .iter()
+            .map(|&(at, sess, pfx, path, kind)| UpdateRecord {
+                at: SimTime::from_secs(at),
+                session: SessionId(sess),
+                // One record in four is a withdrawal.
+                msg: if kind == 0 {
+                    UpdateMessage::Withdraw(prefix(pfx))
+                } else {
+                    UpdateMessage::Announce(Route {
+                        prefix: prefix(pfx),
+                        as_path: PATHS[path].iter().map(|&a| Asn(a)).collect(),
+                        communities: Default::default(),
+                    })
+                },
+            })
+            .collect();
+        // The collector's append order: stable by (time, session).
+        records.sort_by_key(|r| (r.at, r.session));
+        let log = UpdateLog { records };
+        let oracle = oracle_timelines(&log);
+
+        let want: BTreeMap<(SessionId, Ipv4Prefix), u32> = oracle
+            .iter()
+            .map(|(&k, pts)| (k, pts.windows(2).filter(|w| w[0].1 != w[1].1).count() as u32))
+            .collect();
+        prop_assert_eq!(path_changes(&log), want);
+
+        let only: BTreeSet<Ipv4Prefix> = keep.iter().map(|&i| prefix(i)).collect();
+        for restriction in [None, Some(&only)] {
+            // As vectors: runs must come in key order, one per key.
+            let got: Vec<_> = SessionPrefixRuns::new(&log, restriction)
+                .iter()
+                .map(|(key, run)| (key, PathTimeline::from_run(run).points))
+                .collect();
+            let want: Vec<_> = oracle
+                .iter()
+                .filter(|((_, p), _)| restriction.map_or(true, |o| o.contains(p)))
+                .map(|(&key, points)| (key, points.clone()))
+                .collect();
+            prop_assert_eq!(got, want);
+        }
     }
 }

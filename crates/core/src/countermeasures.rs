@@ -17,7 +17,7 @@
 use crate::scenario::{MonthResult, Scenario};
 use crate::temporal;
 use quicksand_attack::detect::{DetectionScore, PrefixMonitor};
-use quicksand_bgp::metrics::PathTimeline;
+use quicksand_bgp::metrics::{PathTimeline, SessionPrefixRuns};
 use quicksand_bgp::{Route, SessionId, UpdateLog, UpdateMessage, UpdateRecord};
 use quicksand_net::{AsPath, Asn, Ipv4Prefix, SimDuration, SimTime};
 use quicksand_obs as obs;
@@ -388,7 +388,7 @@ pub fn evaluate_monitoring(
 
     // Natural alarm rate on the clean second half.
     let natural = monitor.scan(&second);
-    let pairs = second.by_session_prefix().len().max(1);
+    let pairs = SessionPrefixRuns::new(&second, None).iter().count().max(1);
     let natural_alarm_rate = natural.len() as f64 / pairs as f64;
 
     // Inject attacks: half exact-prefix origin hijacks, half splices.

@@ -11,15 +11,16 @@ use crate::temporal;
 use quicksand_attack::community::{stealth_frontier, FrontierPoint};
 use quicksand_attack::hijack::origin_hijack;
 use quicksand_attack::intercept::plan_interception;
-use quicksand_bgp::metrics::{churn_ratios, path_changes, Ccdf};
-use quicksand_bgp::{Route, SimConfig, UpdateMessage};
-use quicksand_net::{Asn, SimDuration, SimTime};
+use quicksand_bgp::metrics::{churn_ratios, path_changes, Ccdf, PathTimeline, SessionPrefixRuns};
+use quicksand_bgp::{Route, SessionId, SimConfig, UpdateMessage};
+use quicksand_net::{Asn, Ipv4Prefix, SimDuration, SimTime};
+use quicksand_obs as obs;
 use quicksand_tor::TorPrefixStats;
 use quicksand_traffic::correlate::{correlate, CorrelationConfig};
 use quicksand_traffic::{CircuitFlow, CircuitFlowConfig, Segment};
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// T1 — the §4 "Methodology and datasets" statistics block.
 #[derive(Clone, Debug)]
@@ -49,43 +50,34 @@ pub struct Table1 {
 
 /// Compute T1 from a built scenario and its month run.
 pub fn table1(scenario: &Scenario, month: &MonthResult) -> Table1 {
+    let _span = obs::prof::span("stats", "table1");
     let c = &scenario.consensus;
     let tor = scenario.tor_prefix_set();
     let log = &month.cleaned;
     let sessions = log.sessions();
     let n_sessions = sessions.len().max(1);
 
-    // Visibility: which sessions announced each Tor prefix at least once.
-    let mut seen_on: std::collections::BTreeMap<
-        quicksand_net::Ipv4Prefix,
-        BTreeSet<quicksand_bgp::SessionId>,
-    > = Default::default();
-    for r in &log.records {
-        if let UpdateMessage::Announce(_) = r.msg {
-            let p = r.msg.prefix();
-            if tor.contains(&p) {
-                seen_on.entry(p).or_default().insert(r.session);
-            }
+    // One pass over the Tor runs. Each run is one (session, prefix), so
+    // a run per session counts a distinct Tor prefix seen there, and a
+    // run containing an announcement counts one session that announced
+    // its prefix.
+    let mut announced_on: BTreeMap<Ipv4Prefix, usize> = BTreeMap::new();
+    let mut per_session: BTreeMap<SessionId, usize> =
+        sessions.iter().map(|&s| (s, 0)).collect();
+    for ((s, p), run) in SessionPrefixRuns::new(log, Some(&tor)).iter() {
+        *per_session.get_mut(&s).expect("a run's session is in the log") += 1;
+        if run.iter().any(|r| !r.msg.is_withdraw()) {
+            *announced_on.entry(p).or_default() += 1;
         }
     }
     let fractions: Vec<f64> = tor
         .iter()
-        .map(|p| {
-            seen_on.get(p).map_or(0.0, |s| s.len() as f64) / n_sessions as f64
-        })
+        .map(|p| announced_on.get(p).map_or(0.0, |&n| n as f64) / n_sessions as f64)
         .collect();
     let mean_vis = fractions.iter().sum::<f64>() / fractions.len().max(1) as f64;
     let max_vis = fractions.iter().copied().fold(0.0f64, f64::max);
 
-    let mut per_session: Vec<usize> = sessions
-        .iter()
-        .map(|s| {
-            log.prefixes_on(*s)
-                .into_iter()
-                .filter(|p| tor.contains(p))
-                .count()
-        })
-        .collect();
+    let mut per_session: Vec<usize> = per_session.into_values().collect();
     per_session.sort_unstable();
     let median = per_session.get(per_session.len() / 2).copied().unwrap_or(0);
     let max = per_session.last().copied().unwrap_or(0);
@@ -207,6 +199,7 @@ pub struct Fig3Left {
 
 /// Compute F3L from a month run.
 pub fn fig3_left(scenario: &Scenario, month: &MonthResult) -> Fig3Left {
+    let _span = obs::prof::span("stats", "fig3_left");
     let changes = path_changes(&month.cleaned);
     let ratios = churn_ratios(&changes, &scenario.tor_prefix_set());
     let ccdf = Ccdf::new(ratios);
@@ -239,13 +232,14 @@ pub struct Fig3Right {
 /// [`quicksand_bgp::metrics::extra_ases_per_prefix`]; it reads ~one
 /// order of magnitude higher since 70 vantages see 70 different paths.)
 pub fn fig3_right(scenario: &Scenario, month: &MonthResult) -> Fig3Right {
+    let _span = obs::prof::span("stats", "fig3_right");
     let tor = scenario.tor_prefix_set();
-    let timelines = quicksand_bgp::metrics::PathTimeline::from_log(&month.cleaned);
-    let counts: Vec<f64> = timelines
-        .into_iter()
-        .filter(|((_, p), _)| tor.contains(p))
-        .map(|(_, tl)| {
-            tl.extra_ases(month.horizon_end, SimDuration::from_mins(5)).len() as f64
+    let counts: Vec<f64> = SessionPrefixRuns::new(&month.cleaned, Some(&tor))
+        .iter()
+        .map(|(_, run)| {
+            PathTimeline::from_run(run)
+                .extra_ases(month.horizon_end, SimDuration::from_mins(5))
+                .len() as f64
         })
         .collect();
     let ccdf = Ccdf::new(counts);

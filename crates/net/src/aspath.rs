@@ -99,8 +99,19 @@ impl AsPath {
     /// Do two paths cross the same set of ASes? Two paths that differ
     /// only in ordering or prepending count as "no path change" under the
     /// paper's definition.
+    ///
+    /// Allocation-free for every realistic path: two-way membership by
+    /// linear scans, which for a few dozen hops beats building sets.
+    /// Only pathologically long pairs (a decoded path may carry up to
+    /// 65535 hops) fall back to comparing [`AsPath::as_set`]s, keeping
+    /// the cost near-linear.
     pub fn same_as_set(&self, other: &AsPath) -> bool {
-        self.as_set() == other.as_set()
+        const MAX_SCAN_WORK: usize = 4096;
+        let (a, b) = (self.asns(), other.asns());
+        if a.len().saturating_mul(b.len()) > MAX_SCAN_WORK {
+            return self.as_set() == other.as_set();
+        }
+        a.iter().all(|x| b.contains(x)) && b.iter().all(|x| a.contains(x))
     }
 }
 
@@ -175,6 +186,20 @@ mod tests {
         assert!(path(&[1, 2, 3]).same_as_set(&path(&[3, 2, 1])));
         assert!(path(&[1, 2, 2, 3]).same_as_set(&path(&[1, 2, 3])));
         assert!(!path(&[1, 2]).same_as_set(&path(&[1, 2, 3])));
+        // Empty vs empty: two withdrawals cross the same (empty) set.
+        assert!(AsPath::empty().same_as_set(&AsPath::empty()));
+        // An empty path never matches a non-empty one, in either order.
+        assert!(!AsPath::empty().same_as_set(&path(&[1])));
+        assert!(!path(&[1]).same_as_set(&AsPath::empty()));
+        // Prepending on both sides, in different amounts.
+        assert!(path(&[1, 1, 1, 2, 3]).same_as_set(&path(&[1, 2, 2, 3, 3])));
+        assert!(!path(&[1, 1, 2]).same_as_set(&path(&[1, 2, 2, 4])));
+        // Paths long enough to take the set-comparison fallback agree
+        // with the scan.
+        let long: Vec<u32> = (0..100).chain(0..100).collect();
+        let rev: Vec<u32> = (0..100).rev().collect();
+        assert!(path(&long).same_as_set(&path(&rev)));
+        assert!(!path(&long).same_as_set(&path(&rev[1..])));
     }
 
     #[test]

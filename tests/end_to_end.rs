@@ -8,7 +8,7 @@ use quicksand_core::countermeasures::{
 use quicksand_core::experiments::{
     fig2_left, fig2_right, fig3_left, fig3_right, table1,
 };
-use quicksand_core::scenario::{MonthResult, Scenario, ScenarioConfig};
+use quicksand_core::scenario::{MonthResult, Scale, Scenario, ScenarioConfig};
 use quicksand_net::Asn;
 use quicksand_topology::RoutingTree;
 use quicksand_traffic::{CircuitFlowConfig, TcpConfig};
@@ -46,6 +46,47 @@ fn table1_shape() {
     assert!(
         t.max_prefixes_per_session as f64
             >= 0.8 * t.prefix_stats.n_prefixes as f64
+    );
+}
+
+/// The fnv64 of each statistic's `Debug` rendering, in the order
+/// `table1`, `fig3_left`, `fig3_right`: a digest that changes if any
+/// field of any of the three results changes by a single bit.
+fn statistics_fingerprints(s: &Scenario, m: &MonthResult) -> [u64; 3] {
+    let fp = |v: &dyn std::fmt::Debug| quicksand_bgp::feed::fnv64(format!("{v:?}").as_bytes());
+    [
+        fp(&table1(s, m)),
+        fp(&fig3_left(s, m)),
+        fp(&fig3_right(s, m)),
+    ]
+}
+
+/// T1 and both Fig-3 results are pinned bit for bit at the test world,
+/// so a change to how the statistics are computed cannot move a value.
+#[test]
+fn statistics_are_pinned() {
+    let (s, m) = world();
+    assert_eq!(
+        statistics_fingerprints(s, m),
+        [0xfdcc73c660ef8902, 0x748d456d5247a777, 0x2c5963273fdee85a]
+    );
+}
+
+/// The same pins on a full large-tier month (20k ASes, ~113k tracked
+/// prefixes, 16 sessions): `#[ignore]`d and additionally gated on
+/// `QUICKSAND_TEST_LARGE=1`, like the other large-tier gates.
+#[test]
+#[ignore = "large tier: a full month; QUICKSAND_TEST_LARGE=1 cargo test -- --ignored"]
+fn large_tier_statistics_are_pinned() {
+    if std::env::var("QUICKSAND_TEST_LARGE").as_deref() != Ok("1") {
+        eprintln!("skipped: set QUICKSAND_TEST_LARGE=1 to run the large statistics pins");
+        return;
+    }
+    let s = Scenario::build(ScenarioConfig::at_scale(&Scale::Large, 28));
+    let m = s.run_month().expect("valid collector config");
+    assert_eq!(
+        statistics_fingerprints(&s, &m),
+        [0x52d338244f0a8961, 0x1a590d7678b439a9, 0x248f9936c9fbffa7]
     );
 }
 
