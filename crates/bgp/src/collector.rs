@@ -16,6 +16,7 @@
 //! exactly the duplicate-announcement bursts the paper had to remove;
 //! [`clean_session_resets`] is that cleaning pass.
 
+use crate::metrics::SessionPrefixRuns;
 use crate::msg::{Route, UpdateMessage};
 use crate::paths::{ExportCache, PathArena, PathId};
 use quicksand_net::{AsPath, Asn, Ipv4Prefix, QsResult, QuicksandError, SimDuration, SimTime};
@@ -1104,51 +1105,66 @@ impl Default for CleaningConfig {
 /// *duplicate announcement* carrying no routing change. Cleaning removes
 /// every duplicate announcement (per session and prefix, an announce
 /// whose AS path equals the previous announce with no intervening
-/// withdraw). Returns the cleaned log, the number of removed records,
-/// and the number of detected reset bursts (for reporting).
+/// withdraw), and every withdraw with no announced route to withdraw.
+/// Returns the cleaned log, the number of removed records, and the
+/// number of detected reset bursts (for reporting).
+///
+/// "Previous" is log order within a (session, prefix), also on a
+/// faulted log whose records are out of time order. The walk runs on
+/// the statistics' run kernel, [`SessionPrefixRuns`]: each run sets
+/// keep flags, and the kept records are cloned in one pass in log
+/// order (DESIGN.md §19).
 pub fn clean_session_resets(
     log: &UpdateLog,
     config: &CleaningConfig,
 ) -> (UpdateLog, usize, usize) {
-    let mut last_path: BTreeMap<(SessionId, Ipv4Prefix), Option<AsPath>> = BTreeMap::new();
-    let mut cleaned = UpdateLog::default();
+    let _span = obs::prof::span("collector", "clean");
+    let mut keep = vec![false; log.records.len()];
     let mut removed = 0usize;
-    // For burst reporting: per session, timestamps of removed duplicates.
-    let mut dup_times: BTreeMap<SessionId, Vec<SimTime>> = BTreeMap::new();
-    // Table size estimate per session: distinct prefixes seen so far.
-    let mut table: BTreeMap<SessionId, std::collections::BTreeSet<Ipv4Prefix>> =
-        BTreeMap::new();
-
-    for r in &log.records {
-        let key = (r.session, r.msg.prefix());
-        table.entry(r.session).or_default().insert(r.msg.prefix());
-        match &r.msg {
-            UpdateMessage::Announce(route) => {
-                if matches!(last_path.get(&key), Some(Some(prev)) if *prev == route.as_path) {
+    // Per session: its table size (distinct prefixes, i.e. runs) and
+    // the timestamps of its removed duplicate announcements.
+    let mut sessions: BTreeMap<SessionId, (usize, Vec<SimTime>)> = BTreeMap::new();
+    for ((session, _), run) in SessionPrefixRuns::new(log, None).iter() {
+        let (table_size, dup_times) = sessions.entry(session).or_default();
+        *table_size += 1;
+        // The last announced path, `None` before any announce and after
+        // a withdraw.
+        let mut last: Option<&AsPath> = None;
+        for &i in run.indices() {
+            let r = &log.records[i];
+            match &r.msg {
+                UpdateMessage::Announce(route) if last == Some(&route.as_path) => {
                     removed += 1;
-                    dup_times.entry(r.session).or_default().push(r.at);
-                    continue;
+                    dup_times.push(r.at);
                 }
-                last_path.insert(key, Some(route.as_path.clone()));
-            }
-            UpdateMessage::Withdraw(_) => {
-                let prev = last_path.get(&key);
-                if prev == Some(&None) || prev.is_none() {
-                    removed += 1;
-                    continue;
+                UpdateMessage::Announce(route) => {
+                    keep[i] = true;
+                    last = Some(&route.as_path);
                 }
-                last_path.insert(key, None);
+                UpdateMessage::Withdraw(_) if last.is_none() => removed += 1,
+                UpdateMessage::Withdraw(_) => {
+                    keep[i] = true;
+                    last = None;
+                }
             }
         }
-        cleaned.records.push(r.clone());
     }
+    let mut cleaned = UpdateLog {
+        records: Vec::with_capacity(log.records.len() - removed),
+    };
+    cleaned.records.extend(
+        log.records
+            .iter()
+            .zip(&keep)
+            .filter(|(_, &k)| k)
+            .map(|(r, _)| r.clone()),
+    );
 
     // Burst detection for reporting: sliding window over duplicate
     // timestamps per session.
     let mut bursts = 0usize;
-    for (session, mut times) in dup_times {
+    for (table_size, mut times) in sessions.into_values() {
         times.sort();
-        let table_size = table.get(&session).map_or(0, |t| t.len());
         let threshold =
             ((table_size as f64) * config.table_fraction).ceil().max(1.0) as usize;
         let mut i = 0usize;

@@ -30,11 +30,14 @@ use quicksand_topology::{
 ///
 /// Node-indexed and flat: the edges out of node `v` are the base
 /// graph's neighbors of `v`, `start[v]..start[v + 1]` in `to` (ascending
-/// node index), and edge `e` owns the `words` bitmap words at
-/// `bits[e * words..]`. A next hop is always a neighbor in the graph
-/// `FastConverge` was built over — events only remove those links and
-/// restore them — so the layout is fixed at construction and every
-/// update is an in-place bit flip (DESIGN.md §17).
+/// node index). The bitmaps are stored word-major: word `w` of edge `e`
+/// is `bits[w * n_edges + e]`, so the 64 slots of one word form one
+/// contiguous row over all edges. Seeding a tree writes only its own
+/// row, in ascending edge order, instead of striding across every
+/// edge's bitmap (DESIGN.md §17, §19). A next hop is always a neighbor
+/// in the graph `FastConverge` was built over — events only remove
+/// those links and restore them — so the layout is fixed at
+/// construction and every update is an in-place bit flip.
 ///
 /// Seeded from [`RoutingTree::next_hops`] at construction and kept
 /// current by replaying each reconvergence's next-hop trace
@@ -48,7 +51,7 @@ struct LinkIndex {
     start: Vec<usize>,
     /// Edge targets, ascending within each node's range.
     to: Vec<u32>,
-    /// `words` bitmap words per edge, over tree slots.
+    /// `words` rows of one u64 per edge, over tree slots (word-major).
     bits: Vec<u64>,
 }
 
@@ -92,10 +95,8 @@ impl LinkIndex {
         let e = self
             .edge(from, to)
             .expect("next hop is a base-graph neighbor");
-        (
-            &mut self.bits[e * self.words + slot / 64],
-            1u64 << (slot % 64),
-        )
+        let n_edges = self.to.len();
+        (&mut self.bits[slot / 64 * n_edges + e], 1u64 << (slot % 64))
     }
 
     fn set(&mut self, from: usize, to: usize, slot: usize) {
@@ -123,9 +124,10 @@ impl LinkIndex {
         let (Some(x), Some(y)) = (self.edge(a, b), self.edge(b, a)) else {
             return;
         };
-        let (x, y) = (&self.bits[x * self.words..], &self.bits[y * self.words..]);
+        let n_edges = self.to.len();
         for w in 0..self.words {
-            let mut bits = x[w] | y[w];
+            let row = &self.bits[w * n_edges..];
+            let mut bits = row[x] | row[y];
             while bits != 0 {
                 out.push(w * 64 + bits.trailing_zeros() as usize);
                 bits &= bits - 1;
@@ -187,13 +189,11 @@ impl FastConverge {
         let mut os: Vec<Asn> = origins.into_iter().collect();
         os.sort_unstable();
         os.dedup();
-        let trees: Vec<(Asn, Option<RoutingTree>)> = os
-            .into_iter()
-            .map(|o| {
-                let mut t =
-                    RoutingTree::compute(&graph, o).expect("tracked origin not in graph");
+        let trees: Vec<(Asn, Option<RoutingTree>)> = RoutingTree::compute_many(&graph, os)
+            .map(|t| {
+                let mut t = t.expect("tracked origin not in graph");
                 t.set_tracing(true);
-                (o, Some(t))
+                (t.dest(), Some(t))
             })
             .collect();
         let mut link_index = LinkIndex::new(&graph, trees.len());

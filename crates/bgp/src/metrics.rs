@@ -23,19 +23,49 @@ use quicksand_net::{Asn, Ipv4Prefix, SimDuration, SimTime};
 use quicksand_obs as obs;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The one grouping step behind every per-(session, prefix) statistic:
-/// the log's records regrouped into one run per (session, prefix), runs
-/// in `(session, prefix)` order, each run in log order.
+/// The one grouping step behind every per-(session, prefix) statistic
+/// and behind reset cleaning: the log's records regrouped into one run
+/// per (session, prefix), runs in `(session, prefix)` order, each run
+/// in log order, carried as log indices.
 ///
 /// The collector appends records in `(at, session)` order, so log order
 /// within a (session, prefix) is time order, and a stable sort by
 /// `(session, prefix)` turns every group into one time-ordered run
-/// (DESIGN.md §18). An optional prefix restriction is applied before
-/// the sort, so statistics over a handful of prefixes (the Tor ones)
-/// never touch the rest of the log beyond one membership test per
-/// record.
+/// (DESIGN.md §18). On a log whose records are out of time order (a
+/// faulted feed) a run is still in log order, which is the order
+/// [`crate::clean_session_resets`] walks (DESIGN.md §19). An optional
+/// prefix restriction is applied before the sort, so statistics over a
+/// handful of prefixes (the Tor ones) never touch the rest of the log
+/// beyond one membership test per record.
 pub struct SessionPrefixRuns<'a> {
-    records: Vec<&'a UpdateRecord>,
+    records: &'a [UpdateRecord],
+    /// Log indices, grouped into runs.
+    order: Vec<usize>,
+}
+
+/// One run of [`SessionPrefixRuns`]: the log indices of one (session,
+/// prefix)'s records, ascending, with the log they index.
+#[derive(Clone, Copy)]
+pub struct Run<'a> {
+    records: &'a [UpdateRecord],
+    indices: &'a [usize],
+}
+
+impl<'a> Run<'a> {
+    /// The run's positions in the log, ascending.
+    pub fn indices(&self) -> &'a [usize] {
+        self.indices
+    }
+
+    /// The run's records, in log order.
+    pub fn records(&self) -> impl Iterator<Item = &'a UpdateRecord> + 'a {
+        let records = self.records;
+        self.indices.iter().map(move |&i| &records[i])
+    }
+}
+
+fn run_key(r: &UpdateRecord) -> (SessionId, Ipv4Prefix) {
+    (r.session, r.msg.prefix())
 }
 
 impl<'a> SessionPrefixRuns<'a> {
@@ -55,35 +85,35 @@ impl<'a> SessionPrefixRuns<'a> {
         // ascending run per session, so it mostly merges.
         order.sort();
         SessionPrefixRuns {
-            records: order.into_iter().map(|(_, _, i)| &log.records[i]).collect(),
+            records: &log.records,
+            order: order.into_iter().map(|(_, _, i)| i).collect(),
         }
     }
 
     /// The runs in `(session, prefix)` order, each with its key and its
-    /// records in log (= time) order. Runs are never empty.
-    pub fn iter(
-        &self,
-    ) -> impl Iterator<Item = ((SessionId, Ipv4Prefix), &[&'a UpdateRecord])> + '_ {
-        let mut rest = self.records.as_slice();
+    /// records in log order. Runs are never empty.
+    pub fn iter(&self) -> impl Iterator<Item = ((SessionId, Ipv4Prefix), Run<'_>)> + '_ {
+        let records = self.records;
+        let mut rest = self.order.as_slice();
         std::iter::from_fn(move || {
-            let first = rest.first()?;
-            let key = (first.session, first.msg.prefix());
+            let key = run_key(&records[*rest.first()?]);
             let len = rest
                 .iter()
-                .position(|r| (r.session, r.msg.prefix()) != key)
+                .position(|&i| run_key(&records[i]) != key)
                 .unwrap_or(rest.len());
-            let (run, tail) = rest.split_at(len);
+            let (indices, tail) = rest.split_at(len);
             rest = tail;
-            Some((key, run))
+            Some((key, Run { records, indices }))
         })
     }
 }
 
 /// Number of path changes in one run: consecutive records whose AS sets
 /// differ, a withdrawal counting as the empty set. Allocation-free.
-fn run_path_changes(run: &[&UpdateRecord]) -> u32 {
-    run.windows(2)
-        .filter(|w| !same_path_set(&w[0].msg, &w[1].msg))
+fn run_path_changes(run: Run<'_>) -> u32 {
+    run.records()
+        .zip(run.records().skip(1))
+        .filter(|(a, b)| !same_path_set(&a.msg, &b.msg))
         .count() as u32
 }
 
@@ -111,9 +141,9 @@ pub struct PathTimeline {
 impl PathTimeline {
     /// The timeline of one (session, prefix) run (see
     /// [`SessionPrefixRuns`]), one point per record.
-    pub fn from_run(run: &[&UpdateRecord]) -> PathTimeline {
+    pub fn from_run(run: Run<'_>) -> PathTimeline {
         let points = run
-            .iter()
+            .records()
             .map(|r| {
                 let set = match &r.msg {
                     UpdateMessage::Announce(route) => route.as_path.as_set(),
@@ -481,8 +511,8 @@ mod tests {
         let got: Vec<_> = runs
             .iter()
             .map(|(key, run)| {
-                let at: Vec<SimTime> = run.iter().map(|r| r.at).collect();
-                (key, at, run.last().unwrap().msg.is_withdraw())
+                let at: Vec<SimTime> = run.records().map(|r| r.at).collect();
+                (key, at, run.records().last().unwrap().msg.is_withdraw())
             })
             .collect();
         let key = |s: u32, pfx: &str| (SessionId(s), p(pfx));
@@ -541,8 +571,9 @@ mod tests {
                 ann(3000, 0, "10.0.0.0/8", &[1, 2, 3]),
             ],
         };
-        let run: Vec<&UpdateRecord> = log.records.iter().collect();
-        let t = &PathTimeline::from_run(&run);
+        let runs = SessionPrefixRuns::new(&log, None);
+        let (_, run) = runs.iter().next().unwrap();
+        let t = &PathTimeline::from_run(run);
         assert_eq!(
             t.baseline(),
             [Asn(1), Asn(2), Asn(3)].into_iter().collect()

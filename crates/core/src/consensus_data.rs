@@ -165,16 +165,15 @@ pub fn evaluate_published_dynamics(
         s
     };
 
-    // Current forward trees for the client-side traceroute snapshots.
-    let trees: BTreeMap<Asn, RoutingTree> = guard_ases
-        .iter()
-        .map(|&g| {
-            (
-                g,
-                RoutingTree::compute(&scenario.topo.graph, g).expect("guard AS routed"),
-            )
-        })
-        .collect();
+    // Current forward trees for the client-side traceroute snapshots,
+    // built over one shared view of the graph.
+    let trees: BTreeMap<Asn, RoutingTree> =
+        RoutingTree::compute_many(&scenario.topo.graph, guard_ases.iter().copied())
+            .map(|t| {
+                let t = t.expect("guard AS routed");
+                (t.dest(), t)
+            })
+            .collect();
 
     let pick_by = |scores: &BTreeMap<Asn, usize>, l: usize| -> Vec<Asn> {
         let mut ranked: Vec<Asn> = guard_ases.clone();

@@ -66,7 +66,7 @@ pub fn table1(scenario: &Scenario, month: &MonthResult) -> Table1 {
         sessions.iter().map(|&s| (s, 0)).collect();
     for ((s, p), run) in SessionPrefixRuns::new(log, Some(&tor)).iter() {
         *per_session.get_mut(&s).expect("a run's session is in the log") += 1;
-        if run.iter().any(|r| !r.msg.is_withdraw()) {
+        if run.records().any(|r| !r.msg.is_withdraw()) {
             *announced_on.entry(p).or_default() += 1;
         }
     }

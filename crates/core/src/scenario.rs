@@ -588,6 +588,7 @@ impl Scenario {
     /// a feed client built from the same config streams the identical
     /// event sequence the receiver would have generated locally.
     pub fn churn_schedule(&self) -> Vec<ChurnEvent> {
+        let _span = obs::prof::span("churn", "generate");
         ChurnGenerator::new(self.config.churn.clone())
             .generate(&self.topo.graph, &self.topo.hosting)
     }
@@ -750,6 +751,7 @@ impl Scenario {
 
         // Initial table dump at t = 0 (already in the log on resume).
         if resume.is_none() {
+            let _span = obs::prof::span("collector", "dump");
             refresh(&fc, &mut collector, &mut cache, &all_origins);
             mark_all_dirty(&mut dirty);
             observe(&mut collector, &mut log, SimTime::ZERO, &dirty, &cache);
@@ -865,10 +867,17 @@ impl Scenario {
         // Final observation flushes trailing session resets; it diffs
         // every origin, so every origin must be fresh (on resume this
         // is also the first full-table refresh).
-        refresh(&fc, &mut collector, &mut cache, &all_origins);
-        mark_all_dirty(&mut dirty);
-        observe(&mut collector, &mut log, horizon_end, &dirty, &cache);
+        {
+            let _span = obs::prof::span("collector", "dump");
+            refresh(&fc, &mut collector, &mut cache, &all_origins);
+            mark_all_dirty(&mut dirty);
+            observe(&mut collector, &mut log, horizon_end, &dirty, &cache);
+        }
 
+        // The replay state — routing trees, collector sessions, export
+        // cache — is dead once the final dump is in the log; free it
+        // before cleaning allocates (DESIGN.md §19).
+        drop((fc, collector, cache, dirty));
         let (cleaned, removed_duplicates, reset_bursts) =
             obs::timed("collector", || {
                 clean_session_resets(&log, &CleaningConfig::default())

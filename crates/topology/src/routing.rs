@@ -93,24 +93,24 @@ struct Entry {
     /// AS-hop distance to the destination (origin = 0).
     dist: u32,
     /// Next hop on the way to the destination (index), origin points to
-    /// itself.
-    next: usize,
+    /// itself. A u32 keeps `Option<Entry>` at 12 bytes per node.
+    next: u32,
 }
 
 /// Offer `via`'s route to node `to` as a `class` route of length `dist`
-/// during [`RoutingTree::compute`]. An unrouted `to` takes it (returns
-/// true: newly routed); a route of the same class is replaced when the
-/// offer is shorter, or as short from a lower next-hop ASN; a route of
-/// any other class stays.
+/// during tree construction. An unrouted `to` takes it (returns true:
+/// newly routed); a route of the same class is replaced when the offer
+/// is shorter, or as short from a lower next-hop ASN; a route of any
+/// other class stays.
 fn offer(
     entries: &mut [Option<Entry>],
     graph: &AsGraph,
-    to: usize,
-    via: usize,
+    to: u32,
+    via: u32,
     class: RouteClass,
     dist: u32,
 ) -> bool {
-    match &mut entries[to] {
+    match &mut entries[to as usize] {
         slot @ None => {
             *slot = Some(Entry {
                 class,
@@ -120,7 +120,9 @@ fn offer(
             true
         }
         Some(e) => {
-            if e.class == class && (dist, graph.asn_of(via)) < (e.dist, graph.asn_of(e.next)) {
+            if e.class == class
+                && (dist, graph.asn_of(via as usize)) < (e.dist, graph.asn_of(e.next as usize))
+            {
                 e.dist = dist;
                 e.next = via;
             }
@@ -156,18 +158,99 @@ pub struct RoutingTree {
     trace: Vec<(u32, u32, u32)>,
 }
 
-impl RoutingTree {
-    /// Compute the routing tree toward `dest` over `graph`.
-    ///
-    /// Returns `None` if `dest` is not in the graph.
-    pub fn compute(graph: &AsGraph, dest: Asn) -> Option<RoutingTree> {
-        let n = graph.len();
+/// A u32 CSR view of a graph's adjacency split by relationship: node
+/// `v`'s providers, peers and customers are three consecutive ranges
+/// of `nbr`, each ascending by ASN like the graph's own lists. Each
+/// construction phase walks only the relationship it exports over, and
+/// "has customers" is an O(1) range test (DESIGN.md §19).
+struct SplitAdjacency {
+    /// `3n + 1` offsets: node `v`'s providers are `off[3v]..off[3v+1]`,
+    /// its peers `..off[3v+2]`, its customers `..off[3v+3]`.
+    off: Vec<u32>,
+    /// Neighbor node indices.
+    nbr: Vec<u32>,
+}
+
+impl SplitAdjacency {
+    fn new(graph: &AsGraph) -> Self {
+        let as_u32 = |i: usize| u32::try_from(i).expect("graph size fits u32");
+        let mut off = Vec::with_capacity(3 * graph.len() + 1);
+        let mut nbr = Vec::with_capacity(2 * graph.link_count());
+        for v in 0..graph.len() {
+            for rel in [
+                Relationship::Provider,
+                Relationship::Peer,
+                Relationship::Customer,
+            ] {
+                off.push(as_u32(nbr.len()));
+                nbr.extend(
+                    graph
+                        .neighbors_idx(v)
+                        .iter()
+                        .filter(|&&(_, r)| r == rel)
+                        .map(|&(w, _)| as_u32(w)),
+                );
+            }
+        }
+        off.push(as_u32(nbr.len()));
+        SplitAdjacency { off, nbr }
+    }
+
+    /// Range `k` (0 providers, 1 peers, 2 customers) of node `v`.
+    fn range(&self, v: u32, k: usize) -> &[u32] {
+        let i = 3 * v as usize + k;
+        &self.nbr[self.off[i] as usize..self.off[i + 1] as usize]
+    }
+
+    fn providers(&self, v: u32) -> &[u32] {
+        self.range(v, 0)
+    }
+
+    fn peers(&self, v: u32) -> &[u32] {
+        self.range(v, 1)
+    }
+
+    fn customers(&self, v: u32) -> &[u32] {
+        self.range(v, 2)
+    }
+}
+
+/// Builds routing trees over one graph: the [`SplitAdjacency`] is made
+/// once and the worklists are reused, so N destinations pay for one
+/// view and no per-tree scratch (DESIGN.md §19).
+struct TreeBuilder<'g> {
+    graph: &'g AsGraph,
+    adj: SplitAdjacency,
+    /// Nodes routed by phases 1–2, in the order they were routed.
+    routed: Vec<u32>,
+    /// Phase-3 sources routed by phases 1–2, as `(dist, node)`.
+    seeds: Vec<(u32, u32)>,
+    /// Phase-3 sources routed by phase 3, in nondecreasing length.
+    queue: Vec<u32>,
+}
+
+impl<'g> TreeBuilder<'g> {
+    fn new(graph: &'g AsGraph) -> Self {
+        TreeBuilder {
+            graph,
+            adj: SplitAdjacency::new(graph),
+            routed: Vec::new(),
+            seeds: Vec::new(),
+            queue: Vec::new(),
+        }
+    }
+
+    /// The routing tree toward `dest`, `None` if `dest` is not in the
+    /// graph.
+    fn build(&mut self, dest: Asn) -> Option<RoutingTree> {
+        let (graph, adj) = (self.graph, &self.adj);
         let d = graph.index_of(dest)?;
-        let mut entries: Vec<Option<Entry>> = vec![None; n];
+        let d32 = u32::try_from(d).expect("graph size fits u32");
+        let mut entries: Vec<Option<Entry>> = vec![None; graph.len()];
         entries[d] = Some(Entry {
             class: RouteClass::Origin,
             dist: 0,
-            next: d,
+            next: d32,
         });
 
         // Every phase routes through `offer`: the first offer claims an
@@ -176,65 +259,70 @@ impl RoutingTree {
         // next-hop ASN. Offers of another class never displace a route:
         // the phases run in class-preference order (DESIGN.md §17).
 
-        // Phase 1: customer routes — level-synchronous BFS from d along
-        // "to my provider" links. Every offer made while expanding level
-        // k has length k + 1, so a node first reached at level k keeps
-        // that length and ends on the lowest-ASN offering neighbor.
-        let mut frontier = vec![d];
-        let mut next_frontier = Vec::new();
-        let mut dist = 0u32;
-        while !frontier.is_empty() {
+        // Phase 1: customer routes — level-synchronous BFS from d up
+        // provider links. `routed[lo..hi]` is level k; every offer made
+        // while expanding it has length k + 1, so a node first reached
+        // at level k keeps that length and ends on the lowest-ASN
+        // offering neighbor.
+        let routed = &mut self.routed;
+        routed.clear();
+        routed.push(d32);
+        let (mut lo, mut dist) = (0, 0u32);
+        while lo < routed.len() {
+            let hi = routed.len();
             dist += 1;
-            for &x in &frontier {
-                for &(p, rel) in graph.neighbors_idx(x) {
-                    // rel is p's relationship w.r.t. x; p is x's provider.
-                    if rel == Relationship::Provider
-                        && offer(&mut entries, graph, p, x, RouteClass::Customer, dist)
-                    {
-                        next_frontier.push(p);
+            for i in lo..hi {
+                let x = routed[i];
+                for &p in adj.providers(x) {
+                    if offer(&mut entries, graph, p, x, RouteClass::Customer, dist) {
+                        routed.push(p);
                     }
                 }
             }
-            std::mem::swap(&mut frontier, &mut next_frontier);
-            next_frontier.clear();
+            lo = hi;
         }
 
-        // Phase 2: peer routes — every AS x with a customer-or-origin
-        // route offers it across each peering link. Peer routes are not
-        // re-exported to peers, so a single pass suffices; `offer` keeps
-        // the shortest, lowest-ASN one per node.
-        for x in 0..n {
-            let Some(e) = entries[x] else { continue };
-            if e.class > RouteClass::Customer {
-                continue;
-            }
-            for &(q, rel) in graph.neighbors_idx(x) {
-                if rel == Relationship::Peer {
-                    offer(&mut entries, graph, q, x, RouteClass::Peer, e.dist + 1);
+        // Phase 2: peer routes — every AS with a customer-or-origin
+        // route (exactly phase 1's nodes) offers it across each peering
+        // link. Peer routes are not re-exported to peers, so one pass
+        // suffices; `offer` keeps the shortest, lowest-ASN one per node.
+        let phase1 = routed.len();
+        for i in 0..phase1 {
+            let x = routed[i];
+            let dist = entries[x as usize].expect("phase 1 routed it").dist + 1;
+            for &q in adj.peers(x) {
+                if offer(&mut entries, graph, q, x, RouteClass::Peer, dist) {
+                    routed.push(q);
                 }
             }
         }
 
-        // Phase 3: provider routes ripple *down* customer links from
-        // every routed AS. Sources start at mixed lengths, so the walk
-        // is level-synchronous over two length-sorted streams: the ASes
-        // routed by phases 1–2 (sorted once) and the queue of ASes this
-        // phase routes, which is appended in nondecreasing length. Each
-        // AS at length k offers length k + 1 to its customers; the first
-        // offer routes an unrouted customer and queues it, and a later
-        // offer of the same length from a lower ASN replaces its next
-        // hop. Every offer of length k + 1 is made before any of length
-        // k + 2, so each customer ends on its minimum (length, next-hop
-        // ASN) offer.
-        let mut seeds: Vec<(u32, usize)> = entries
-            .iter()
-            .enumerate()
-            .filter_map(|(x, e)| e.map(|e| (e.dist, x)))
-            .collect();
+        // Phase 3: provider routes ripple *down* customer links. Only
+        // an AS with customers has anything to offer, so only those are
+        // sources. Sources start at mixed lengths, so the walk is
+        // level-synchronous over two length-sorted streams: the sources
+        // routed by phases 1–2 (sorted once) and the queue of sources
+        // this phase routes, appended in nondecreasing length. Each
+        // source at length k offers length k + 1 to its customers; the
+        // first offer routes an unrouted customer (queued if it has
+        // customers of its own), and a later offer of the same length
+        // from a lower ASN replaces its next hop. Every offer of length
+        // k + 1 is made before any of length k + 2, so each customer
+        // ends on its minimum (length, next-hop ASN) offer.
+        let seeds = &mut self.seeds;
+        seeds.clear();
+        seeds.extend(
+            routed
+                .iter()
+                .filter(|&&x| !adj.customers(x).is_empty())
+                .map(|&x| (entries[x as usize].expect("routed").dist, x)),
+        );
         seeds.sort_unstable();
-        let dist_of =
-            |entries: &[Option<Entry>], x: usize| entries[x].expect("queued nodes are routed").dist;
-        let mut queue: Vec<usize> = Vec::new();
+        let dist_of = |entries: &[Option<Entry>], x: u32| {
+            entries[x as usize].expect("queued nodes are routed").dist
+        };
+        let queue = &mut self.queue;
+        queue.clear();
         let (mut s, mut q) = (0, 0);
         loop {
             let x = match (seeds.get(s), queue.get(q)) {
@@ -253,9 +341,9 @@ impl RoutingTree {
                 (None, None) => break,
             };
             let dist = dist_of(&entries, x) + 1;
-            for &(c, rel) in graph.neighbors_idx(x) {
-                if rel == Relationship::Customer
-                    && offer(&mut entries, graph, c, x, RouteClass::Provider, dist)
+            for &c in adj.customers(x) {
+                if offer(&mut entries, graph, c, x, RouteClass::Provider, dist)
+                    && !adj.customers(c).is_empty()
                 {
                     queue.push(c);
                 }
@@ -270,6 +358,30 @@ impl RoutingTree {
             tracing: false,
             trace: Vec::new(),
         })
+    }
+}
+
+impl RoutingTree {
+    /// Compute the routing tree toward `dest` over `graph`: the
+    /// one-destination case of [`RoutingTree::compute_many`].
+    ///
+    /// Returns `None` if `dest` is not in the graph.
+    pub fn compute(graph: &AsGraph, dest: Asn) -> Option<RoutingTree> {
+        Self::compute_many(graph, [dest]).next().flatten()
+    }
+
+    /// The routing trees toward each of `dests` over `graph`, in order
+    /// (`None` for a destination not in the graph). The graph's
+    /// relationship-split adjacency is built once for all of them and
+    /// the construction worklists are reused across trees, so callers
+    /// that need many trees over one graph build them through here
+    /// (DESIGN.md §19).
+    pub fn compute_many<'g>(
+        graph: &'g AsGraph,
+        dests: impl IntoIterator<Item = Asn> + 'g,
+    ) -> impl Iterator<Item = Option<RoutingTree>> + 'g {
+        let mut builder = TreeBuilder::new(graph);
+        dests.into_iter().map(move |d| builder.build(d))
     }
 
     /// The destination this tree routes toward.
@@ -309,7 +421,7 @@ impl RoutingTree {
     /// [`RoutingTree::class_of`]/[`RoutingTree::next_hop`] for hot
     /// paths that already resolved the node index.
     pub fn route_at_idx(&self, i: usize) -> Option<(RouteClass, u32, usize)> {
-        self.entries[i].map(|e| (e.class, e.dist, e.next))
+        self.entries[i].map(|e| (e.class, e.dist, e.next as usize))
     }
 
     /// Iterate `(node, next_hop)` index pairs for every routed node,
@@ -319,13 +431,13 @@ impl RoutingTree {
         self.entries
             .iter()
             .enumerate()
-            .filter_map(|(i, e)| e.map(|e| (i, e.next)))
+            .filter_map(|(i, e)| e.map(|e| (i, e.next as usize)))
     }
 
     #[inline]
     fn record_trace(&mut self, v: usize, old: Option<Entry>, new: Option<Entry>) {
-        let old_next = old.map_or(TRACE_UNROUTED, |e| e.next as u32);
-        let new_next = new.map_or(TRACE_UNROUTED, |e| e.next as u32);
+        let old_next = old.map_or(TRACE_UNROUTED, |e| e.next);
+        let new_next = new.map_or(TRACE_UNROUTED, |e| e.next);
         if old_next != new_next {
             self.trace.push((v as u32, old_next, new_next));
         }
@@ -429,7 +541,7 @@ impl RoutingTree {
             return Some(Entry {
                 class: RouteClass::Origin,
                 dist: 0,
-                next: v,
+                next: v as u32,
             });
         }
         let mut best: Option<(RouteClass, u32, Asn, usize)> = None;
@@ -462,7 +574,11 @@ impl RoutingTree {
                 best = Some(cand);
             }
         }
-        best.map(|(class, dist, _, next)| Entry { class, dist, next })
+        best.map(|(class, dist, _, next)| Entry {
+            class,
+            dist,
+            next: next as u32,
+        })
     }
 
     /// Does the current path of `from` (following next pointers) pass
@@ -477,7 +593,7 @@ impl RoutingTree {
                 return true;
             }
             match self.entries[cur] {
-                Some(e) if e.next != cur => cur = e.next,
+                Some(e) if e.next as usize != cur => cur = e.next as usize,
                 _ => return false,
             }
         }
@@ -500,7 +616,7 @@ impl RoutingTree {
     /// itself maps to itself), if routed.
     pub fn next_hop(&self, graph: &AsGraph, src: Asn) -> Option<Asn> {
         let i = graph.index_of(src)?;
-        self.entries[i].map(|e| graph.asn_of(e.next))
+        self.entries[i].map(|e| graph.asn_of(e.next as usize))
     }
 
     /// Is the undirected link `a`–`b` carrying traffic in this tree, i.e.
@@ -531,7 +647,7 @@ impl RoutingTree {
         out.push(graph.asn_of(i));
         while i != self.dest_idx {
             let e = self.entries[i].expect("intermediate hops are routed");
-            i = e.next;
+            i = e.next as usize;
             out.push(graph.asn_of(i));
             if out.len() > self.entries.len() {
                 unreachable!("routing tree contains a loop");
@@ -560,7 +676,7 @@ impl RoutingTree {
         let mut cur = i;
         while cur != self.dest_idx {
             let e = self.entries[cur].expect("intermediate hops are routed");
-            cur = e.next;
+            cur = e.next as usize;
             out.push(graph.asn_of(cur));
             if out.len() > self.entries.len() {
                 unreachable!("routing tree contains a loop");
@@ -724,6 +840,11 @@ mod tests {
         assert_eq!(t.path_from(&g, Asn(99)), None);
         assert_eq!(t.class_of(&g, Asn(99)), None);
         assert!(RoutingTree::compute(&g, Asn(1000)).is_none());
+        // An unknown destination in a batch yields `None` in its place.
+        let routed: Vec<bool> = RoutingTree::compute_many(&g, [Asn(8), Asn(1000), Asn(1)])
+            .map(|t| t.is_some())
+            .collect();
+        assert_eq!(routed, [true, false, true]);
     }
 
     #[test]
@@ -852,7 +973,7 @@ mod oracle_tests {
         entries[d] = Some(Entry {
             class: RouteClass::Origin,
             dist: 0,
-            next: d,
+            next: d as u32,
         });
 
         let mut frontier = vec![d];
@@ -874,7 +995,7 @@ mod oracle_tests {
                     entries[p] = Some(Entry {
                         class: RouteClass::Customer,
                         dist,
-                        next: via,
+                        next: via as u32,
                     });
                     next_frontier.push(p);
                 }
@@ -904,7 +1025,7 @@ mod oracle_tests {
                 entries[q] = Some(Entry {
                     class: RouteClass::Peer,
                     dist,
-                    next: via,
+                    next: via as u32,
                 });
             }
         }
@@ -925,7 +1046,7 @@ mod oracle_tests {
             entries[c] = Some(Entry {
                 class: RouteClass::Provider,
                 dist,
-                next: via,
+                next: via as u32,
             });
             for &(cc, rel) in graph.neighbors_idx(c) {
                 if rel == Relationship::Customer && entries[cc].is_none() {
@@ -944,11 +1065,20 @@ mod oracle_tests {
         })
     }
 
-    /// Every origin's tree, node by node, against the oracle.
+    /// Every origin's tree, node by node, against the oracle. The trees
+    /// come from one `compute_many` call — one shared split view and
+    /// reused worklists — in descending destination order with the
+    /// first destination repeated at the end, so state carried from one
+    /// tree into the next would show.
     fn assert_all_trees_match(g: &AsGraph, what: &str) {
-        for dest in g.asns() {
-            let got = RoutingTree::compute(g, dest).unwrap();
+        let mut dests: Vec<Asn> = g.asns().collect();
+        dests.reverse();
+        dests.extend(dests.first().copied());
+        let trees = RoutingTree::compute_many(g, dests.clone());
+        for (&dest, got) in dests.iter().zip(trees) {
+            let got = got.unwrap();
             let want = reference(g, dest).unwrap();
+            assert_eq!(got.dest(), dest);
             for i in 0..g.len() {
                 assert_eq!(
                     got.route_at_idx(i),

@@ -61,6 +61,32 @@ fn statistics_fingerprints(s: &Scenario, m: &MonthResult) -> [u64; 3] {
     ]
 }
 
+/// The cleaned log's fingerprint: the fnv64 of the `Debug` rendering
+/// of its records (streamed through the hasher, so a large-tier log is
+/// never rendered into one string), with the removed-duplicate and
+/// reset-burst counts.
+fn cleaning_fingerprint(m: &MonthResult) -> (u64, usize, usize) {
+    struct Fnv(quicksand_bgp::feed::FnvHasher);
+    impl std::fmt::Write for Fnv {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0.update(s.as_bytes());
+            Ok(())
+        }
+    }
+    let mut h = Fnv(quicksand_bgp::feed::FnvHasher::new());
+    std::fmt::Write::write_fmt(&mut h, format_args!("{:?}", m.cleaned.records))
+        .expect("hashing cannot fail");
+    (h.0.finish(), m.removed_duplicates, m.reset_bursts)
+}
+
+/// Reset cleaning is pinned at the test world: the cleaned records bit
+/// for bit, and the removed and burst counts.
+#[test]
+fn cleaning_is_pinned() {
+    let (_, m) = world();
+    assert_eq!(cleaning_fingerprint(m), (0xf23899c0d7cffa44, 1262, 16));
+}
+
 /// T1 and both Fig-3 results are pinned bit for bit at the test world,
 /// so a change to how the statistics are computed cannot move a value.
 #[test]
@@ -72,9 +98,10 @@ fn statistics_are_pinned() {
     );
 }
 
-/// The same pins on a full large-tier month (20k ASes, ~113k tracked
-/// prefixes, 16 sessions): `#[ignore]`d and additionally gated on
-/// `QUICKSAND_TEST_LARGE=1`, like the other large-tier gates.
+/// The same statistics and cleaning pins on a full large-tier month
+/// (20k ASes, ~113k tracked prefixes, 16 sessions): `#[ignore]`d and
+/// additionally gated on `QUICKSAND_TEST_LARGE=1`, like the other
+/// large-tier gates.
 #[test]
 #[ignore = "large tier: a full month; QUICKSAND_TEST_LARGE=1 cargo test -- --ignored"]
 fn large_tier_statistics_are_pinned() {
@@ -88,6 +115,7 @@ fn large_tier_statistics_are_pinned() {
         statistics_fingerprints(&s, &m),
         [0x52d338244f0a8961, 0x1a590d7678b439a9, 0x248f9936c9fbffa7]
     );
+    assert_eq!(cleaning_fingerprint(&m), (0x87b8f6e57ac0cae7, 114059, 1));
 }
 
 /// F2L: guard/exit relays are concentrated — a handful of ASes host a
