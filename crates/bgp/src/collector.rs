@@ -26,6 +26,7 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// Identifies one eBGP session at one collector.
 #[derive(
@@ -109,7 +110,7 @@ impl UpdateLog {
 }
 
 /// Configuration for collector construction.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct CollectorConfig {
     /// Fraction of sessions that are full feeds (RIS has a minority of
     /// full feeds; default 0.25).
@@ -120,10 +121,6 @@ pub struct CollectorConfig {
     pub horizon: SimDuration,
     /// RNG seed (feed kinds and reset schedule).
     pub seed: u64,
-    /// First retry delay after a session goes down.
-    pub retry_base: SimDuration,
-    /// Cap on the exponential retry backoff.
-    pub retry_cap: SimDuration,
 }
 
 impl Default for CollectorConfig {
@@ -133,9 +130,24 @@ impl Default for CollectorConfig {
             resets_per_session: 1.0,
             horizon: SimDuration::from_days(30),
             seed: 0x4415,
-            retry_base: SimDuration::from_secs(30),
-            retry_cap: SimDuration::from_hours(1),
         }
+    }
+}
+
+// Checkpoint/feed fingerprints hash the `Debug` output of this config
+// (see `quicksand_recover::config_fingerprint`). Two retired session
+// retry knobs are still printed at the only values they ever held, so
+// every configuration keeps its exact historical fingerprint.
+impl fmt::Debug for CollectorConfig {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CollectorConfig")
+            .field("frac_full", &self.frac_full)
+            .field("resets_per_session", &self.resets_per_session)
+            .field("horizon", &self.horizon)
+            .field("seed", &self.seed)
+            .field("retry_base", &SimDuration::from_secs(30))
+            .field("retry_cap", &SimDuration::from_hours(1))
+            .finish()
     }
 }
 
@@ -253,12 +265,6 @@ pub struct Collector {
     /// Reset schedule: sorted (time, session index).
     resets: Vec<(SimTime, usize)>,
     next_reset: usize,
-    /// Per-session liveness (parallel to `sessions`).
-    liveness: Vec<SessionState>,
-    /// Indices of the sessions currently up, ascending — maintained on
-    /// every up/down transition so the per-event observe reads a slice
-    /// instead of rebuilding a `Vec`.
-    live_idx: Vec<usize>,
     /// One reusable [`SessionOps`] slot per session (slot `si` holds
     /// session `si`'s ops), taken by the observe driver for each
     /// observation so per-event diffs reuse warm op buffers instead of
@@ -271,35 +277,6 @@ pub struct Collector {
     /// [`Collector::apply_ops`]; swapped with the live table, so the
     /// two buffers ping-pong with no steady-state allocation.
     merge_scratch: Vec<(Ipv4Prefix, PathId)>,
-    retry_base: SimDuration,
-    retry_cap: SimDuration,
-}
-
-/// Liveness of one collector session.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum SessionState {
-    Up,
-    Down {
-        since: SimTime,
-        attempts: u32,
-        next_retry: SimTime,
-    },
-}
-
-/// Externalized liveness of one session, as captured in a checkpoint.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SessionLiveness {
-    /// The session is established and recording.
-    Up,
-    /// The session is down and retrying with backoff.
-    Down {
-        /// When the outage started.
-        since: SimTime,
-        /// Failed reconnect attempts so far.
-        attempts: u32,
-        /// When the next reconnect attempt is due.
-        next_retry: SimTime,
-    },
 }
 
 /// The mutable mid-run state of a [`Collector`], detached from the
@@ -315,8 +292,8 @@ pub struct CollectorState {
     pub routes: Vec<(u32, Ipv4Prefix, AsPath)>,
     /// How many scheduled resets have already fired.
     pub resets_done: u64,
-    /// Per-session liveness, parallel to the session roster.
-    pub liveness: Vec<SessionLiveness>,
+    /// Size of the session roster the state was taken from.
+    pub sessions: usize,
 }
 
 impl Collector {
@@ -382,9 +359,7 @@ impl Collector {
             }
         }
         resets.sort();
-        let liveness = vec![SessionState::Up; sessions.len()];
         let state = vec![FlatTable::default(); sessions.len()];
-        let live_idx = (0..sessions.len()).collect();
         Ok(Collector {
             sessions,
             state,
@@ -392,13 +367,9 @@ impl Collector {
             peer_idx: Vec::new(),
             resets,
             next_reset: 0,
-            liveness,
-            live_idx,
             ops_scratch: Vec::new(),
             delta_scratch: Vec::new(),
             merge_scratch: Vec::new(),
-            retry_base: config.retry_base,
-            retry_cap: config.retry_cap,
         })
     }
 
@@ -470,120 +441,11 @@ impl Collector {
         }
     }
 
-    fn index_of(&self, id: SessionId) -> QsResult<usize> {
-        let i = id.0 as usize;
-        if i < self.sessions.len() && self.sessions[i].id == id {
-            Ok(i)
-        } else {
-            Err(QuicksandError::UnknownSession(id.0))
-        }
-    }
-
-    /// Is the session currently up?
-    pub fn is_up(&self, id: SessionId) -> QsResult<bool> {
-        Ok(matches!(self.liveness[self.index_of(id)?], SessionState::Up))
-    }
-
-    /// Number of sessions currently up.
-    pub fn live_sessions(&self) -> usize {
-        self.liveness
-            .iter()
-            .filter(|s| matches!(s, SessionState::Up))
-            .count()
-    }
-
-    /// Mark a session down at `at` (peer unreachable, fault-injected
-    /// outage, ...). While down the session records nothing; the
-    /// collector retries with exponential backoff via
-    /// [`Collector::try_reconnect`]. Marking an already-down session is
-    /// a no-op (the original outage start is kept).
-    pub fn session_down(&mut self, id: SessionId, at: SimTime) -> QsResult<()> {
-        let i = self.index_of(id)?;
-        if matches!(self.liveness[i], SessionState::Up) {
-            self.liveness[i] = SessionState::Down {
-                since: at,
-                attempts: 0,
-                next_retry: at + self.retry_base,
-            };
-            if let Ok(pos) = self.live_idx.binary_search(&i) {
-                self.live_idx.remove(pos);
-            }
-            obs::incr("collector", "session_down", 1);
-            obs::incr_session("collector", "session_down", id.0, 1);
-        }
-        Ok(())
-    }
-
-    /// Attempt to re-establish downed sessions whose retry timer has
-    /// expired by `at`. `link_up` reports whether the underlying fault
-    /// has cleared for a session; a failed attempt doubles the retry
-    /// delay (capped at `retry_cap`). Recovered sessions forget their
-    /// recorded table, so the next [`Collector::observe`] re-dumps it —
-    /// the duplicate-announcement burst a real session re-establishment
-    /// produces. Returns the sessions that came back up.
-    pub fn try_reconnect(
-        &mut self,
-        at: SimTime,
-        link_up: impl Fn(SessionId) -> bool,
-    ) -> Vec<SessionId> {
-        let mut recovered = Vec::new();
-        for i in 0..self.sessions.len() {
-            let SessionState::Down {
-                since,
-                attempts,
-                next_retry,
-            } = self.liveness[i]
-            else {
-                continue;
-            };
-            if next_retry > at {
-                continue;
-            }
-            let id = self.sessions[i].id;
-            obs::incr("collector", "reconnect_attempts", 1);
-            if link_up(id) {
-                self.liveness[i] = SessionState::Up;
-                if let Err(pos) = self.live_idx.binary_search(&i) {
-                    self.live_idx.insert(pos, i);
-                }
-                // Forget the session's table: the peer re-dumps on
-                // re-establishment, so the next observe re-announces
-                // every live route.
-                self.state[i].entries.clear();
-                obs::incr("collector", "reconnects", 1);
-                obs::incr_session("collector", "reconnects", id.0, 1);
-                recovered.push(id);
-            } else {
-                // First retry comes retry_base after the drop; each
-                // failure doubles the delay up to retry_cap.
-                let backoff_s =
-                    self.retry_base.as_secs_f64() * (2u64 << attempts.min(30)) as f64;
-                let delay = SimDuration::from_secs_f64(
-                    backoff_s.min(self.retry_cap.as_secs_f64()),
-                );
-                self.liveness[i] = SessionState::Down {
-                    since,
-                    attempts: attempts.saturating_add(1),
-                    next_retry: at + delay,
-                };
-            }
-        }
-        recovered
-    }
-
-    /// How long `id` has been down as of `at` (zero when up).
-    pub fn downtime(&self, id: SessionId, at: SimTime) -> QsResult<SimDuration> {
-        Ok(match self.liveness[self.index_of(id)?] {
-            SessionState::Up => SimDuration::ZERO,
-            SessionState::Down { since, .. } => at.since(since),
-        })
-    }
-
     /// Capture the collector's mutable mid-run state (recorded tables,
-    /// reset cursor, per-session liveness) for a checkpoint. The
-    /// session roster and reset schedule are not captured: they are
-    /// regenerated deterministically by [`Collector::new`] from the
-    /// same peers and configuration.
+    /// reset cursor) for a checkpoint. The session roster and reset
+    /// schedule are regenerated deterministically by [`Collector::new`]
+    /// from the same peers and configuration, so only the roster's size
+    /// travels, to refuse a mismatched resume.
     pub fn export_state(&self) -> CollectorState {
         let mut routes = Vec::new();
         for (si, table) in self.state.iter().enumerate() {
@@ -594,22 +456,7 @@ impl Collector {
         CollectorState {
             routes,
             resets_done: self.next_reset as u64,
-            liveness: self
-                .liveness
-                .iter()
-                .map(|s| match *s {
-                    SessionState::Up => SessionLiveness::Up,
-                    SessionState::Down {
-                        since,
-                        attempts,
-                        next_retry,
-                    } => SessionLiveness::Down {
-                        since,
-                        attempts,
-                        next_retry,
-                    },
-                })
-                .collect(),
+            sessions: self.sessions.len(),
         }
     }
 
@@ -621,12 +468,12 @@ impl Collector {
     /// an unknown session, or a reset cursor beyond the schedule) —
     /// the symptom of resuming against a different configuration.
     pub fn import_state(&mut self, state: &CollectorState) -> QsResult<()> {
-        if state.liveness.len() != self.sessions.len() {
+        if state.sessions != self.sessions.len() {
             return Err(QuicksandError::ResumeMismatch {
                 what: "sessions",
                 detail: format!(
                     "checkpoint has {} sessions, collector has {}",
-                    state.liveness.len(),
+                    state.sessions,
                     self.sessions.len()
                 ),
             });
@@ -672,25 +519,6 @@ impl Collector {
             })
             .collect();
         self.next_reset = state.resets_done as usize;
-        self.liveness = state
-            .liveness
-            .iter()
-            .map(|s| match *s {
-                SessionLiveness::Up => SessionState::Up,
-                SessionLiveness::Down {
-                    since,
-                    attempts,
-                    next_retry,
-                } => SessionState::Down {
-                    since,
-                    attempts,
-                    next_retry,
-                },
-            })
-            .collect();
-        self.live_idx = (0..self.sessions.len())
-            .filter(|&si| matches!(self.liveness[si], SessionState::Up))
-            .collect();
         Ok(())
     }
 
@@ -717,8 +545,8 @@ impl Collector {
         let arena = &mut self.arena;
         let mut table: BTreeMap<(Asn, Ipv4Prefix), Option<(PathId, RouteClass)>> =
             BTreeMap::new();
-        for &si in &self.live_idx {
-            let peer = self.sessions[si].peer;
+        for info in &self.sessions {
+            let peer = info.peer;
             for &prefix in prefixes {
                 table.entry((peer, prefix)).or_insert_with(|| {
                     exported(peer, prefix)
@@ -741,8 +569,8 @@ impl Collector {
     /// route class, typically straight out of an [`ExportCache`].
     /// Passing the index rather than the prefix lets callers answer
     /// from a slice aligned with `prefixes` instead of a per-query map
-    /// lookup. Every live session diffs `prefixes` as one run, one
-    /// export per prefix.
+    /// lookup. Every session diffs `prefixes` as one run, one export
+    /// per prefix.
     ///
     /// # Panics
     ///
@@ -864,7 +692,7 @@ impl Collector {
         );
     }
 
-    /// The observe driver: emit due resets, diff every live session
+    /// The one observe path: emit due resets, diff every session
     /// with `diff(si, info, table, ops)` against pre-observe state —
     /// on the caller thread, or across up to `width` work-weighted
     /// shards via `run_region` when the total `work(si)` warrants it —
@@ -889,7 +717,7 @@ impl Collector {
         ops.resize_with(self.sessions.len(), Vec::new);
         let this: &Collector = self;
         let diff_session = |si: usize, out: &mut SessionOps| {
-            let _span = obs::prof::span("collector", "diff_session");
+            let _span = obs::prof::span("collector", "diff");
             diff(si, &this.sessions[si], &this.state[si].entries, out);
         };
         let shards = if width > 1 {
@@ -898,8 +726,8 @@ impl Collector {
             Vec::new()
         };
         if shards.len() < 2 {
-            for &si in &this.live_idx {
-                diff_session(si, &mut ops[si]);
+            for (si, out) in ops.iter_mut().enumerate() {
+                diff_session(si, out);
             }
         } else {
             // Hand each shard the op slots of its own sessions.
@@ -931,14 +759,12 @@ impl Collector {
         );
     }
 
-    /// Split the live sessions with work into at most `width`
+    /// Split the sessions with work into at most `width`
     /// contiguous, ascending shards of roughly equal total `work`.
     /// Empty when the observation is too small to be worth threads.
     fn shard_sessions(&self, width: usize, work: impl Fn(usize) -> usize) -> Vec<Vec<usize>> {
-        let work_of: Vec<(usize, usize)> = self
-            .live_idx
-            .iter()
-            .map(|&si| (si, work(si)))
+        let work_of: Vec<(usize, usize)> = (0..self.sessions.len())
+            .map(|si| (si, work(si)))
             .filter(|&(_, w)| w > 0)
             .collect();
         let total: usize = work_of.iter().map(|&(_, w)| w).sum();
@@ -968,11 +794,6 @@ impl Collector {
         {
             let (rt, si) = self.resets[self.next_reset];
             self.next_reset += 1;
-            // A scheduled reset on a downed session is moot: the session
-            // records nothing, and recovery re-dumps anyway.
-            if !matches!(self.liveness[si], SessionState::Up) {
-                continue;
-            }
             let id = self.sessions[si].id;
             for &(prefix, pid) in &self.state[si].entries {
                 log.records.push(UpdateRecord {
@@ -1362,97 +1183,12 @@ mod tests {
     }
 
     #[test]
-    fn downed_session_records_nothing_and_redumps_on_recovery() {
-        let config = CollectorConfig {
-            frac_full: 1.0,
-            resets_per_session: 0.0,
-            ..Default::default()
-        };
-        let mut coll = Collector::new(&[Asn(10)], &config).unwrap();
-        let prefix = p("10.0.0.0/8");
-        let mut log = UpdateLog::default();
-        let route = |_: Asn, _: Ipv4Prefix| Some((path(&[2, 3]), RouteClass::Customer));
-        coll.observe(SimTime::from_secs(0), &[prefix], route, &mut log);
-        assert_eq!(log.len(), 1);
-
-        // Session drops: nothing is recorded while down.
-        coll.session_down(SessionId(0), SimTime::from_secs(100)).unwrap();
-        assert!(!coll.is_up(SessionId(0)).unwrap());
-        assert_eq!(coll.live_sessions(), 0);
-        coll.observe(
-            SimTime::from_secs(200),
-            &[prefix],
-            |_, _| Some((path(&[9, 3]), RouteClass::Customer)),
-            &mut log,
-        );
-        assert_eq!(log.len(), 1, "downed session must stay silent");
-
-        // First retry fires after retry_base; the link is still dead,
-        // so the delay doubles.
-        let t1 = SimTime::from_secs(100) + config.retry_base;
-        assert!(coll.try_reconnect(t1, |_| false).is_empty());
-        let t2 = t1 + config.retry_base;
-        // Next retry is 2 * retry_base after t1; at t1 + base it is not
-        // due yet.
-        assert!(coll.try_reconnect(t2, |_| true).is_empty());
-        let t3 = t1 + config.retry_base + config.retry_base;
-        let recovered = coll.try_reconnect(t3, |_| true);
-        assert_eq!(recovered, vec![SessionId(0)]);
-        assert!(coll.is_up(SessionId(0)).unwrap());
-        assert_eq!(coll.downtime(SessionId(0), t3).unwrap(), SimDuration::ZERO);
-
-        // Recovery re-dumps: the unchanged route is re-announced (a
-        // duplicate burst the cleaning pass removes).
-        coll.observe(SimTime::from_secs(1000), &[prefix], route, &mut log);
-        assert_eq!(log.len(), 2);
-        let (cleaned, removed, _) =
-            clean_session_resets(&log, &CleaningConfig::default());
-        assert_eq!(removed, 1);
-        assert_eq!(cleaned.len(), 1);
-    }
-
-    #[test]
-    fn unknown_session_is_a_typed_error() {
-        let config = CollectorConfig {
-            resets_per_session: 0.0,
-            ..Default::default()
-        };
-        let mut coll = Collector::new(&[Asn(10)], &config).unwrap();
-        let err = coll.session_down(SessionId(7), SimTime::ZERO).unwrap_err();
-        assert_eq!(err, quicksand_net::QuicksandError::UnknownSession(7));
-        assert!(coll.is_up(SessionId(7)).is_err());
-    }
-
-    #[test]
-    fn backoff_caps_at_retry_cap() {
-        let config = CollectorConfig {
-            resets_per_session: 0.0,
-            retry_base: SimDuration::from_secs(30),
-            retry_cap: SimDuration::from_secs(120),
-            ..Default::default()
-        };
-        let mut coll = Collector::new(&[Asn(10)], &config).unwrap();
-        coll.session_down(SessionId(0), SimTime::ZERO).unwrap();
-        // Fail many retries; the gap between attempts never exceeds the
-        // cap, so a retry must fire within every cap-sized window.
-        let mut t = SimTime::ZERO + config.retry_base;
-        for _ in 0..10 {
-            coll.try_reconnect(t, |_| false);
-            t += config.retry_cap;
-        }
-        // The link heals: the next cap-window retry picks it up.
-        let recovered = coll.try_reconnect(t + config.retry_cap, |_| true);
-        assert_eq!(recovered, vec![SessionId(0)]);
-    }
-
-    #[test]
     fn resets_redump_table_and_cleaning_detects_burst() {
         let config = CollectorConfig {
             frac_full: 1.0,
             resets_per_session: 3.0,
             horizon: SimDuration::from_days(1),
             seed: 42,
-            ..Default::default()
         };
         let mut coll = Collector::new(&[Asn(10)], &config).unwrap();
         let prefixes: Vec<Ipv4Prefix> =

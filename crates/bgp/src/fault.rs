@@ -13,19 +13,20 @@
 //!   recovery, the same artifact [`crate::clean_session_resets`]
 //!   removes), and whole-collector outage windows.
 //! * [`FaultInjector`] — applies a profile to an [`UpdateLog`],
-//!   returning the degraded log plus a [`FaultReport`] tally.
-//! * [`FaultedFeed`] — a streaming adapter over any
-//!   `Iterator<Item = UpdateRecord>` applying the record-level faults
-//!   (drop / duplicate / skew / bounded reorder) on the fly.
+//!   returning the degraded log plus a [`FaultReport`] tally. It is the
+//!   one implementation of every feed fault, and its flaps are the
+//!   reproduction's one model of a lost collector session.
 //!
 //! Every decision is a pure function of `(seed, session, record index)`
-//! via a splitmix64 hash — no RNG state threads through the stream, so
+//! via a splitmix64 hash — no RNG state threads through the log, so
 //! identical inputs produce identical degraded logs regardless of how
-//! the records are batched.
+//! sessions interleave.
 
 use crate::collector::{SessionId, UpdateLog, UpdateRecord};
 use crate::msg::{Route, UpdateMessage};
-use quicksand_net::{AsPath, Ipv4Prefix, QsResult, QuicksandError, SimDuration, SimTime};
+use quicksand_net::{
+    splitmix64, AsPath, Ipv4Prefix, QsResult, QuicksandError, SimDuration, SimTime,
+};
 use quicksand_obs as obs;
 use std::collections::BTreeMap;
 
@@ -149,14 +150,6 @@ impl FaultReport {
     pub fn total_lost(&self) -> usize {
         self.dropped + self.outage_dropped
     }
-}
-
-/// Splitmix64: the per-decision hash behind all fault draws.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
 }
 
 /// A uniform f64 in [0, 1) from a hash of the given words.
@@ -301,25 +294,8 @@ impl FaultInjector {
             // Flush recoveries due before this record: re-dump the
             // session's table as duplicate announcements.
             while next_recovery < recoveries.len() && recoveries[next_recovery].0 <= r.at {
-                let (rt, s) = recoveries[next_recovery];
+                self.redump(recoveries[next_recovery], &table, &mut out, &mut report);
                 next_recovery += 1;
-                let dump: Vec<(Ipv4Prefix, AsPath)> = table
-                    .range((s, Ipv4Prefix::from_u32(0, 0))..)
-                    .take_while(|((sid, _), _)| *sid == s)
-                    .map(|((_, q), path)| (*q, path.clone()))
-                    .collect();
-                for (prefix, path) in dump {
-                    report.redump_records += 1;
-                    out.push(UpdateRecord {
-                        at: rt + self.skew_of(s),
-                        session: s,
-                        msg: UpdateMessage::Announce(Route {
-                            prefix,
-                            as_path: path,
-                            communities: Default::default(),
-                        }),
-                    });
-                }
             }
 
             // Track the peer's table regardless of delivery: the peer
@@ -373,26 +349,8 @@ impl FaultInjector {
         }
 
         // Trailing recoveries (windows ending after the last record).
-        while next_recovery < recoveries.len() {
-            let (rt, s) = recoveries[next_recovery];
-            next_recovery += 1;
-            let dump: Vec<(Ipv4Prefix, AsPath)> = table
-                .range((s, Ipv4Prefix::from_u32(0, 0))..)
-                .take_while(|((sid, _), _)| *sid == s)
-                .map(|((_, q), path)| (*q, path.clone()))
-                .collect();
-            for (prefix, path) in dump {
-                report.redump_records += 1;
-                out.push(UpdateRecord {
-                    at: rt + self.skew_of(s),
-                    session: s,
-                    msg: UpdateMessage::Announce(Route {
-                        prefix,
-                        as_path: path,
-                        communities: Default::default(),
-                    }),
-                });
-            }
+        for &recovery in &recoveries[next_recovery..] {
+            self.redump(recovery, &table, &mut out, &mut report);
         }
 
         report.skewed_sessions = skewed.len();
@@ -422,115 +380,32 @@ impl FaultInjector {
         }
         (UpdateLog { records: out }, report)
     }
-}
 
-/// A streaming fault adapter: wraps any record stream and applies the
-/// record-level faults (drop, duplicate, clock skew, bounded reorder)
-/// on the fly with an internal buffer of at most
-/// [`FaultedFeed::buffer_len`] delayed records.
-///
-/// Flaps and collector outages need the whole log's time span and a
-/// table re-dump, so they are only available through
-/// [`FaultInjector::apply`]; profiles with those faults are still
-/// accepted here but only their record-level components take effect.
-pub struct FaultedFeed<I: Iterator<Item = UpdateRecord>> {
-    inner: I,
-    injector: FaultInjector,
-    /// Delayed records, kept sorted by release time (ascending).
-    held: Vec<UpdateRecord>,
-    /// Ready-to-emit duplicates.
-    pending: Vec<UpdateRecord>,
-    per_session_idx: BTreeMap<SessionId, u64>,
-    done: bool,
-}
-
-impl<I: Iterator<Item = UpdateRecord>> FaultedFeed<I> {
-    /// Wrap `inner` with the record-level faults of `profile`.
-    pub fn new(inner: I, profile: FaultProfile) -> QsResult<Self> {
-        Ok(FaultedFeed {
-            inner,
-            injector: FaultInjector::new(profile)?,
-            held: Vec::new(),
-            pending: Vec::new(),
-            per_session_idx: BTreeMap::new(),
-            done: false,
-        })
-    }
-
-    /// Number of records currently buffered for reordering.
-    pub fn buffer_len(&self) -> usize {
-        self.held.len()
-    }
-
-    /// Release every held record at or before `cutoff`, earliest first.
-    fn release_due(&mut self, cutoff: Option<SimTime>) -> Option<UpdateRecord> {
-        let due = match (self.held.first(), cutoff) {
-            (Some(h), Some(c)) => h.at <= c,
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        due.then(|| self.held.remove(0))
-    }
-}
-
-impl<I: Iterator<Item = UpdateRecord>> Iterator for FaultedFeed<I> {
-    type Item = UpdateRecord;
-
-    fn next(&mut self) -> Option<UpdateRecord> {
-        loop {
-            if let Some(r) = self.pending.pop() {
-                return Some(r);
-            }
-            if self.done {
-                return self.release_due(None);
-            }
-            let Some(r) = self.inner.next() else {
-                self.done = true;
-                continue;
-            };
-            let p = self.injector.profile().clone();
-            let idx = self.per_session_idx.entry(r.session).or_insert(0);
-            let i = *idx;
-            *idx += 1;
-            let skey = r.session.0 as u64;
-            if p.drop_rate > 0.0 && unit(p.seed, DOM_DROP ^ (skey << 32), i) < p.drop_rate {
-                continue;
-            }
-            let mut rec = UpdateRecord {
-                at: r.at + self.injector.skew_of(r.session),
-                ..r
-            };
-            let reordered = p.reorder_rate > 0.0
-                && unit(p.seed, DOM_REORDER ^ (skey << 32), i) < p.reorder_rate;
-            if reordered {
-                let by = unit(p.seed, DOM_REORDER_BY ^ (skey << 32), i)
-                    * p.max_reorder.as_secs_f64();
-                rec.at += SimDuration::from_secs_f64(by);
-            }
-            let dup =
-                p.dup_rate > 0.0 && unit(p.seed, DOM_DUP ^ (skey << 32), i) < p.dup_rate;
-            if reordered {
-                // Delayed copies (both, when also duplicated) wait in
-                // the buffer until an on-time record passes them.
-                let pos = self.held.partition_point(|h| h.at <= rec.at);
-                if dup {
-                    self.held.insert(pos, rec.clone());
-                }
-                self.held.insert(pos, rec);
-                if let Some(out) = self.release_due(Some(r.at)) {
-                    return Some(out);
-                }
-                continue;
-            }
-            if dup {
-                self.pending.push(rec.clone());
-            }
-            // An on-time record releases any held records due before it.
-            if let Some(out) = self.release_due(Some(rec.at)) {
-                self.pending.push(rec);
-                return Some(out);
-            }
-            return Some(rec);
+    /// A flap or outage recovery at `at` on `session`: the peer re-dumps
+    /// its live table from the pre-fault `table` as duplicate
+    /// announcements, stamped with the session's clock skew.
+    fn redump(
+        &self,
+        (at, session): (SimTime, SessionId),
+        table: &BTreeMap<(SessionId, Ipv4Prefix), AsPath>,
+        out: &mut Vec<UpdateRecord>,
+        report: &mut FaultReport,
+    ) {
+        let at = at + self.skew_of(session);
+        for ((_, prefix), path) in table
+            .range((session, Ipv4Prefix::from_u32(0, 0))..)
+            .take_while(|((sid, _), _)| *sid == session)
+        {
+            report.redump_records += 1;
+            out.push(UpdateRecord {
+                at,
+                session,
+                msg: UpdateMessage::Announce(Route {
+                    prefix: *prefix,
+                    as_path: path.clone(),
+                    communities: Default::default(),
+                }),
+            });
         }
     }
 }
@@ -921,35 +796,6 @@ mod tests {
             err,
             QuicksandError::InvalidConfig { what: "drop_rate", .. }
         ));
-    }
-
-    #[test]
-    fn streaming_feed_matches_whole_log_for_record_faults() {
-        let log = sample_log();
-        let mut profile = FaultProfile::with_intensity(0.4, 77);
-        // Restrict to record-level faults so both paths agree.
-        profile.flaps_per_session = 0.0;
-        profile.collector_outages.clear();
-        let (batch, _) = FaultInjector::new(profile.clone()).unwrap().apply(&log);
-        let mut streamed: Vec<UpdateRecord> =
-            FaultedFeed::new(log.records.clone().into_iter(), profile)
-                .unwrap()
-                .collect();
-        streamed.sort_by_key(|r| (r.at, r.session));
-        let mut batch_sorted = batch.records.clone();
-        batch_sorted.sort_by_key(|r| (r.at, r.session));
-        assert_eq!(streamed, batch_sorted);
-    }
-
-    #[test]
-    fn streaming_reorder_buffer_is_bounded_and_drains() {
-        let log = sample_log();
-        let mut profile = FaultProfile::clean(21);
-        profile.reorder_rate = 0.5;
-        profile.max_reorder = SimDuration::from_secs(30);
-        let feed = FaultedFeed::new(log.records.clone().into_iter(), profile).unwrap();
-        let n: usize = feed.count();
-        assert_eq!(n, log.len(), "reordering must not lose records");
     }
 
     #[test]

@@ -52,13 +52,13 @@ mod table;
 pub use churn::{ChurnConfig, ChurnEvent, ChurnGenerator, LinkChange};
 pub use collector::{
     clean_session_resets, CleaningConfig, Collector, CollectorConfig, CollectorState,
-    FeedKind, SessionId, SessionLiveness, ShardTask, UpdateLog, UpdateRecord,
+    FeedKind, SessionId, ShardTask, UpdateLog, UpdateRecord,
 };
 pub use event::{EventSim, SimConfig, SimStats};
 pub use fast::FastConverge;
 pub use fault::{
     ConnChaosPlan, ConnFault, ConnFaultKind, CrashKind, FaultInjector, FaultProfile,
-    FaultReport, FaultedFeed, ReplayChaosPlan, ReplayCrash,
+    FaultReport, ReplayChaosPlan, ReplayCrash,
 };
 pub use feed::{
     ChurnFeedSource, FeedEvent, FeedMode, FeedMsg, FeedSource, MrtFeedSource,

@@ -46,7 +46,7 @@ use crate::scenario::MonthResult;
 use crate::telemetry::{FeedSessionTelemetry, SessionState};
 use quicksand_bgp::feed::{FeedEvent, FeedMode, FeedMsg, FeedSource, FnvHasher};
 use quicksand_bgp::{mrt, ChurnEvent, ConnChaosPlan, ConnFaultKind, UpdateRecord};
-use quicksand_net::{read_frame, FrameDecoder, FrameError, QsResult, QuicksandError};
+use quicksand_net::{read_frame, splitmix64, FrameDecoder, FrameError, QsResult, QuicksandError};
 use quicksand_obs as obs;
 use quicksand_obs::Key;
 use std::io::{self, Write};
@@ -859,13 +859,6 @@ fn run_session(mut stream: TcpStream, ctx: &ServerCtx) {
     if matches!(reason, Close::Disconnect) {
         ctx.registry.incr(Key::stage(STAGE, "disconnects"), 1);
     }
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
 }
 
 /// Seeded decorrelated-jitter reconnect backoff: deterministic per

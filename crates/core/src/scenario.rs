@@ -326,7 +326,6 @@ impl ScenarioConfig {
                 frac_full: spec.frac_full,
                 resets_per_session: spec.resets_per_session,
                 seed,
-                ..Default::default()
             },
             n_sessions: spec.n_sessions,
             n_control_origins: spec.n_control_origins,
@@ -899,24 +898,8 @@ impl Scenario {
         &self,
         profile: FaultProfile,
     ) -> QsResult<(MonthResult, FaultReport)> {
-        self.run_month_faulted_checkpointed(profile, None, 0, |_| HookAction::Continue)
-    }
-
-    /// [`Scenario::run_month_faulted`] with the checkpoint hook of
-    /// [`Scenario::run_month_checkpointed`]. Checkpoints capture the
-    /// pristine replay; fault injection is deterministic
-    /// post-processing (a pure function of the profile and the raw
-    /// log), so it replays identically after a resume without being
-    /// part of the snapshot.
-    pub fn run_month_faulted_checkpointed(
-        &self,
-        profile: FaultProfile,
-        resume: Option<&PipelineSnapshot>,
-        every: u64,
-        hook: impl FnMut(&PipelineSnapshot) -> HookAction,
-    ) -> QsResult<(MonthResult, FaultReport)> {
-        let pristine = self.run_month_checkpointed(resume, every, hook)?;
         let injector = FaultInjector::new(profile)?;
+        let pristine = self.run_month()?;
         let (raw, report) = injector.apply(&pristine.raw);
         let (cleaned, removed_duplicates, reset_bursts) =
             clean_session_resets(&raw, &CleaningConfig::default());

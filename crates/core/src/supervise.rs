@@ -39,7 +39,7 @@ use crate::feed::FeedSlot;
 use crate::scenario::{MonthResult, Scenario, ScenarioConfig};
 use crate::telemetry::{CellState, CellTelemetry, FleetTelemetry};
 use quicksand_bgp::{CrashKind, ReplayChaosPlan};
-use quicksand_net::QuicksandError;
+use quicksand_net::{splitmix64, QuicksandError};
 use quicksand_obs as obs;
 use quicksand_obs::{Key, Registry};
 use quicksand_recover::{CheckpointStore, HookAction, DEFAULT_RETAIN};
@@ -136,13 +136,6 @@ impl Default for RestartPolicy {
             seed: 0x5EED_BACC,
         }
     }
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
 }
 
 impl RestartPolicy {

@@ -18,10 +18,6 @@ pub enum QuicksandError {
         /// What was wrong with it.
         detail: String,
     },
-    /// An operation referenced a session the collector does not have.
-    UnknownSession(u32),
-    /// The session is down (fault-injected or administratively).
-    SessionDown(u32),
     /// A feed has been silent past its staleness bound.
     StaleFeed {
         /// The silent session.
@@ -84,8 +80,6 @@ impl fmt::Display for QuicksandError {
             QuicksandError::InvalidConfig { what, detail } => {
                 write!(f, "invalid config: {what}: {detail}")
             }
-            QuicksandError::UnknownSession(s) => write!(f, "unknown session {s}"),
-            QuicksandError::SessionDown(s) => write!(f, "session {s} is down"),
             QuicksandError::StaleFeed { session, silent_for } => {
                 write!(f, "session {session} feed stale: silent for {silent_for}")
             }

@@ -14,7 +14,9 @@
 //!   distinct-AS queries the paper's metrics are built on.
 //! * [`SimTime`] / [`SimDuration`] — microsecond-resolution simulated time.
 //! * [`QuicksandError`] — the typed error vocabulary of the collector →
-//!   monitor pipeline (invalid config, downed sessions, stale feeds).
+//!   monitor pipeline (invalid config, stale feeds, resume mismatches).
+//! * [`splitmix64`] — the seeded hash behind every stateless
+//!   deterministic draw.
 //! * [`frame`] — the length-prefixed, CRC-checksummed frame codec the
 //!   streaming feed plane speaks over TCP.
 //!
@@ -30,6 +32,7 @@ mod asn;
 mod aspath;
 mod error;
 pub mod frame;
+mod hash;
 mod prefix;
 mod time;
 mod trie;
@@ -38,6 +41,7 @@ pub use asn::Asn;
 pub use aspath::AsPath;
 pub use error::{QsResult, QuicksandError};
 pub use frame::{read_frame, Frame, FrameDecoder, FrameError, MAX_FRAME_LEN};
+pub use hash::splitmix64;
 pub use prefix::{Ipv4Prefix, PrefixParseError};
 pub use time::{SimDuration, SimTime};
 pub use trie::PrefixTrie;

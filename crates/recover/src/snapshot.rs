@@ -39,10 +39,11 @@
 //! tags are skipped (they were checksummed, so they are intact —
 //! they're from a newer minor revision, not corruption).
 
-use crate::codec::{crc32, CheckpointError, Dec, Enc};
+use crate::codec::{CheckpointError, Dec, Enc};
 use quicksand_attack::detect::{Alarm, AlarmKind};
 use quicksand_attack::monitord::MonitorState;
-use quicksand_bgp::{mrt, CollectorState, SessionId, SessionLiveness, UpdateLog};
+use quicksand_bgp::{mrt, CollectorState, SessionId, UpdateLog};
+use quicksand_net::frame::crc32;
 use quicksand_net::{AsPath, Asn, Ipv4Prefix, SimTime};
 
 /// File magic: "QS" + checkpoint + format revision.
@@ -322,21 +323,12 @@ fn encode_collector(e: &mut Enc, c: &CollectorState) {
         encode_path(e, path);
     }
     e.u64(c.resets_done);
-    e.u64(c.liveness.len() as u64);
-    for l in &c.liveness {
-        match *l {
-            SessionLiveness::Up => e.u8(0),
-            SessionLiveness::Down {
-                since,
-                attempts,
-                next_retry,
-            } => {
-                e.u8(1);
-                e.u64(since.0);
-                e.u32(attempts);
-                e.u64(next_retry.0);
-            }
-        }
+    // The liveness section: one tag per session, and every session is
+    // up (tag 0). Tag 1 once marked a downed session of the retired
+    // collector lifecycle; the layout is kept so `VERSION` stands.
+    e.u64(c.sessions as u64);
+    for _ in 0..c.sessions {
+        e.u8(0);
     }
 }
 
@@ -350,23 +342,16 @@ fn decode_collector(d: &mut Dec<'_>) -> Result<CollectorState, CheckpointError> 
         routes.push((sess, prefix, path));
     }
     let resets_done = d.u64("resets_done")?;
-    let n = d.count(1, "liveness")?;
-    let mut liveness = Vec::with_capacity(n);
-    for _ in 0..n {
-        liveness.push(match d.u8("liveness tag")? {
-            0 => SessionLiveness::Up,
-            1 => SessionLiveness::Down {
-                since: SimTime(d.u64("down since")?),
-                attempts: d.u32("down attempts")?,
-                next_retry: SimTime(d.u64("down next_retry")?),
-            },
-            _ => return Err(CheckpointError::Malformed("liveness tag")),
-        });
+    let sessions = d.count(1, "liveness")?;
+    for _ in 0..sessions {
+        if d.u8("liveness tag")? != 0 {
+            return Err(CheckpointError::Malformed("liveness tag"));
+        }
     }
     Ok(CollectorState {
         routes,
         resets_done,
-        liveness,
+        sessions,
     })
 }
 
@@ -593,15 +578,7 @@ pub(crate) mod tests {
                     (2, p2, AsPath::from_asns(vec![Asn(1)])),
                 ],
                 resets_done: 3,
-                liveness: vec![
-                    SessionLiveness::Up,
-                    SessionLiveness::Down {
-                        since: SimTime::from_secs(100),
-                        attempts: 2,
-                        next_retry: SimTime::from_secs(160),
-                    },
-                    SessionLiveness::Up,
-                ],
+                sessions: 3,
             },
             log: UpdateLog {
                 records: vec![UpdateRecord {
@@ -697,6 +674,38 @@ pub(crate) mod tests {
             PipelineSnapshot::decode(&bytes),
             Err(CheckpointError::UnsupportedVersion(99))
         ));
+    }
+
+    #[test]
+    fn liveness_tag_other_than_up_is_malformed() {
+        let snap = sample_snapshot();
+        let mut bytes = snap.encode();
+        // Walk the sections to the end of the collector payload, whose
+        // last `sessions` bytes are the liveness tags.
+        let mut pos = MAGIC.len() + 4 + 8 + 8 + 8 + 4;
+        loop {
+            let tag = bytes[pos];
+            let len = u64::from_le_bytes(bytes[pos + 1..pos + 9].try_into().unwrap());
+            pos += 9 + len as usize;
+            if tag == TAG_COLLECTOR {
+                break;
+            }
+        }
+        let first_tag = pos - snap.collector.sessions;
+        let body_len = bytes.len() - 4;
+        for bad in [1u8, 2, 0xFF] {
+            // Re-seal the CRC so only the tag check can object.
+            bytes[first_tag] = bad;
+            let crc = crc32(&bytes[MAGIC.len()..body_len]).to_le_bytes();
+            bytes[body_len..].copy_from_slice(&crc);
+            assert!(
+                matches!(
+                    PipelineSnapshot::decode(&bytes),
+                    Err(CheckpointError::Malformed("liveness tag"))
+                ),
+                "tag {bad}"
+            );
+        }
     }
 
     #[test]

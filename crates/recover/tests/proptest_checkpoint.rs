@@ -8,8 +8,7 @@ use proptest::prelude::*;
 use quicksand_attack::detect::{Alarm, AlarmKind};
 use quicksand_attack::monitord::MonitorState;
 use quicksand_bgp::{
-    Community, CollectorState, Route, SessionId, SessionLiveness, UpdateLog,
-    UpdateMessage, UpdateRecord,
+    Community, CollectorState, Route, SessionId, UpdateLog, UpdateMessage, UpdateRecord,
 };
 use quicksand_net::{AsPath, Asn, Ipv4Prefix, SimTime};
 use quicksand_recover::{CheckpointError, MetricsState, PipelineSnapshot, MAGIC};
@@ -61,29 +60,16 @@ fn arb_record() -> impl Strategy<Value = UpdateRecord> {
     })
 }
 
-fn arb_liveness() -> impl Strategy<Value = SessionLiveness> {
-    prop_oneof![
-        Just(SessionLiveness::Up),
-        (arb_time(), any::<u32>(), arb_time()).prop_map(|(since, attempts, next_retry)| {
-            SessionLiveness::Down {
-                since,
-                attempts,
-                next_retry,
-            }
-        }),
-    ]
-}
-
 fn arb_collector() -> impl Strategy<Value = CollectorState> {
     (
         prop::collection::vec((any::<u32>(), arb_prefix(), arb_path()), 0..5),
         any::<u64>(),
-        prop::collection::vec(arb_liveness(), 0..4),
+        0usize..4,
     )
-        .prop_map(|(routes, resets_done, liveness)| CollectorState {
+        .prop_map(|(routes, resets_done, sessions)| CollectorState {
             routes,
             resets_done,
-            liveness,
+            sessions,
         })
 }
 

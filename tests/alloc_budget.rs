@@ -170,7 +170,7 @@ fn profiled_serial_replay_stays_within_five_pct_of_alloc_budget() {
         profile
             .entries
             .iter()
-            .any(|e| e.path.ends_with("collector.diff_session")),
+            .any(|e| e.path.ends_with("collector.diff")),
         "collector spans missing from the profile"
     );
     assert!(

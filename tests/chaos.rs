@@ -492,6 +492,44 @@ fn scenario_month_survives_fault_profile() {
     }
 }
 
+/// What `FaultInjector::apply` makes of the small month, pinned at
+/// three intensities: the fnv64 of the degraded log's MRT bytes and the
+/// report's counts, as `(intensity, fnv, [dropped, duplicated,
+/// reordered, outage_dropped, flaps, redump_records, skewed_sessions])`.
+/// The injector is the one implementation of every feed fault, so any
+/// change to a drop, skew, reorder, duplicate or flap rule moves a pin.
+#[test]
+fn small_month_fault_injection_is_pinned() {
+    const PINS: [(f64, u64, [usize; 7]); 3] = [
+        (0.2, 0xe03d1bd51ca92986, [585, 343, 372, 14, 7, 997, 12]),
+        (0.5, 0x6f02bcf27a5b65ed, [1447, 808, 811, 8, 13, 1904, 12]),
+        (1.0, 0x19a832e1a6e736df, [2870, 1308, 1349, 12, 29, 3721, 12]),
+    ];
+    let month = Scenario::build(ScenarioConfig::small(3))
+        .run_month()
+        .expect("valid configs");
+    for (x, fnv, counts) in PINS {
+        let injector =
+            FaultInjector::new(FaultProfile::with_intensity(x, 0xC4A05)).expect("valid profile");
+        let (raw, r) = injector.apply(&month.raw);
+        let mut bytes = Vec::new();
+        quicksand_bgp::mrt::write_log(&raw, &mut bytes).expect("writing to a Vec cannot fail");
+        let got = (
+            quicksand_bgp::feed::fnv64(&bytes),
+            [
+                r.dropped,
+                r.duplicated,
+                r.reordered,
+                r.outage_dropped,
+                r.flaps.len(),
+                r.redump_records,
+                r.skewed_sessions,
+            ],
+        );
+        assert_eq!(got, (fnv, counts), "intensity {x}: got ({:#018x}, {:?})", got.0, got.1);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Crash storm: the supervised resident engine under concurrent failures
 // (DESIGN.md §12). A storm hits 3 of 8 cells mid-month — panics and

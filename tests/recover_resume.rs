@@ -14,7 +14,7 @@ use quicksand_bgp::mrt;
 use quicksand_core::scenario::{MonthResult, Scenario, ScenarioConfig};
 use quicksand_net::QuicksandError;
 use quicksand_obs::{self as obs, Key, MemorySubscriber, Registry, RunReport};
-use quicksand_recover::{CheckpointStore, HookAction, DEFAULT_RETAIN};
+use quicksand_recover::{CheckpointStore, HookAction, MetricsState, DEFAULT_RETAIN};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -206,4 +206,28 @@ fn resume_against_other_scenario_is_a_typed_error() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The checkpoint wire image of a small-tier run stopped at a fixed
+/// cursor: the fnv64 of `PipelineSnapshot::encode()` with the metrics
+/// section cleared (counters depend on what else ran in the process).
+/// Pins the scenario fingerprint, the collector section (routes, reset
+/// cursor, session count) and the log section byte for byte.
+#[test]
+fn small_tier_checkpoint_bytes_are_pinned() {
+    let scenario = Scenario::build(ScenarioConfig::small(11));
+    let mut taken = None;
+    obs::with_metrics(Arc::new(Registry::new()), || {
+        scenario
+            .run_month_checkpointed(None, 40, |snap| {
+                taken = Some(snap.clone());
+                HookAction::Stop
+            })
+            .expect_err("hook requested a stop")
+    });
+    let mut snap = taken.expect("a checkpoint at cursor 40");
+    assert_eq!(snap.cursor, 40);
+    snap.metrics = MetricsState::default();
+    let fnv = quicksand_bgp::feed::fnv64(&snap.encode());
+    assert_eq!(fnv, 0x2729b55350ad952f, "got {fnv:#018x}");
 }
