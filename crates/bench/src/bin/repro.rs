@@ -1,33 +1,10 @@
 //! `repro` — regenerate every table and figure of *Anonymity on
 //! QuickSand* at full scale.
 //!
-//! ```text
-//! repro [all|table1|fig2-left|fig2-right|fig3-left|fig3-right|model|
-//!        hijack|intercept|convergence|ixp|population|static-vs-dynamic|
-//!        stealth|longterm|countermeasures|chaos]
-//!        [--small|--medium|--large|--scale=SPEC] [--jobs=N]
-//!        [--intensity=<0..1>] [--obs-out=run.json] [--obs-jsonl=run.jsonl]
-//!        [--profile-out=PATH] [--profile-sample=N] [--log-level=SPEC]
-//!        [--checkpoint-every=N] [--checkpoint-dir=DIR] [--resume-from=PATH]
-//!        [--halt-after=K] [-v|--verbose] [-q|--quiet]
-//! repro report [--check] <run.json> [other.json]
-//! repro bench-snapshot [--small|--medium|--large|--scale=SPEC] [--jobs=N]
-//!        [--bench-out=BENCH_monthreplay.json] [--baseline=PATH]
-//! repro serve [--small|--medium|--large|--scale=SPEC]
-//!        [--cells=N] [--width=K] [--seed=S]
-//!        [--checkpoint-every=N] [--checkpoint-dir=DIR] [--max-restarts=R]
-//!        [--storm=K] [--storm-seed=S] [--stall-ms=MS] [--deadline-ms=MS]
-//!        [--queue-cap=Q] [--obs-out=run.json] [--telemetry-addr=HOST:PORT]
-//!        [--telemetry-addr-file=PATH] [--telemetry-linger-ms=MS]
-//!        [--feed-addr=HOST:PORT] [--feed-addr-file=PATH]
-//!        [--feed-hold-ms=MS] [--feed-restart-ms=MS]
-//!        [--log-level=SPEC] [-v|--verbose] [-q|--quiet]
-//! repro feed --connect=HOST:PORT [--peer=NAME] [--seed=S]
-//!        [--small|--medium|--large|--scale=SPEC]
-//!        [--mrt=PATH] [--kill-after=N] [--hold-ms=MS] [--max-attempts=N]
-//!        [--backoff-base-ms=MS] [--backoff-cap-ms=MS] [--backoff-seed=S]
-//!        [--log-level=SPEC] [-v|--verbose] [-q|--quiet]
-//! ```
+//! The command line is `CLI_USAGE` below, one block per entry point.
+//! Each entry point accepts exactly the flags and words its block
+//! lists and, before building anything, exits [`exitcode::USAGE`] (2)
+//! on any other argument, printing its block.
 //!
 //! One scale knob sizes every scenario-building subcommand:
 //! `--scale=small|medium|large` (or the `--small`/`--medium`/`--large`
@@ -105,13 +82,13 @@
 //! `repro feed` is the matching client: it streams a churn schedule
 //! (built from `--seed`/`--small`, which must mirror the serving
 //! cell's scenario — cell `i` of `serve --seed=S` uses seed `S + i`)
-//! or a QSMRT001 update log (`--mrt=PATH`) into a feed listener,
-//! reconnecting with seeded decorrelated-jitter backoff until the
-//! server acks the EOF digest. `--kill-after=N` injects a scripted
-//! disconnect after the N-th event frame — the CI kill-and-reconnect
-//! smoke — which must leave the result bitwise identical to an
-//! uninterrupted stream. Exits [`exitcode::FEED_CONNECT`] (5) when the
-//! session cannot be established or the reconnect budget runs out.
+//! into a feed listener, reconnecting with seeded decorrelated-jitter
+//! backoff until the server acks the EOF digest. `--kill-after=N`
+//! injects a scripted disconnect after the N-th event frame — the CI
+//! kill-and-reconnect smoke — which must leave the result bitwise
+//! identical to an uninterrupted stream. Exits
+//! [`exitcode::FEED_CONNECT`] (5) when the session cannot be
+//! established or the reconnect budget runs out.
 //!
 //! `chaos` (not part of `all`: it is a robustness diagnostic, not a
 //! paper artifact) replays the §4 pipeline with the collector feed
@@ -146,7 +123,7 @@ use quicksand_core::supervise::{
 use quicksand_core::telemetry::TelemetryServer;
 use quicksand_attack::monitord::{MonitorConfig, StreamingMonitor};
 use quicksand_bgp::fault::{ConnChaosPlan, ConnFaultKind, FaultInjector, FaultProfile};
-use quicksand_bgp::feed::{fnv64, ChurnFeedSource, FeedMode, FeedSource, MrtFeedSource};
+use quicksand_bgp::feed::fnv64;
 use quicksand_bgp::{
     clean_session_resets, metrics, CleaningConfig, ReplayChaosPlan, Route, UpdateMessage,
     UpdateRecord,
@@ -158,6 +135,79 @@ use quicksand_recover::{
 };
 use quicksand_traffic::{CircuitFlowConfig, TcpConfig};
 use std::sync::Arc;
+
+/// The command-line contract, one block per entry point (batch mode
+/// first). [`check_args`] enforces it: a `--flag=VALUE` entry takes
+/// any value, a `<placeholder>` any bare word, and every other entry
+/// must match exactly.
+const CLI_USAGE: &str = "\
+repro [all|table1|fig2-left|fig2-right|fig3-left|fig3-right|model|
+       hijack|intercept|convergence|ixp|population|static-vs-dynamic|
+       stealth|longterm|countermeasures|chaos]
+       [--small|--medium|--large|--scale=SPEC] [--jobs=N]
+       [--intensity=<0..1>] [--obs-out=run.json] [--obs-jsonl=run.jsonl]
+       [--profile-out=PATH] [--profile-sample=N] [--log-level=SPEC]
+       [--checkpoint-every=N] [--checkpoint-dir=DIR] [--resume-from=PATH]
+       [--halt-after=K] [-v|--verbose] [-q|--quiet]
+repro report [--check] <run.json> [other.json]
+repro bench-snapshot [--small|--medium|--large|--scale=SPEC] [--jobs=N]
+       [--bench-out=BENCH_monthreplay.json] [--baseline=PATH]
+repro serve [--small|--medium|--large|--scale=SPEC]
+       [--cells=N] [--width=K] [--seed=S]
+       [--checkpoint-every=N] [--checkpoint-dir=DIR] [--max-restarts=R]
+       [--storm=K] [--storm-seed=S] [--stall-ms=MS] [--deadline-ms=MS]
+       [--queue-cap=Q] [--obs-out=run.json] [--telemetry-addr=HOST:PORT]
+       [--telemetry-addr-file=PATH] [--telemetry-linger-ms=MS]
+       [--feed-addr=HOST:PORT] [--feed-addr-file=PATH]
+       [--feed-hold-ms=MS] [--feed-restart-ms=MS]
+       [--log-level=SPEC] [-v|--verbose] [-q|--quiet]
+repro feed --connect=HOST:PORT [--peer=NAME] [--seed=S]
+       [--small|--medium|--large|--scale=SPEC]
+       [--kill-after=N] [--hold-ms=MS] [--max-attempts=N]
+       [--backoff-base-ms=MS] [--backoff-cap-ms=MS] [--backoff-seed=S]
+       [--log-level=SPEC] [-v|--verbose] [-q|--quiet]
+";
+
+/// The block of [`CLI_USAGE`] for the subcommand `cmd` (`None` for
+/// batch mode): its `repro` line and the indented lines after it.
+fn usage_of(cmd: Option<&str>) -> String {
+    let mut block = String::new();
+    let mut inside = false;
+    for line in CLI_USAGE.lines() {
+        if let Some(rest) = line.strip_prefix("repro ") {
+            inside = rest.split(' ').next().filter(|w| !w.starts_with('[')) == cmd;
+        }
+        if inside {
+            block.push_str(line);
+            block.push('\n');
+        }
+    }
+    block
+}
+
+/// Exits [`exitcode::USAGE`] unless every argument is one its
+/// [`CLI_USAGE`] block lists. Called before anything is built, so a
+/// typo fails fast instead of silently running a default.
+fn check_args(cmd: Option<&str>, args: &[String]) {
+    let usage = usage_of(cmd);
+    // The words after `repro` and the subcommand name.
+    let words: Vec<&str> = usage
+        .split(|c: char| c.is_whitespace() || "[]|".contains(c))
+        .filter(|w| !w.is_empty())
+        .skip(1 + usize::from(cmd.is_some()))
+        .collect();
+    let listed = |a: &str| {
+        words.iter().any(|w| match w.split_once('=') {
+            Some((flag, _)) => a.strip_prefix(flag).is_some_and(|v| v.starts_with('=')),
+            None if w.starts_with('<') => !a.starts_with('-'),
+            None => a == *w,
+        })
+    };
+    if let Some(bad) = args.iter().find(|a| !listed(a)) {
+        eprint!("error: unknown argument {bad:?}; usage:\n{usage}");
+        std::process::exit(exitcode::USAGE);
+    }
+}
 
 /// Counting wrapper over the system allocator, installed only in this
 /// binary: `bench-snapshot` reads the counters around the month replay
@@ -451,6 +501,7 @@ fn load_report(path: &str) -> Result<RunReport, String> {
 /// empty. `--check` is how CI asserts an interrupted-then-resumed run
 /// is indistinguishable from an uninterrupted one.
 fn report_command(args: &[String]) -> i32 {
+    check_args(Some("report"), args);
     let check = args.iter().any(|a| a == "--check");
     let files: Vec<&str> = args
         .iter()
@@ -578,6 +629,7 @@ struct BenchRun {
 /// registry, so the measurement does not pollute (and is not polluted
 /// by) the global registry.
 fn bench_snapshot_command(args: &[String]) -> i32 {
+    check_args(Some("bench-snapshot"), args);
     let scale = scale_arg(args);
     let jobs = args
         .iter()
@@ -853,6 +905,7 @@ fn bench_snapshot_command(args: &[String]) -> i32 {
 /// [`RunReport`] (with its `supervisor` section) to `--obs-out`.
 /// Exits [`exitcode::QUARANTINE`] when any cell was quarantined.
 fn serve_command(args: &[String]) -> i32 {
+    check_args(Some("serve"), args);
     let scale = scale_arg(args);
     let quiet = args.iter().any(|a| a == "--quiet" || a == "-q");
     let verbose = args.iter().any(|a| a == "--verbose" || a == "-v");
@@ -984,7 +1037,6 @@ fn serve_command(args: &[String]) -> i32 {
             let telem = fleet.add_feed_session(Some(i), &peer, feed_cfg.hold_ms);
             feed_bindings.push(FeedBinding::new(
                 peer,
-                FeedMode::Churn,
                 config.fingerprint(),
                 slot.clone(),
                 telem,
@@ -1131,17 +1183,17 @@ fn serve_command(args: &[String]) -> i32 {
 }
 
 /// `repro feed --connect=HOST:PORT`: the streaming-feed client. Builds
-/// the churn schedule of the scenario named by `--seed`/`--small` (or
-/// reads a QSMRT001 update log with `--mrt=PATH`) and streams it into
-/// a `serve --feed-addr` listener as peer `--peer` (default `cell-0`),
+/// the churn schedule of the scenario named by `--seed`/`--small` and
+/// streams it into a `serve --feed-addr` listener as peer `--peer` (default `cell-0`),
 /// resuming exactly from the server's acked cursor after every
 /// disconnect. `--kill-after=N` scripts a disconnect after the N-th
 /// event frame (the CI kill-and-reconnect smoke); the backoff flags
 /// pin the seeded reconnect policy. Exits [`exitcode::FEED_CONNECT`]
 /// when no session can be established, the reconnect budget runs out,
-/// or the server violates the protocol; local problems (bad flags,
-/// unreadable `--mrt` file) are [`exitcode::USAGE`].
+/// or the server violates the protocol; bad flags are
+/// [`exitcode::USAGE`].
 fn feed_command(args: &[String]) -> i32 {
+    check_args(Some("feed"), args);
     let quiet = args.iter().any(|a| a == "--quiet" || a == "-q");
     let verbose = args.iter().any(|a| a == "--verbose" || a == "-v");
     if !quiet {
@@ -1184,46 +1236,23 @@ fn feed_command(args: &[String]) -> i32 {
         .iter()
         .find_map(|a| a.strip_prefix("--peer="))
         .unwrap_or("cell-0");
-    let mrt = args.iter().find_map(|a| a.strip_prefix("--mrt="));
     let kill_after = args
         .iter()
         .any(|a| a.starts_with("--kill-after="))
         .then(|| parse("--kill-after=", 0));
 
-    // The stream: a churn schedule (identity-stamped with the scenario
-    // fingerprint the serving cell expects) or an MRT log (fingerprint
-    // 0 — MRT sinks carry their identity in the EOF digest alone).
-    let (source, config_hash): (Box<dyn FeedSource>, u64) = match mrt {
-        Some(path) => {
-            let mut file = match std::fs::File::open(path) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("error: cannot open --mrt={path}: {e}");
-                    return exitcode::USAGE;
-                }
-            };
-            match MrtFeedSource::from_reader(&mut file) {
-                Ok(src) => (Box::new(src), 0),
-                Err(e) => {
-                    eprintln!("error: cannot parse --mrt={path}: {e}");
-                    return exitcode::USAGE;
-                }
-            }
-        }
-        None => {
-            let config = match &scale {
-                Some(sc) => ScenarioConfig::at_scale(sc, seed),
-                None => ScenarioConfig::medium(seed),
-            };
-            let hash = config.fingerprint();
-            progress(format!(
-                "building scenario for peer {peer} (seed {seed:#x}, \
-                 fingerprint {hash:#018x})…"
-            ));
-            let scenario = Scenario::build(config);
-            (Box::new(ChurnFeedSource::new(scenario.churn_schedule())), hash)
-        }
+    // The stream: the churn schedule, identity-stamped with the
+    // scenario fingerprint the serving cell expects.
+    let config = match &scale {
+        Some(sc) => ScenarioConfig::at_scale(sc, seed),
+        None => ScenarioConfig::medium(seed),
     };
+    let config_hash = config.fingerprint();
+    progress(format!(
+        "building scenario for peer {peer} (seed {seed:#x}, \
+         fingerprint {config_hash:#018x})…"
+    ));
+    let schedule = Scenario::build(config).churn_schedule();
 
     let defaults = ReconnectPolicy::default();
     let mut client = FeedClient::new(addr, peer, config_hash);
@@ -1240,14 +1269,14 @@ fn feed_command(args: &[String]) -> i32 {
 
     progress(format!(
         "streaming {} events to {addr} as {peer}{}…",
-        source.len(),
+        schedule.len(),
         if kill_after.is_some() {
             " (scripted disconnect armed)"
         } else {
             ""
         }
     ));
-    match client.stream(source.as_ref()) {
+    match client.stream(&schedule) {
         Ok(rep) => {
             progress(format!(
                 "feed complete: {} sent, {} acked, {} connects, {} scripted faults",
@@ -1282,6 +1311,7 @@ fn main() {
     if args.first().is_some_and(|a| a == "feed") {
         std::process::exit(feed_command(&args[1..]));
     }
+    check_args(None, &args);
 
     let scale = scale_arg(&args);
     let quiet = args.iter().any(|a| a == "--quiet" || a == "-q");

@@ -60,9 +60,7 @@ pub use fault::{
     ConnChaosPlan, ConnFault, ConnFaultKind, CrashKind, FaultInjector, FaultProfile,
     FaultReport, ReplayChaosPlan, ReplayCrash,
 };
-pub use feed::{
-    ChurnFeedSource, FeedEvent, FeedMode, FeedMsg, FeedSource, MrtFeedSource,
-};
+pub use feed::FeedMsg;
 pub use msg::{Community, Route, UpdateMessage};
 pub use paths::{ExportCache, PathArena, PathId};
 pub use table::PrefixTable;

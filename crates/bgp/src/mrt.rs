@@ -84,10 +84,8 @@ fn get_u32(r: &mut impl Read) -> io::Result<u32> {
 }
 
 /// Serialize one record in the QSMRT001 record layout (no magic
-/// header). This is the unit the streaming feed protocol ships per
-/// frame, so it is public: a record encoded here decodes with
-/// [`decode_record`] on the far side of the wire byte-identically.
-pub fn encode_record(rec: &UpdateRecord, w: &mut impl Write) -> Result<(), MrtError> {
+/// header); [`decode_record`] parses it back byte-identically.
+fn encode_record(rec: &UpdateRecord, w: &mut impl Write) -> Result<(), MrtError> {
     put_u64(w, rec.at.0)?;
     put_u32(w, rec.session.0)?;
     match &rec.msg {
@@ -216,9 +214,8 @@ pub fn read_log(r: &mut impl Read) -> Result<UpdateLog, MrtError> {
 /// Parse one record from `buf`, returning it and the bytes consumed.
 ///
 /// `Ok(None)` means `buf` is empty (clean end of stream). `Err` means
-/// the bytes are malformed or a record was cut off mid-field. Public
-/// counterpart of [`encode_record`] for the streaming feed plane.
-pub fn decode_record(buf: &[u8]) -> Result<Option<(UpdateRecord, usize)>, MrtError> {
+/// the bytes are malformed or a record was cut off mid-field.
+fn decode_record(buf: &[u8]) -> Result<Option<(UpdateRecord, usize)>, MrtError> {
     if buf.is_empty() {
         return Ok(None);
     }

@@ -7,7 +7,7 @@
 //! and ingests events into per-peer [`FeedSlot`]s; a replay cell
 //! consumes a slot through [`FeedSlot::churn_iter`], driving the exact
 //! replay loop the batch path uses ([`Scenario::run_month_streamed`]).
-//! A [`FeedClient`] streams a [`FeedSource`] into a server, surviving
+//! A [`FeedClient`] streams a churn schedule into a server, surviving
 //! disconnects with seeded decorrelated-jitter backoff and resuming
 //! exactly from the server's acknowledged cursor.
 //!
@@ -44,9 +44,11 @@
 
 use crate::scenario::MonthResult;
 use crate::telemetry::{FeedSessionTelemetry, SessionState};
-use quicksand_bgp::feed::{FeedEvent, FeedMode, FeedMsg, FeedSource, FnvHasher};
-use quicksand_bgp::{mrt, ChurnEvent, ConnChaosPlan, ConnFaultKind, UpdateRecord};
-use quicksand_net::{read_frame, splitmix64, FrameDecoder, FrameError, QsResult, QuicksandError};
+use quicksand_bgp::feed::{self, FeedMsg, FnvHasher};
+use quicksand_bgp::{mrt, ChurnEvent, ConnChaosPlan, ConnFaultKind};
+use quicksand_net::{
+    decorrelated_jitter, read_frame, splitmix64, FrameDecoder, FrameError, QsResult, QuicksandError,
+};
 use quicksand_obs as obs;
 use quicksand_obs::Key;
 use std::io::{self, Write};
@@ -109,12 +111,10 @@ struct SlotInner {
     /// prefix is what makes graceful restart, client resume, and
     /// supervised cell restart all trivially consistent: the slot *is*
     /// the authoritative stream prefix.
-    events: Vec<FeedEvent>,
+    events: Vec<ChurnEvent>,
     /// FNV-1a folded over every accepted event's encoding, matched
     /// against the client's EOF digest.
     digest: FnvHasher,
-    /// Reused encode buffer for digest folding.
-    scratch: Vec<u8>,
     /// Events handed to the consumer so far (backpressure watermark).
     consumed: u64,
     /// Total event count once EOF was accepted.
@@ -146,7 +146,6 @@ impl FeedSlot {
             inner: Mutex::new(SlotInner {
                 events: Vec::new(),
                 digest: FnvHasher::new(),
-                scratch: Vec::new(),
                 consumed: 0,
                 eof: None,
                 established: false,
@@ -190,11 +189,6 @@ impl FeedSlot {
         self.lock().backpressure_waits
     }
 
-    /// True while a session is established on this slot.
-    pub fn established(&self) -> bool {
-        self.lock().established
-    }
-
     /// Marks a session established (or torn down) and restarts the
     /// graceful-restart clock.
     pub fn set_established(&self, up: bool) {
@@ -217,14 +211,14 @@ impl FeedSlot {
     /// re-acks duplicates from a resume overlap, and rejects gaps and
     /// post-EOF events typed. Blocks (bounded by `cancel`) while the
     /// consumer is more than `queue_cap` events behind.
-    pub fn push_event(&self, seq: u64, event: FeedEvent) -> QsResult<PushOutcome> {
+    pub fn push_event(&self, seq: u64, event: ChurnEvent) -> QsResult<PushOutcome> {
         self.push_event_cancel(seq, event, None)
     }
 
     pub(crate) fn push_event_cancel(
         &self,
         seq: u64,
-        event: FeedEvent,
+        event: ChurnEvent,
         cancel: Option<&AtomicBool>,
     ) -> QsResult<PushOutcome> {
         let mut g = self.lock();
@@ -267,11 +261,7 @@ impl FeedSlot {
                 g = g2;
                 continue;
             }
-            let mut scratch = std::mem::take(&mut g.scratch);
-            scratch.clear();
-            event.encode(&mut scratch)?;
-            g.digest.update(&scratch);
-            g.scratch = scratch;
+            g.digest.update(&feed::encode_event(&event));
             g.events.push(event);
             g.last_change = Instant::now();
             self.cond.notify_all();
@@ -325,16 +315,10 @@ impl FeedSlot {
             }
             let len = g.events.len() as u64;
             if idx < len {
-                let ev = g.events[idx as usize].clone();
+                let ev = g.events[idx as usize];
                 g.consumed = g.consumed.max(idx + 1);
                 self.cond.notify_all();
-                return match ev {
-                    FeedEvent::Link(ev) => Ok(Some(ev)),
-                    FeedEvent::Update(_) => Err(QuicksandError::FeedProtocol {
-                        what: "mode",
-                        detail: "update record in a churn consumer".into(),
-                    }),
-                };
+                return Ok(Some(ev));
             }
             if let Some(total) = g.eof {
                 if idx >= total {
@@ -372,19 +356,6 @@ impl FeedSlot {
             done: false,
         }
     }
-
-    /// Every accepted MRT-style update record, in order — the sink an
-    /// MRT-mode session accumulates into.
-    pub fn update_records(&self) -> Vec<UpdateRecord> {
-        self.lock()
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                FeedEvent::Update(rec) => Some(rec.clone()),
-                FeedEvent::Link(_) => None,
-            })
-            .collect()
-    }
 }
 
 /// Blocking iterator over a [`FeedSlot`]'s churn events; see
@@ -421,15 +392,13 @@ impl<F: FnMut()> Iterator for ChurnFeedIter<'_, F> {
 }
 
 /// One peer the server will accept: the session handshake must match
-/// the label, mode, and scenario fingerprint, and accepted events land
-/// in the bound slot.
+/// the label and scenario fingerprint, and accepted events land in the
+/// bound slot.
 #[derive(Clone)]
 pub struct FeedBinding {
     /// Peer label the client's `Open` must carry.
     pub peer: String,
-    /// What the session carries.
-    pub mode: FeedMode,
-    /// Scenario `config_hash` the client must match (0 for MRT sinks).
+    /// Scenario `config_hash` the client must match.
     pub config_hash: u64,
     /// Where accepted events go.
     pub slot: Arc<FeedSlot>,
@@ -441,14 +410,12 @@ impl FeedBinding {
     /// Binds a peer label to a slot and its telemetry.
     pub fn new(
         peer: impl Into<String>,
-        mode: FeedMode,
         config_hash: u64,
         slot: Arc<FeedSlot>,
         telem: Arc<FeedSessionTelemetry>,
     ) -> FeedBinding {
         FeedBinding {
             peer: peer.into(),
-            mode,
             config_hash,
             slot,
             telem,
@@ -641,13 +608,12 @@ fn run_session(mut stream: TcpStream, ctx: &ServerCtx) {
             }
         }
     };
-    let (peer, mode, config_hash, client_hold) = match FeedMsg::from_frame(&open) {
+    let (peer, config_hash, client_hold) = match FeedMsg::from_frame(&open) {
         Ok(FeedMsg::Open {
             peer,
-            mode,
             config_hash,
             hold_ms,
-        }) => (peer, mode, config_hash, hold_ms),
+        }) => (peer, config_hash, hold_ms),
         Ok(other) => {
             dead_letter(ctx, None, "?", format!("expected open, got {other:?}"));
             return;
@@ -662,15 +628,6 @@ fn run_session(mut stream: TcpStream, ctx: &ServerCtx) {
         return;
     };
     let telem = &binding.telem;
-    if binding.mode != mode {
-        dead_letter(
-            ctx,
-            Some(telem),
-            &peer,
-            format!("mode {mode:?}, bound {:?}", binding.mode),
-        );
-        return;
-    }
     if binding.config_hash != config_hash {
         dead_letter(
             ctx,
@@ -773,20 +730,6 @@ fn run_session(mut stream: TcpStream, ctx: &ServerCtx) {
         };
         match msg {
             FeedMsg::Event { seq, event } => {
-                let kind_ok = matches!(
-                    (&event, binding.mode),
-                    (FeedEvent::Link(_), FeedMode::Churn)
-                        | (FeedEvent::Update(_), FeedMode::Mrt)
-                );
-                if !kind_ok {
-                    dead_letter(
-                        ctx,
-                        Some(telem),
-                        &peer,
-                        format!("event kind mismatches {:?} session", binding.mode),
-                    );
-                    break Close::DeadLetter;
-                }
                 match slot.push_event_cancel(seq, event, Some(&ctx.stop)) {
                     Ok(PushOutcome::Accepted(cursor)) => {
                         ctx.registry.incr(Key::stage(STAGE, "events"), 1);
@@ -896,13 +839,10 @@ impl ReconnectPolicy {
     pub fn backoff_ms(&self, attempt: u32) -> u64 {
         let base = self.base_ms.max(1);
         let cap = self.cap_ms.max(base);
-        let mut prev = base;
-        for k in 0..=attempt {
+        (0..=attempt).fold(base, |prev, k| {
             let h = splitmix64(self.seed ^ splitmix64(u64::from(k) ^ 0xFEED));
-            let hi = prev.saturating_mul(3).clamp(base, cap);
-            prev = base + h % (hi - base + 1);
-        }
-        prev
+            decorrelated_jitter(prev, base, cap, h)
+        })
     }
 }
 
@@ -926,7 +866,7 @@ enum AttemptError {
     Fatal(QuicksandError),
 }
 
-/// Streams a [`FeedSource`] into a [`FeedServer`], resuming exactly
+/// Streams a churn schedule into a [`FeedServer`], resuming exactly
 /// from the server's cursor after every disconnect — including
 /// scripted ones from a [`ConnChaosPlan`].
 #[derive(Clone, Debug)]
@@ -935,7 +875,7 @@ pub struct FeedClient {
     pub addr: SocketAddr,
     /// Peer label to open as (must match a server binding).
     pub peer: String,
-    /// Scenario fingerprint to open with (0 for MRT sinks).
+    /// Scenario fingerprint to open with.
     pub config_hash: u64,
     /// Hold time advertised in the handshake, wall ms.
     pub hold_ms: u64,
@@ -958,14 +898,13 @@ impl FeedClient {
         }
     }
 
-    /// Streams the whole source, reconnecting through transport
+    /// Streams the whole schedule, reconnecting through transport
     /// faults, until the server acknowledges the EOF digest. Errors
     /// typed: [`QuicksandError::FeedLost`] when the reconnect budget
     /// runs out, [`QuicksandError::FeedProtocol`] when the server's
     /// answers violate the protocol.
-    pub fn stream(&self, source: &dyn FeedSource) -> QsResult<StreamReport> {
-        let total = source.len();
-        let fnv = source.digest()?;
+    pub fn stream(&self, events: &[ChurnEvent]) -> QsResult<StreamReport> {
+        let fnv = feed::digest(events);
         let mut report = StreamReport::default();
         let mut fired = 0usize;
         let mut attempts: u32 = 0;
@@ -984,7 +923,7 @@ impl FeedClient {
                 ));
             }
             attempts += 1;
-            match self.attempt(source, total, fnv, &mut report, &mut fired) {
+            match self.attempt(events, fnv, &mut report, &mut fired) {
                 Ok(()) => return Ok(report),
                 Err(AttemptError::Fatal(e)) => return Err(e),
                 Err(AttemptError::Retry(detail)) => last_err = detail,
@@ -994,13 +933,13 @@ impl FeedClient {
 
     fn attempt(
         &self,
-        source: &dyn FeedSource,
-        total: u64,
+        events: &[ChurnEvent],
         fnv: u64,
         report: &mut StreamReport,
         fired: &mut usize,
     ) -> Result<(), AttemptError> {
         let retry = AttemptError::Retry;
+        let total = events.len() as u64;
         let mut stream = TcpStream::connect_timeout(&self.addr, Duration::from_secs(2))
             .map_err(|e| retry(format!("connect: {e}")))?;
         stream.set_nodelay(true).ok();
@@ -1015,7 +954,6 @@ impl FeedClient {
             &mut stream,
             &FeedMsg::Open {
                 peer: self.peer.clone(),
-                mode: source.mode(),
                 config_hash: self.config_hash,
                 hold_ms: self.hold_ms,
             },
@@ -1048,6 +986,7 @@ impl FeedClient {
             .set_read_timeout(Some(Duration::from_millis(1)))
             .ok();
         for seq in cursor..total {
+            let event = events[seq as usize];
             if let Some(fault) = self.chaos.fire(*fired, seq) {
                 *fired += 1;
                 report.faults_fired += 1;
@@ -1056,7 +995,6 @@ impl FeedClient {
                         return Err(retry(format!("chaos disconnect at seq {seq}")));
                     }
                     ConnFaultKind::TruncateFrame => {
-                        let event = source_event(source, seq)?;
                         let frame = FeedMsg::Event { seq, event }
                             .to_frame()
                             .map_err(AttemptError::Fatal)?;
@@ -1073,7 +1011,6 @@ impl FeedClient {
                     }
                 }
             }
-            let event = source_event(source, seq)?;
             send_client(&mut stream, &FeedMsg::Event { seq, event })?;
             report.sent += 1;
             if (seq - cursor + 1) % ACK_DRAIN_EVERY == 0 {
@@ -1117,17 +1054,6 @@ impl FeedClient {
     }
 }
 
-fn source_event(source: &dyn FeedSource, seq: u64) -> Result<FeedEvent, AttemptError> {
-    source
-        .get(seq)
-        .ok_or_else(|| {
-            AttemptError::Fatal(QuicksandError::FeedProtocol {
-                what: "source",
-                detail: format!("event {seq} missing from source"),
-            })
-        })
-}
-
 fn send_client(stream: &mut TcpStream, msg: &FeedMsg) -> Result<(), AttemptError> {
     let frame = msg.to_frame().map_err(AttemptError::Fatal)?;
     frame
@@ -1164,9 +1090,8 @@ pub fn month_fnv(month: &MonthResult) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quicksand_bgp::feed::ChurnFeedSource;
-    use quicksand_bgp::{LinkChange, Route, SessionId, UpdateMessage};
-    use quicksand_net::{Asn, Ipv4Prefix, SimTime};
+    use quicksand_bgp::LinkChange;
+    use quicksand_net::{Asn, SimTime};
     use quicksand_obs::Registry;
 
     fn link(at_s: u64, a: u32, b: u32, up: bool) -> ChurnEvent {
@@ -1198,10 +1123,6 @@ mod tests {
         Arc::new(FeedSessionTelemetry::new(None, peer.to_string(), 500))
     }
 
-    fn digest_of(evs: &[ChurnEvent]) -> u64 {
-        ChurnFeedSource::new(evs.to_vec()).digest().unwrap()
-    }
-
     /// Spawns a consumer draining the slot's churn iterator to
     /// completion (or error).
     fn spawn_consumer(
@@ -1219,7 +1140,7 @@ mod tests {
     #[test]
     fn slot_orders_duplicates_and_gaps() {
         let slot = FeedSlot::new(quick_cfg());
-        let ev = |i| FeedEvent::Link(link(i, 1, 2, true));
+        let ev = |i| link(i, 1, 2, true);
         assert_eq!(slot.push_event(0, ev(0)).unwrap(), PushOutcome::Accepted(1));
         assert_eq!(
             slot.push_event(0, ev(0)).unwrap(),
@@ -1239,9 +1160,9 @@ mod tests {
         let evs = events(2);
         let slot = FeedSlot::new(quick_cfg());
         for (i, ev) in evs.iter().enumerate() {
-            slot.push_event(i as u64, FeedEvent::Link(*ev)).unwrap();
+            slot.push_event(i as u64, *ev).unwrap();
         }
-        let good = digest_of(&evs);
+        let good = feed::digest(&evs);
         assert!(matches!(
             slot.set_eof(3, good),
             Err(QuicksandError::FeedProtocol { what: "eof_total", .. })
@@ -1254,7 +1175,7 @@ mod tests {
         // A reconnecting client may resend its EOF: idempotent.
         assert_eq!(slot.set_eof(2, good).unwrap(), 2);
         assert!(matches!(
-            slot.push_event(2, FeedEvent::Link(link(9, 1, 2, true))),
+            slot.push_event(2, link(9, 1, 2, true)),
             Err(QuicksandError::FeedProtocol { what: "event_after_eof", .. })
         ));
         assert_eq!(slot.eof_total(), Some(2));
@@ -1280,9 +1201,9 @@ mod tests {
             })
         };
         for (i, ev) in evs.iter().enumerate() {
-            slot.push_event(i as u64, FeedEvent::Link(*ev)).unwrap();
+            slot.push_event(i as u64, *ev).unwrap();
         }
-        slot.set_eof(5, digest_of(&evs)).unwrap();
+        slot.set_eof(5, feed::digest(&evs)).unwrap();
         let got = consumer.join().unwrap();
         assert_eq!(got, evs);
         assert!(
@@ -1301,9 +1222,9 @@ mod tests {
             thread::spawn(move || {
                 thread::sleep(Duration::from_millis(15));
                 for (i, ev) in evs.iter().enumerate() {
-                    slot.push_event(i as u64, FeedEvent::Link(*ev)).unwrap();
+                    slot.push_event(i as u64, *ev).unwrap();
                 }
-                slot.set_eof(3, digest_of(&evs)).unwrap();
+                slot.set_eof(3, feed::digest(&evs)).unwrap();
             })
         };
         let mut beats = 0u64;
@@ -1351,6 +1272,11 @@ mod tests {
         for &ms in &timeline {
             assert!(ms >= p.base_ms && ms <= p.cap_ms, "{ms} out of bounds");
         }
+        assert_eq!(
+            (0..8).map(|a| p.backoff_ms(a)).collect::<Vec<u64>>(),
+            [57, 25, 48, 32, 66, 54, 36, 73],
+            "the default reconnect timeline is pinned"
+        );
         let other = ReconnectPolicy {
             seed: 7,
             ..ReconnectPolicy::default()
@@ -1369,11 +1295,11 @@ mod tests {
         telem: Arc<FeedSessionTelemetry>,
     }
 
-    fn loopback(cfg: FeedConfig, mode: FeedMode, config_hash: u64) -> World {
+    fn loopback(cfg: FeedConfig, config_hash: u64) -> World {
         let reg = Arc::new(Registry::new());
         let slot = Arc::new(FeedSlot::new(cfg.clone()));
         let t = telem("cell-0");
-        let binding = FeedBinding::new("cell-0", mode, config_hash, slot.clone(), t.clone());
+        let binding = FeedBinding::new("cell-0", config_hash, slot.clone(), t.clone());
         let server = obs::with_metrics(reg.clone(), || {
             FeedServer::start("127.0.0.1:0", cfg, vec![binding]).unwrap()
         });
@@ -1404,10 +1330,10 @@ mod tests {
     #[test]
     fn loopback_happy_path_streams_and_acks() {
         let evs = events(40);
-        let mut w = loopback(quick_cfg(), FeedMode::Churn, 0xC0FFEE);
+        let mut w = loopback(quick_cfg(), 0xC0FFEE);
         let consumer = spawn_consumer(w.slot.clone());
         let report = quick_client(&w, 0xC0FFEE)
-            .stream(&ChurnFeedSource::new(evs.clone()))
+            .stream(&evs)
             .unwrap();
         assert_eq!(consumer.join().unwrap().unwrap(), evs);
         w.server.stop();
@@ -1424,11 +1350,11 @@ mod tests {
     #[test]
     fn loopback_disconnect_resumes_exactly_at_the_acked_cursor() {
         let evs = events(40);
-        let mut w = loopback(quick_cfg(), FeedMode::Churn, 7);
+        let mut w = loopback(quick_cfg(), 7);
         let consumer = spawn_consumer(w.slot.clone());
         let mut client = quick_client(&w, 7);
         client.chaos = ConnChaosPlan::single(13, ConnFaultKind::Disconnect);
-        let report = client.stream(&ChurnFeedSource::new(evs.clone())).unwrap();
+        let report = client.stream(&evs).unwrap();
         assert_eq!(consumer.join().unwrap().unwrap(), evs, "resume is exact");
         w.server.stop();
         assert_eq!(report.connects, 2, "one disconnect, one reconnect");
@@ -1442,11 +1368,11 @@ mod tests {
     #[test]
     fn loopback_truncated_frame_dead_letters_then_resumes() {
         let evs = events(24);
-        let mut w = loopback(quick_cfg(), FeedMode::Churn, 7);
+        let mut w = loopback(quick_cfg(), 7);
         let consumer = spawn_consumer(w.slot.clone());
         let mut client = quick_client(&w, 7);
         client.chaos = ConnChaosPlan::single(7, ConnFaultKind::TruncateFrame);
-        let report = client.stream(&ChurnFeedSource::new(evs.clone())).unwrap();
+        let report = client.stream(&evs).unwrap();
         assert_eq!(consumer.join().unwrap().unwrap(), evs);
         w.server.stop();
         assert_eq!(report.connects, 2);
@@ -1466,7 +1392,6 @@ mod tests {
                 poll_ms: 2,
                 ..quick_cfg()
             },
-            FeedMode::Churn,
             7,
         );
         // A raw client that opens with a 40ms hold, streams 3 events,
@@ -1474,7 +1399,6 @@ mod tests {
         let mut stream = TcpStream::connect(w.server.local_addr()).unwrap();
         FeedMsg::Open {
             peer: "cell-0".into(),
-            mode: FeedMode::Churn,
             config_hash: 7,
             hold_ms: 40,
         }
@@ -1485,7 +1409,7 @@ mod tests {
         for (i, ev) in events(3).iter().enumerate() {
             FeedMsg::Event {
                 seq: i as u64,
-                event: FeedEvent::Link(*ev),
+                event: *ev,
             }
             .to_frame()
             .unwrap()
@@ -1511,18 +1435,18 @@ mod tests {
     #[test]
     fn unknown_peer_and_config_mismatch_exhaust_the_client() {
         let evs = events(4);
-        let w = loopback(quick_cfg(), FeedMode::Churn, 7);
+        let w = loopback(quick_cfg(), 7);
         let mut client = quick_client(&w, 7);
         client.peer = "nobody".into();
         client.reconnect.max_attempts = 2;
-        match client.stream(&ChurnFeedSource::new(evs.clone())) {
+        match client.stream(&evs) {
             Err(QuicksandError::FeedLost { attempts, .. }) => assert_eq!(attempts, 2),
             other => panic!("expected FeedLost, got {other:?}"),
         }
         let mut client = quick_client(&w, 999);
         client.reconnect.max_attempts = 1;
         assert!(matches!(
-            client.stream(&ChurnFeedSource::new(evs)),
+            client.stream(&evs),
             Err(QuicksandError::FeedLost { attempts: 1, .. })
         ));
         assert!(w.reg.counter_value(Key::stage(STAGE, "dead_letters")) >= 3);
@@ -1530,40 +1454,38 @@ mod tests {
     }
 
     #[test]
-    fn mrt_mode_accumulates_update_records_identically() {
-        let prefix: Ipv4Prefix = "78.46.0.0/15".parse().unwrap();
-        let records: Vec<UpdateRecord> = (0..5)
-            .map(|i| UpdateRecord {
-                at: SimTime::from_secs(i),
-                session: SessionId(2),
-                msg: UpdateMessage::Announce(Route {
-                    prefix,
-                    as_path: [Asn(3356), Asn(24940)].into_iter().collect(),
-                    communities: Default::default(),
-                }),
-            })
-            .collect();
-        let mut w = loopback(quick_cfg(), FeedMode::Mrt, 0);
-        let source = quicksand_bgp::MrtFeedSource::new(records.clone());
-        let report = quick_client(&w, 0).stream(&source).unwrap();
+    fn open_with_a_non_churn_mode_byte_is_dead_lettered() {
+        let mut w = loopback(quick_cfg(), 7);
+        let mut open = FeedMsg::Open {
+            peer: "cell-0".into(),
+            config_hash: 7,
+            hold_ms: 500,
+        }
+        .to_frame()
+        .unwrap();
+        // Mode byte 2 was the retired MRT payload.
+        open.payload[0] = 2;
+        let mut stream = TcpStream::connect(w.server.local_addr()).unwrap();
+        open.write_to(&mut stream).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while w.reg.counter_value(Key::stage(STAGE, "dead_letters")) == 0 {
+            assert!(Instant::now() < deadline, "bad handshake was never dead-lettered");
+            thread::sleep(Duration::from_millis(2));
+        }
         w.server.stop();
-        assert_eq!(report.sent, 5);
-        assert_eq!(
-            w.slot.update_records(),
-            records,
-            "streamed records re-assemble byte-identically"
-        );
-        assert!(w.telem.eof());
+        assert_eq!(w.reg.counter_value(Key::stage(STAGE, "dead_letters")), 1);
+        assert_eq!(w.reg.counter_value(Key::stage(STAGE, "connects")), 0);
+        assert_eq!(w.slot.accepted(), 0);
     }
 
     #[test]
     fn chaos_stall_fires_without_breaking_identity() {
         let evs = events(20);
-        let mut w = loopback(quick_cfg(), FeedMode::Churn, 7);
+        let mut w = loopback(quick_cfg(), 7);
         let consumer = spawn_consumer(w.slot.clone());
         let mut client = quick_client(&w, 7);
         client.chaos = ConnChaosPlan::single(5, ConnFaultKind::Stall { ms: 10 });
-        let report = client.stream(&ChurnFeedSource::new(evs.clone())).unwrap();
+        let report = client.stream(&evs).unwrap();
         assert_eq!(consumer.join().unwrap().unwrap(), evs);
         w.server.stop();
         assert_eq!(report.faults_fired, 1);

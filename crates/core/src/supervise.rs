@@ -39,7 +39,7 @@ use crate::feed::FeedSlot;
 use crate::scenario::{MonthResult, Scenario, ScenarioConfig};
 use crate::telemetry::{CellState, CellTelemetry, FleetTelemetry};
 use quicksand_bgp::{CrashKind, ReplayChaosPlan};
-use quicksand_net::{splitmix64, QuicksandError};
+use quicksand_net::{decorrelated_jitter, splitmix64, QuicksandError};
 use quicksand_obs as obs;
 use quicksand_obs::{Key, Registry};
 use quicksand_recover::{CheckpointStore, HookAction, DEFAULT_RETAIN};
@@ -146,17 +146,14 @@ impl RestartPolicy {
     pub fn backoff_ms(&self, cell: u64, trace: &[FailureKind]) -> u64 {
         let base = self.base_ms.max(1);
         let cap = self.cap_ms.max(base);
-        let mut prev = base;
-        for (k, kind) in trace.iter().enumerate() {
+        trace.iter().enumerate().fold(base, |prev, (k, kind)| {
             let h = splitmix64(
                 self.seed
                     ^ splitmix64(cell ^ 0xCE11)
                     ^ splitmix64((k as u64) << 8 | kind.tag()),
             );
-            let hi = prev.saturating_mul(3).clamp(base, cap);
-            prev = base + h % (hi - base + 1);
-        }
-        prev.min(cap)
+            decorrelated_jitter(prev, base, cap, h)
+        })
     }
 
     /// The decision after the failures in `trace` (the last element is
@@ -1035,6 +1032,15 @@ mod tests {
         assert_ne!(other, same_len, "failure kinds must perturb the jitter");
         // Another cell gets a different (but equally deterministic) timeline.
         assert_ne!(policy.schedule(4, &trace), a);
+        // Both timelines are pinned.
+        let pinned = |ms: [u64; 4]| -> Vec<RestartDecision> {
+            (1..)
+                .zip(ms)
+                .map(|(attempt, after_ms)| RestartDecision::Restart { attempt, after_ms })
+                .collect()
+        };
+        assert_eq!(a, pinned([26, 18, 13, 29]));
+        assert_eq!(policy.schedule(4, &trace), pinned([21, 41, 56, 94]));
     }
 
     #[test]

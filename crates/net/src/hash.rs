@@ -1,5 +1,6 @@
 //! The seeded hash behind every deterministic draw that carries no RNG
-//! state: fault decisions, crash storms, and restart/reconnect jitter.
+//! state: fault decisions, crash storms, and restart/reconnect jitter —
+//! plus the one decorrelated-jitter step both backoff policies share.
 
 /// Splitmix64 (Steele, Lea & Flood): one finalizer step over `z`
 /// advanced by the golden-ratio increment. A good 64-bit mix, so
@@ -10,6 +11,14 @@ pub fn splitmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
     z ^ (z >> 31)
+}
+
+/// One step of decorrelated-jitter backoff: the delay after `prev`,
+/// drawn by the hash `h` from `[base, clamp(3 · prev, base, cap)]`.
+/// Requires `base <= cap`.
+pub fn decorrelated_jitter(prev: u64, base: u64, cap: u64, h: u64) -> u64 {
+    let hi = prev.saturating_mul(3).clamp(base, cap);
+    base + h % (hi - base + 1)
 }
 
 #[cfg(test)]

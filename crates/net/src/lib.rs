@@ -16,7 +16,8 @@
 //! * [`QuicksandError`] — the typed error vocabulary of the collector →
 //!   monitor pipeline (invalid config, stale feeds, resume mismatches).
 //! * [`splitmix64`] — the seeded hash behind every stateless
-//!   deterministic draw.
+//!   deterministic draw; [`decorrelated_jitter`] — the backoff step
+//!   the restart and reconnect policies share.
 //! * [`frame`] — the length-prefixed, CRC-checksummed frame codec the
 //!   streaming feed plane speaks over TCP.
 //!
@@ -41,7 +42,7 @@ pub use asn::Asn;
 pub use aspath::AsPath;
 pub use error::{QsResult, QuicksandError};
 pub use frame::{read_frame, Frame, FrameDecoder, FrameError, MAX_FRAME_LEN};
-pub use hash::splitmix64;
+pub use hash::{decorrelated_jitter, splitmix64};
 pub use prefix::{Ipv4Prefix, PrefixParseError};
 pub use time::{SimDuration, SimTime};
 pub use trie::PrefixTrie;

@@ -10,7 +10,7 @@
 //! cell itself performs after EOF).
 
 use quicksand_bgp::fault::{ConnChaosPlan, ConnFaultKind};
-use quicksand_bgp::feed::{ChurnFeedSource, FeedEvent, FeedMode, FeedMsg};
+use quicksand_bgp::feed::{self, fnv64, FeedMsg};
 use quicksand_core::feed::{
     month_fnv, FeedBinding, FeedClient, FeedConfig, FeedServer, FeedSlot, ReconnectPolicy,
 };
@@ -109,13 +109,7 @@ fn kill_and_reconnect_stream_is_bitwise_identical_to_batch() {
         let server = FeedServer::start(
             "127.0.0.1:0",
             feed_cfg(),
-            vec![FeedBinding::new(
-                "cell-0",
-                FeedMode::Churn,
-                fingerprint,
-                slot.clone(),
-                telem,
-            )],
+            vec![FeedBinding::new("cell-0", fingerprint, slot.clone(), telem)],
         )
         .expect("loopback bind");
         let addr = server.local_addr();
@@ -139,7 +133,7 @@ fn kill_and_reconnect_stream_is_bitwise_identical_to_batch() {
                 seed: 0xFEED,
             };
             client.chaos = ConnChaosPlan::single(17, ConnFaultKind::Disconnect);
-            client.stream(&ChurnFeedSource::new(schedule))
+            client.stream(&schedule)
         });
         let outcome = sup.run();
         let report = client_thread
@@ -201,7 +195,6 @@ fn stalled_peer_is_reaped_at_a_deterministic_cursor_across_seeds() {
                 cfg,
                 vec![FeedBinding::new(
                     "stall-peer",
-                    FeedMode::Churn,
                     seed,
                     slot.clone(),
                     telem.clone(),
@@ -216,7 +209,6 @@ fn stalled_peer_is_reaped_at_a_deterministic_cursor_across_seeds() {
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         FeedMsg::Open {
             peer: "stall-peer".into(),
-            mode: FeedMode::Churn,
             config_hash: seed,
             hold_ms: 40,
         }
@@ -227,7 +219,7 @@ fn stalled_peer_is_reaped_at_a_deterministic_cursor_across_seeds() {
         for (i, ev) in schedule[..sent].iter().enumerate() {
             FeedMsg::Event {
                 seq: i as u64,
-                event: FeedEvent::Link(*ev),
+                event: *ev,
             }
             .to_frame()
             .unwrap()
@@ -257,4 +249,49 @@ fn stalled_peer_is_reaped_at_a_deterministic_cursor_across_seeds() {
         assert_eq!(registry.counter_value(Key::stage("feed", "reaps")), 1);
         drop(server);
     }
+}
+
+/// The feed wire format, pinned: FNV-1a over the encoded frames of a
+/// whole churn session for the `small(0xA11)` schedule (handshake,
+/// resume, every event, keepalive, ack, EOF), and that schedule's EOF
+/// digest. A protocol refactor that changes a single byte on the wire
+/// fails here.
+#[test]
+fn churn_session_wire_bytes_are_pinned() {
+    let config = ScenarioConfig::small(0xA11);
+    let fingerprint = config.fingerprint();
+    let schedule = Scenario::build(config).churn_schedule();
+    let total = schedule.len() as u64;
+    let digest = feed::digest(&schedule);
+    assert_eq!(total, 1091);
+    assert_eq!(
+        digest, 0x8d02_ad3f_56c2_13b5,
+        "EOF digest of the small(0xA11) schedule"
+    );
+
+    let mut msgs = vec![
+        FeedMsg::Open {
+            peer: "cell-0".into(),
+            config_hash: fingerprint,
+            hold_ms: 2000,
+        },
+        FeedMsg::Resume { cursor: 0 },
+    ];
+    msgs.extend(schedule.iter().enumerate().map(|(i, ev)| FeedMsg::Event {
+        seq: i as u64,
+        event: *ev,
+    }));
+    msgs.push(FeedMsg::Keepalive { at: total });
+    msgs.push(FeedMsg::Ack { cursor: total });
+    msgs.push(FeedMsg::Eof { total, fnv: digest });
+    let mut wire = Vec::new();
+    for msg in &msgs {
+        wire.extend(msg.to_frame().unwrap().encode().unwrap());
+    }
+    assert_eq!(wire.len(), 38_303);
+    assert_eq!(
+        fnv64(&wire),
+        0x6b3a_ed6b_0389_e9c6,
+        "churn session wire bytes"
+    );
 }
