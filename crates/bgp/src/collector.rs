@@ -416,9 +416,12 @@ impl Collector {
 
     /// The refresh loop: refresh `tree`'s export at every session peer,
     /// calling `changed(si)` for each session whose export value moved.
-    /// Peer graph indices are resolved once, on the first call — node
-    /// indices are stable for a graph's lifetime (link churn never
-    /// renumbers nodes), so one resolution serves the whole replay.
+    /// The whole origin is skipped when its watch row proves no export
+    /// moved; otherwise every session is walked and the row rebuilt
+    /// (DESIGN.md §20). Peer graph indices are resolved once, on the
+    /// first call — node indices are stable for a graph's lifetime
+    /// (link churn never renumbers nodes), so one resolution serves the
+    /// whole replay.
     fn refresh_sessions(
         &mut self,
         graph: &AsGraph,
@@ -433,12 +436,16 @@ impl Collector {
                 .map(|s| graph.index_of(s.peer))
                 .collect();
         }
+        if cache.exports_unchanged(tree, &self.peer_idx) {
+            return;
+        }
         for si in 0..self.sessions.len() {
             let peer = self.sessions[si].peer;
             if cache.refresh_at(graph, tree, peer, self.peer_idx[si], &mut self.arena) {
                 changed(si);
             }
         }
+        cache.rewatch(graph, tree, &self.peer_idx);
     }
 
     /// Capture the collector's mutable mid-run state (recorded tables,

@@ -371,12 +371,18 @@ impl FastConverge {
         self.recomputes += self.cand_scratch.len() as u64;
         obs::incr("routing", "tree_recomputes", self.cand_scratch.len() as u64);
         // Move the candidate trees out of their slots so `recompute` can
-        // mutate them while reading the graph it was handed.
+        // mutate them while reading the graph it was handed. Each trace
+        // is cleared here, before the recompute, so after `apply_with`
+        // every tree's trace holds exactly its latest reconvergence's
+        // transitions, which the collector's export refresh reads
+        // (DESIGN.md §20).
         let mut taken = std::mem::take(&mut self.taken_scratch);
         debug_assert!(taken.is_empty());
         for &slot in &self.cand_scratch {
             let (o, t) = &mut self.trees[slot];
-            taken.push((*o, t.take().expect("tree present")));
+            let mut tree = t.take().expect("tree present");
+            tree.clear_trace();
+            taken.push((*o, tree));
         }
         let flags = recompute(&self.graph, (a, b), &mut taken);
         assert_eq!(
@@ -385,7 +391,7 @@ impl FastConverge {
             "recompute must return one changed flag per candidate tree"
         );
         let mut changed = Vec::new();
-        for ((&slot, (o, mut tree)), did_change) in
+        for ((&slot, (o, tree)), did_change) in
             self.cand_scratch.iter().zip(taken.drain(..)).zip(flags)
         {
             // Replay the reconvergence's next-hop trace into the index
@@ -401,7 +407,6 @@ impl FastConverge {
                     self.link_index.set(v, new as usize, slot);
                 }
             }
-            tree.clear_trace();
             self.trees[slot].1 = Some(tree);
             if did_change {
                 changed.push(o);

@@ -17,6 +17,11 @@
 //!   [`RoutingTree::epoch`]. A session diff then costs one table lookup;
 //!   the path walk and intern happen once per tree *change*, not once
 //!   per (session, prefix) query.
+//! * Next to that memo, one *watch row* per origin marks the graph
+//!   nodes every session export of the origin depends on. When the
+//!   tree's routing trace misses the row, no export of the origin can
+//!   have changed and the collector skips all of its walks (DESIGN.md
+//!   §20).
 //!
 //! Determinism note: both maps are `HashMap`s but are never iterated —
 //! all iteration-order-sensitive state lives in sorted structures — and
@@ -147,19 +152,51 @@ struct CachedExport {
     export: Option<(PathId, RouteClass)>,
 }
 
+/// The graph nodes one origin's session exports depend on: each
+/// session peer and every node on its current path (DESIGN.md §20).
+#[derive(Clone, Debug)]
+struct WatchRow {
+    /// [`RoutingTree::epoch`] at which every session peer's cached
+    /// export was last proven current.
+    epoch: u64,
+    /// Bitmap over graph node indices.
+    bits: Vec<u64>,
+}
+
+impl WatchRow {
+    fn contains(&self, v: usize) -> bool {
+        self.bits[v / 64] & (1 << (v % 64)) != 0
+    }
+
+    /// Mark `v`; returns `false` when it was already marked.
+    fn mark(&mut self, v: usize) -> bool {
+        let (word, bit) = (&mut self.bits[v / 64], 1 << (v % 64));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    }
+}
+
 /// Per-`(origin, peer)` memo of what a collector session would record,
 /// invalidated by [`RoutingTree::epoch`] advances.
 ///
-/// The replay loop calls [`ExportCache::refresh`] for every (changed
-/// tree, session peer) pair before observing; the observe closure then
-/// answers every (session, prefix) query with [`ExportCache::get`] —
-/// no path walk, no allocation.
+/// The collector refreshes a changed tree's exports at its session
+/// peers before observing, skipping the whole origin when its watch
+/// row proves every export unchanged; the observe closure then answers
+/// every (session, prefix) query with [`ExportCache::get`] — no path
+/// walk, no allocation.
 #[derive(Clone, Debug, Default)]
 pub struct ExportCache {
     /// Keyed by `(origin << 32) | peer` — see [`pair_key`].
     entries: FxMap<CachedExport>,
     /// Reusable hop buffer for [`RoutingTree::path_from_into`].
     scratch: Vec<Asn>,
+    /// One watch row per origin, keyed by origin ASN, each built over
+    /// the session peers in `roster`.
+    watch: FxMap<WatchRow>,
+    /// The peer node indices the watch rows cover; a refresh for any
+    /// other roster drops every row.
+    roster: Vec<Option<usize>>,
 }
 
 /// One-word key for an `(origin, peer)` pair; ASNs are 32-bit so the
@@ -199,9 +236,9 @@ impl ExportCache {
     /// [`ExportCache::refresh`] with the peer's dense node index already
     /// resolved (`None` when the peer is not in the graph — it then has
     /// no route by definition). The per-event hot loop refreshes every
-    /// (changed origin, session peer) pair, so the caller amortizes the
-    /// ASN→index map walk across the whole run instead of paying it
-    /// twice per refresh.
+    /// session peer of each changed origin its watch row cannot prove
+    /// unchanged, so the caller amortizes the ASN→index map walk across
+    /// the whole run instead of paying it twice per refresh.
     pub fn refresh_at(
         &mut self,
         graph: &AsGraph,
@@ -210,7 +247,9 @@ impl ExportCache {
         peer_idx: Option<usize>,
         arena: &mut PathArena,
     ) -> bool {
-        let Self { entries, scratch } = self;
+        let Self {
+            entries, scratch, ..
+        } = self;
         let entry = entries
             .entry(pair_key(tree.dest(), peer))
             .or_insert(CachedExport {
@@ -239,6 +278,71 @@ impl ExportCache {
         first || entry.export != prev
     }
 
+    /// Whether the watch row of `tree`'s origin proves that no export
+    /// at `peers` changed since the row's epoch; if so the row moves to
+    /// the tree's epoch. True when the tree has not moved since the
+    /// row, or when the tree is traced, its trace covers every
+    /// transition since the row's epoch, and no trace node is in the
+    /// row. A trace listing extra nodes only costs a walk; a trace that
+    /// starts after the row's epoch could miss a change, so it never
+    /// proves anything (DESIGN.md §20).
+    pub(crate) fn exports_unchanged(
+        &mut self,
+        tree: &RoutingTree,
+        peers: &[Option<usize>],
+    ) -> bool {
+        if self.roster != peers {
+            self.watch.clear();
+            self.roster.clear();
+            self.roster.extend_from_slice(peers);
+            return false;
+        }
+        let Some(row) = self.watch.get_mut(&u64::from(tree.dest().0)) else {
+            return false;
+        };
+        let unchanged = row.epoch == tree.epoch()
+            || (tree.tracing()
+                && tree.trace_epoch() <= row.epoch
+                && row.epoch < tree.epoch()
+                && tree
+                    .trace()
+                    .iter()
+                    .all(|&(v, _, _)| !row.contains(v as usize)));
+        if unchanged {
+            row.epoch = tree.epoch();
+        }
+        unchanged
+    }
+
+    /// Rebuild the watch row of `tree`'s origin at the tree's epoch:
+    /// mark every peer in `peers` (routed or not) and each node on its
+    /// path. A walk stops at the first node already marked, whose path
+    /// to the origin is marked too. Call after refreshing the origin's
+    /// export at every one of `peers` (the roster of the preceding
+    /// [`ExportCache::exports_unchanged`]).
+    pub(crate) fn rewatch(&mut self, graph: &AsGraph, tree: &RoutingTree, peers: &[Option<usize>]) {
+        let words = graph.len().div_ceil(64);
+        let row = self
+            .watch
+            .entry(u64::from(tree.dest().0))
+            .or_insert_with(|| WatchRow {
+                epoch: 0,
+                bits: Vec::new(),
+            });
+        row.epoch = tree.epoch();
+        row.bits.clear();
+        row.bits.resize(words, 0);
+        for &peer in peers.iter().flatten() {
+            let mut v = peer;
+            while row.mark(v) {
+                match tree.route_at_idx(v) {
+                    Some((_, _, next)) if next != v => v = next,
+                    _ => break,
+                }
+            }
+        }
+    }
+
     /// The memoized export for `(origin, peer)`.
     ///
     /// Panics when the pair was never refreshed — that would mean the
@@ -256,7 +360,8 @@ impl ExportCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quicksand_topology::Tier;
+    use crate::collector::{Collector, CollectorConfig};
+    use quicksand_topology::{Tier, TRACE_UNROUTED};
 
     fn path(v: &[u32]) -> AsPath {
         v.iter().map(|&a| Asn(a)).collect()
@@ -314,6 +419,89 @@ mod tests {
         cache.refresh(&g, &tree, Asn(3), &mut arena);
         assert_eq!(cache.get(Asn(1), Asn(3)).unwrap().0, id);
         assert_eq!(arena.len(), 1, "re-seen path must not re-intern");
+
+        // Through the collector's filtered refresh loop: the diamond
+        // 4 -> {2, 3} -> 1 plus a stub 5 -> 3, destination 1, one
+        // session at 4 (path 4 2 1, so the watch row is {4, 2, 1}).
+        let diamond = || {
+            let mut g = AsGraph::new();
+            for (a, t) in [
+                (1, Tier::Tier1),
+                (2, Tier::Tier2),
+                (3, Tier::Tier2),
+                (4, Tier::Stub),
+                (5, Tier::Stub),
+            ] {
+                g.add_as(Asn(a), t).unwrap();
+            }
+            for (c, p) in [(2, 1), (3, 1), (4, 2), (4, 3), (5, 3)] {
+                g.add_customer_provider(Asn(c), Asn(p)).unwrap();
+            }
+            g
+        };
+        fn refresh(
+            collector: &mut Collector,
+            g: &AsGraph,
+            tree: &RoutingTree,
+            cache: &mut ExportCache,
+        ) -> Vec<Asn> {
+            let mut dirty = vec![Vec::new()];
+            collector.refresh_exports_dirty(g, tree, cache, &mut dirty);
+            dirty.swap_remove(0)
+        }
+        let recorded = |collector: &Collector, cache: &ExportCache| {
+            let (id, _) = cache.get(Asn(1), Asn(4)).unwrap();
+            collector.arena().resolve(id).clone()
+        };
+        let entry_epoch = |cache: &ExportCache| cache.entries[&pair_key(Asn(1), Asn(4))].epoch;
+        let config = CollectorConfig::default();
+
+        // A traced event off the watched path is skipped: no walk (the
+        // entry keeps its epoch), nothing dirty, the value still right.
+        let mut g = diamond();
+        let mut tree = RoutingTree::compute(&g, Asn(1)).unwrap();
+        tree.set_tracing(true);
+        let mut collector = Collector::new(&[Asn(4)], &config).unwrap();
+        let mut cache = ExportCache::new();
+        assert_eq!(refresh(&mut collector, &g, &tree, &mut cache), vec![Asn(1)]);
+        g.remove_link(Asn(5), Asn(3)).unwrap();
+        assert!(tree.reconverge_after_link_event(&g, Asn(5), Asn(3)));
+        assert!(refresh(&mut collector, &g, &tree, &mut cache).is_empty());
+        assert_eq!(entry_epoch(&cache), 0, "an off-path event must not walk");
+        assert_eq!(recorded(&collector, &cache), path(&[4, 2, 1]));
+
+        // An untraced tree proves nothing: the on-path cut 4-2 must be
+        // walked and reported although the (empty) trace misses the row.
+        let mut g = diamond();
+        let mut tree = RoutingTree::compute(&g, Asn(1)).unwrap();
+        let mut collector = Collector::new(&[Asn(4)], &config).unwrap();
+        let mut cache = ExportCache::new();
+        refresh(&mut collector, &g, &tree, &mut cache);
+        g.remove_link(Asn(4), Asn(2)).unwrap();
+        assert!(tree.reconverge_after_link_event(&g, Asn(4), Asn(2)));
+        assert!(tree.trace().is_empty());
+        assert_eq!(refresh(&mut collector, &g, &tree, &mut cache), vec![Asn(1)]);
+        assert_eq!(recorded(&collector, &cache), path(&[4, 3, 1]));
+
+        // Two reconvergences between refreshes, the trace cleared in
+        // between as `FastConverge` does: the trace covers only the
+        // off-path second one (node 5), so it must not prove the first,
+        // on-path one (4 moves to 3) unchanged.
+        let mut g = diamond();
+        let mut tree = RoutingTree::compute(&g, Asn(1)).unwrap();
+        tree.set_tracing(true);
+        let mut collector = Collector::new(&[Asn(4)], &config).unwrap();
+        let mut cache = ExportCache::new();
+        refresh(&mut collector, &g, &tree, &mut cache);
+        g.remove_link(Asn(4), Asn(2)).unwrap();
+        assert!(tree.reconverge_after_link_event(&g, Asn(4), Asn(2)));
+        tree.clear_trace();
+        g.remove_link(Asn(5), Asn(3)).unwrap();
+        assert!(tree.reconverge_after_link_event(&g, Asn(5), Asn(3)));
+        assert_eq!(tree.epoch(), 2);
+        assert_eq!(tree.trace(), &[(4, 2, TRACE_UNROUTED)]);
+        assert_eq!(refresh(&mut collector, &g, &tree, &mut cache), vec![Asn(1)]);
+        assert_eq!(recorded(&collector, &cache), path(&[4, 3, 1]));
     }
 
     #[test]

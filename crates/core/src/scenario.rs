@@ -643,9 +643,10 @@ impl Scenario {
         let all_origins: Vec<Asn> = origins.iter().copied().collect();
 
         // Per-(origin, peer) memo of the interned recorded path, keyed
-        // on tree epochs. Refreshed for every changed tree before each
-        // observation, so an observe never walks or allocates a path;
-        // rebuilt from scratch on resume (trees and epochs are too).
+        // on tree epochs, with one watch row per origin. Refreshed for
+        // every changed tree before each observation, so an observe
+        // never walks or allocates a path; rebuilt from scratch on
+        // resume (trees and epochs are too).
         let mut cache = ExportCache::new();
         let refresh = |fc: &FastConverge,
                        collector: &mut Collector,
@@ -808,10 +809,12 @@ impl Scenario {
                 };
                 if !affected.is_empty() {
                     // Only the changed trees advanced their epochs, so
-                    // refreshing exactly the affected origins keeps the
-                    // cache complete — and reports, per session, the
-                    // origins whose export *value* actually changed.
-                    // `affected` is ascending, so each dirty list is too.
+                    // only the affected origins are refreshed; the
+                    // refresh skips every origin whose routing trace
+                    // misses its watch row (DESIGN.md §20) and reports,
+                    // per session, the origins whose export *value*
+                    // actually changed. `affected` is ascending, so each
+                    // dirty list is too.
                     for d in dirty.iter_mut() {
                         d.clear();
                     }

@@ -149,6 +149,9 @@ pub struct RoutingTree {
     /// When set, every next-hop change made by a reconvergence is
     /// appended to `trace` (see [`RoutingTree::set_tracing`]).
     tracing: bool,
+    /// The epoch `trace` starts from: the epoch at the last
+    /// [`RoutingTree::clear_trace`] or at the switch to tracing.
+    trace_epoch: u64,
     /// `(node, old_next, new_next)` per next-hop transition, in the
     /// order the worklist applied them; [`TRACE_UNROUTED`] stands for
     /// "no route". Entries compose: each record's `old_next` equals the
@@ -356,6 +359,7 @@ impl<'g> TreeBuilder<'g> {
             entries,
             epoch: 0,
             tracing: false,
+            trace_epoch: 0,
             trace: Vec::new(),
         })
     }
@@ -395,8 +399,12 @@ impl RoutingTree {
     }
 
     /// Enable or disable next-hop change tracing. Disabling also drops
-    /// any pending trace.
+    /// any pending trace; enabling starts an empty trace at the current
+    /// epoch.
     pub fn set_tracing(&mut self, on: bool) {
+        if on && !self.tracing {
+            self.trace_epoch = self.epoch;
+        }
         self.tracing = on;
         if !on {
             self.trace.clear();
@@ -404,16 +412,39 @@ impl RoutingTree {
         }
     }
 
+    /// Whether reconvergences record their next-hop transitions.
+    pub fn tracing(&self) -> bool {
+        self.tracing
+    }
+
     /// Next-hop transitions recorded since the last
     /// [`RoutingTree::clear_trace`] (empty unless tracing is enabled).
+    ///
+    /// The contract, while [`RoutingTree::tracing`] holds: every node
+    /// whose next hop (or lack of one, [`TRACE_UNROUTED`]) differs
+    /// between the tree at [`RoutingTree::trace_epoch`] and the tree
+    /// now appears in the trace as a node id. The trace may list more
+    /// nodes than that (a node that moved and moved back), never fewer.
+    /// A node's class and distance follow from the next hops along its
+    /// path, so a node none of whose path nodes is in the trace routes
+    /// exactly as it did at `trace_epoch` (DESIGN.md §20).
     pub fn trace(&self) -> &[(u32, u32, u32)] {
         &self.trace
     }
 
+    /// The epoch [`RoutingTree::trace`] starts from: the tree's epoch at
+    /// the last [`RoutingTree::clear_trace`], or when tracing was
+    /// switched on.
+    pub fn trace_epoch(&self) -> u64 {
+        self.trace_epoch
+    }
+
     /// Drop recorded transitions, keeping the buffer capacity so the
-    /// replay hot loop stays allocation-free after warmup.
+    /// replay hot loop stays allocation-free after warmup. The trace
+    /// starts again from the current epoch.
     pub fn clear_trace(&mut self) {
         self.trace.clear();
+        self.trace_epoch = self.epoch;
     }
 
     /// The route at dense node index `i` as `(class, dist, next_idx)`,
@@ -660,7 +691,7 @@ impl RoutingTree {
     /// call, addressed by dense node index: fills `out` with the full
     /// path from node `i` and returns `i`'s route class, or `None`
     /// (leaving `out` empty) when unrouted. The export-cache hot path
-    /// calls this once per (changed tree, peer) — folding the class
+    /// calls this once per walked (changed tree, peer) — folding the class
     /// read into the walk and taking a precomputed index spares the
     /// two `index_of` map lookups a `path_from_into` + `class_of` pair
     /// would pay.
@@ -1061,6 +1092,7 @@ mod oracle_tests {
             entries,
             epoch: 0,
             tracing: false,
+            trace_epoch: 0,
             trace: Vec::new(),
         })
     }

@@ -1,10 +1,10 @@
-//! Differential gate for dirty-set observation (DESIGN.md §16): replay
-//! the same churn schedule twice over identical collector state — once
-//! with the retired full-prefix strategy (refresh every affected
-//! origin, diff *every tracked prefix* of every live session, observe
-//! every effective event), once with the dirty-set pipeline the engine
-//! now runs (`refresh_exports_dirty` → `observe_dirty`, clean events
-//! skipped) — and require byte-identical `UpdateLog`s. A diff op is
+//! Differential gate for dirty-set observation (DESIGN.md §16) and
+//! refresh by exception (§20): replay the same churn schedule twice
+//! over identical collector state — once with a cache-free full scan
+//! (walk every export afresh, diff *every tracked prefix* of every
+//! session, observe every effective event), once with the pipeline the
+//! engine now runs (`refresh_exports_dirty` → `observe_dirty`, clean
+//! events skipped) — and require byte-identical `UpdateLog`s. A diff op is
 //! emitted iff a recorded entry changes iff that (session, origin)
 //! export value changed, so the dirty subset must reproduce the full
 //! scan record for record, reset deferral included.
@@ -54,9 +54,13 @@ fn tiny(seed: u64) -> ScenarioConfig {
 }
 
 /// Replay `s`'s schedule with either observation strategy, returning
-/// the raw log. `full = true` reconstructs the pre-dirty-set engine:
-/// refresh every affected origin, then diff every live session against
-/// the *entire* tracked-prefix table at every effective event.
+/// the raw log. `full = true` is the cache-free oracle: at every
+/// effective event, every session diffs the *entire* tracked-prefix
+/// table through `Collector::observe`, each export a fresh
+/// `RoutingTree::as_path_at` walk — no `ExportCache`, so no watch row
+/// (DESIGN.md §20) is ever consulted. `full = false` is the engine's
+/// pipeline: `refresh_exports_dirty` → `observe_dirty`, clean events
+/// skipped.
 fn replay(s: &Scenario, full: bool) -> UpdateLog {
     let tracked = s.tracked_prefixes();
     let prefixes_by_origin: BTreeMap<Asn, Vec<Ipv4Prefix>> = {
@@ -79,24 +83,44 @@ fn replay(s: &Scenario, full: bool) -> UpdateLog {
     let mut log = UpdateLog::default();
     let mut dirty: Vec<Vec<Asn>> = vec![Vec::new(); s.session_peers.len()];
 
-    let refresh_all = |fc: &FastConverge,
+    // The oracle's observation: every session, every tracked prefix,
+    // every export walked afresh from the current trees.
+    let observe_walked =
+        |fc: &FastConverge, collector: &mut Collector, log: &mut UpdateLog, at: SimTime| {
+            let exported = |peer: Asn, prefix: Ipv4Prefix| {
+                let tree = fc.tree(tracked[&prefix])?;
+                Some((
+                    tree.as_path_at(fc.graph(), peer)?,
+                    tree.class_of(fc.graph(), peer)?,
+                ))
+            };
+            collector.observe(at, &all_prefixes, exported, log);
+        };
+    // The engine's full dump: refresh every origin, then one full scan
+    // of the cache.
+    let dump_cached = |fc: &FastConverge,
                        collector: &mut Collector,
                        cache: &mut ExportCache,
-                       origins: &[Asn]| {
-        for &o in origins {
+                       log: &mut UpdateLog,
+                       at: SimTime| {
+        for &o in &all_origins {
             let Some(tree) = fc.tree(o) else { continue };
             collector.refresh_exports(fc.graph(), tree, cache);
         }
+        collector.observe_interned(
+            at,
+            &all_prefixes,
+            &|peer, pi| cache.get(all_origin_of[pi], peer),
+            log,
+        );
     };
 
-    // t = 0 full dump, identical in both strategies.
-    refresh_all(&fc, &mut collector, &mut cache, &all_origins);
-    collector.observe_interned(
-        SimTime::ZERO,
-        &all_prefixes,
-        &|peer, pi| cache.get(all_origin_of[pi], peer),
-        &mut log,
-    );
+    // t = 0 full dump.
+    if full {
+        observe_walked(&fc, &mut collector, &mut log, SimTime::ZERO);
+    } else {
+        dump_cached(&fc, &mut collector, &mut cache, &mut log, SimTime::ZERO);
+    }
 
     for ev in s.churn_schedule() {
         let affected = fc.apply(ev.change);
@@ -104,13 +128,7 @@ fn replay(s: &Scenario, full: bool) -> UpdateLog {
             continue;
         }
         if full {
-            refresh_all(&fc, &mut collector, &mut cache, &affected);
-            collector.observe_interned(
-                ev.at,
-                &all_prefixes,
-                &|peer, pi| cache.get(all_origin_of[pi], peer),
-                &mut log,
-            );
+            observe_walked(&fc, &mut collector, &mut log, ev.at);
         } else {
             for d in dirty.iter_mut() {
                 d.clear();
@@ -132,13 +150,12 @@ fn replay(s: &Scenario, full: bool) -> UpdateLog {
     }
 
     // Final observation flushes trailing session resets.
-    refresh_all(&fc, &mut collector, &mut cache, &all_origins);
-    collector.observe_interned(
-        SimTime::ZERO + s.config.churn.horizon,
-        &all_prefixes,
-        &|peer, pi| cache.get(all_origin_of[pi], peer),
-        &mut log,
-    );
+    let end = SimTime::ZERO + s.config.churn.horizon;
+    if full {
+        observe_walked(&fc, &mut collector, &mut log, end);
+    } else {
+        dump_cached(&fc, &mut collector, &mut cache, &mut log, end);
+    }
     log
 }
 

@@ -118,6 +118,32 @@ fn large_tier_statistics_are_pinned() {
     assert_eq!(cleaning_fingerprint(&m), (0x87b8f6e57ac0cae7, 114059, 1));
 }
 
+/// The paper-shaped month (`ScenarioConfig::default()`: 2000 ASes,
+/// the paper's relay counts, 30 days) is pinned bit for bit: the raw
+/// log's `raw_log_fnv` (fnv64 of its MRT encoding, as `repro
+/// bench-snapshot` prints it) and the fnv64 of T1's `Debug` rendering.
+/// `#[ignore]`d and gated on `QUICKSAND_TEST_LARGE=1` like the
+/// large-tier gates: the month takes ~30 s in a release build.
+#[test]
+#[ignore = "full config: a paper-shaped month; QUICKSAND_TEST_LARGE=1 cargo test -- --ignored"]
+fn full_config_month_is_pinned() {
+    if std::env::var("QUICKSAND_TEST_LARGE").as_deref() != Ok("1") {
+        eprintln!("skipped: set QUICKSAND_TEST_LARGE=1 to run the full-config month pin");
+        return;
+    }
+    let s = Scenario::build(ScenarioConfig::default());
+    let m = s.run_month().expect("valid collector config");
+    let mut raw = Vec::new();
+    quicksand_bgp::mrt::write_log(&m.raw, &mut raw).expect("writing to a Vec cannot fail");
+    let fp = |bytes: &[u8]| quicksand_bgp::feed::fnv64(bytes);
+    assert_eq!(fp(&raw), 0xf8c97b13a6e2baf2, "raw_log_fnv");
+    assert_eq!(
+        fp(format!("{:?}", table1(&s, &m)).as_bytes()),
+        0x2aa4f79c88b86bf1,
+        "T1"
+    );
+}
+
 /// F2L: guard/exit relays are concentrated — a handful of ASes host a
 /// disproportionate share.
 #[test]
