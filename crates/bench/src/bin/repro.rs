@@ -15,11 +15,12 @@
 //! ~20k-AS / ~100k-prefix Internet-scale tier. Without a scale flag the
 //! batch mode runs the full EXPERIMENTS.md configuration and
 //! `serve`/`feed` default to medium (their historical behavior).
-//! `--jobs=N` shards the month replay across N worker threads
+//! `--jobs=N` builds the month replay's routing trees on N threads
 //! (DESIGN.md §10) with output bitwise-identical to the serial default;
-//! `bench-snapshot` measures the replay serial *and* sharded, verifies
-//! the two logs are identical, and writes the wall-clock/events-per-sec
-//! numbers as JSON — the scaling baseline CI archives as an artifact.
+//! `bench-snapshot` measures the replay serial *and* at `--jobs`,
+//! verifies the two logs are identical, and writes the
+//! wall-clock/events-per-sec numbers as JSON — the scaling record CI
+//! archives as an artifact.
 //!
 //! Observability: progress notes are `quicksand-obs` events rendered to
 //! stderr (`-v` adds span timings, `--quiet` silences both events and
@@ -151,7 +152,7 @@ repro [all|table1|fig2-left|fig2-right|fig3-left|fig3-right|model|
        [--halt-after=K] [-v|--verbose] [-q|--quiet]
 repro report [--check] <run.json> [other.json]
 repro bench-snapshot [--small|--medium|--large|--scale=SPEC] [--jobs=N]
-       [--bench-out=BENCH_monthreplay.json] [--baseline=PATH]
+       [--bench-out=BENCH_monthreplay.json]
 repro serve [--small|--medium|--large|--scale=SPEC]
        [--cells=N] [--width=K] [--seed=S]
        [--checkpoint-every=N] [--checkpoint-dir=DIR] [--max-restarts=R]
@@ -288,11 +289,6 @@ fn log_filter(args: &[String], verbose: bool) -> obs::LevelFilter {
     obs::LevelFilter::uniform(if verbose { Level::Debug } else { Level::Info })
 }
 
-/// The full-scale configuration used for EXPERIMENTS.md.
-fn full_config() -> ScenarioConfig {
-    ScenarioConfig::default()
-}
-
 /// Resolve the scenario scale from the command line: `--scale=SPEC`
 /// (a tier name or a `key=value,...` override list over the large
 /// tier — see [`Scale::parse`]) wins, then the `--small`/`--medium`/
@@ -405,7 +401,7 @@ impl Ctx {
     fn new(scale: Option<&Scale>, jobs: usize, recover: RecoverOpts) -> Ctx {
         let mut cfg = match scale {
             Some(sc) => ScenarioConfig::at_scale(sc, 0xA11),
-            None => full_config(),
+            None => ScenarioConfig::default(),
         };
         cfg.parallelism = Parallelism::with_jobs(jobs);
         progress(format!(
@@ -585,15 +581,6 @@ fn report_command(args: &[String]) -> i32 {
     }
 }
 
-/// One worker slot's attribution from a sharded replay: how busy it
-/// was and how much it allocated (the per-worker session counters
-/// `parallel.worker_busy_us` / `parallel.worker_allocs`).
-struct WorkerStat {
-    slot: u32,
-    busy_us: u64,
-    allocs: u64,
-}
-
 /// Everything `bench-snapshot` measures about one month replay.
 struct BenchRun {
     month: MonthResult,
@@ -610,22 +597,18 @@ struct BenchRun {
     recomputes: u64,
     allocs: u64,
     alloc_bytes: u64,
-    /// Per-worker attribution (empty for serial runs — no pool).
-    workers: Vec<WorkerStat>,
 }
 
 /// `repro bench-snapshot [--small|--medium|--large|--scale=SPEC]
-/// [--jobs=N] [--bench-out=PATH] [--baseline=PATH]`: the month-replay
-/// hot-path benchmark. Runs the replay once serial (the reference) and
-/// once sharded across N threads (default 4), verifies the two runs
-/// produce byte-identical update logs (exit 1 otherwise — the
-/// differential gate), and writes wall-clock, replay events/sec, tree
-/// recomputes, and counting-allocator totals as one tier of the tiered
-/// `BENCH_monthreplay.json` (other tiers already in the file are
-/// preserved — see [`quicksand_bench::snapshot`]). `--baseline=PATH`
-/// embeds a previously captured snapshot under `"baseline"` with its
-/// own baseline stripped (one-level cap), recording a before/after
-/// pair from the same container. Each run uses a scoped metrics
+/// [--jobs=N] [--bench-out=PATH]`: the month-replay hot-path
+/// benchmark. Runs the replay once serial (the reference) and once at
+/// `--jobs=N` (default 4), verifies the two runs produce byte-identical
+/// update logs (exit 1 otherwise — the differential gate), and writes
+/// wall-clock, replay events/sec, tree recomputes, and
+/// counting-allocator totals as one tier of the tiered
+/// `BENCH_monthreplay.json` (other tiers and any recorded baseline
+/// already in the file are preserved — see
+/// [`quicksand_bench::snapshot`]). Each run uses a scoped metrics
 /// registry, so the measurement does not pollute (and is not polluted
 /// by) the global registry.
 fn bench_snapshot_command(args: &[String]) -> i32 {
@@ -646,10 +629,9 @@ fn bench_snapshot_command(args: &[String]) -> i32 {
         .iter()
         .find_map(|a| a.strip_prefix("--bench-out="))
         .unwrap_or("BENCH_monthreplay.json");
-    let baseline = args.iter().find_map(|a| a.strip_prefix("--baseline="));
     let (scenario_name, base) = match &scale {
         Some(sc) => (sc.to_string(), ScenarioConfig::at_scale(sc, 0xA11)),
-        None => ("full".to_string(), full_config()),
+        None => ("full".to_string(), ScenarioConfig::default()),
     };
 
     let timed_run = |n_jobs: usize, profiled: bool| -> BenchRun {
@@ -690,28 +672,6 @@ fn bench_snapshot_command(args: &[String]) -> i32 {
                 .iter()
                 .find(|g| g.stage == "churn" && g.name == "replay_rate")
                 .map_or(events as f64 / wall_s.max(f64::MIN_POSITIVE), |g| g.value);
-            let workers = snap
-                .counters
-                .iter()
-                .filter(|c| {
-                    c.stage == "parallel"
-                        && c.name == "worker_busy_us"
-                        && c.session.is_some()
-                })
-                .map(|c| WorkerStat {
-                    slot: c.session.expect("filtered on session"),
-                    busy_us: c.value,
-                    allocs: snap
-                        .counters
-                        .iter()
-                        .find(|a| {
-                            a.stage == "parallel"
-                                && a.name == "worker_allocs"
-                                && a.session == c.session
-                        })
-                        .map_or(0, |a| a.value),
-                })
-                .collect();
             BenchRun {
                 month,
                 ases,
@@ -723,7 +683,6 @@ fn bench_snapshot_command(args: &[String]) -> i32 {
                 recomputes: counter("routing", "tree_recomputes"),
                 allocs: allocs1 - allocs0,
                 alloc_bytes: bytes1 - bytes0,
-                workers,
             }
         });
         if profiled {
@@ -795,33 +754,6 @@ fn bench_snapshot_command(args: &[String]) -> i32 {
             per_event(r.alloc_bytes),
         )
     };
-    let baseline_text = match baseline {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => Some(text),
-            Err(e) => {
-                eprintln!("error: cannot read baseline {path}: {e}");
-                return exitcode::USAGE;
-            }
-        },
-        None => None,
-    };
-    // Per-worker attribution: where the parallel run's extra
-    // allocations over serial come from (each worker slot's scratch
-    // plus chunk handoff), and how evenly the shards kept the slots
-    // busy.
-    let workers_json = {
-        let rows: Vec<String> = parallel
-            .workers
-            .iter()
-            .map(|w| {
-                format!(
-                    "{{ \"slot\": {}, \"busy_us\": {}, \"allocs\": {} }}",
-                    w.slot, w.busy_us, w.allocs
-                )
-            })
-            .collect();
-        format!("[{}]", rows.join(", "))
-    };
     // The headline telemetry cost: extra allocations per event with the
     // profiler recording every span, relative to the profiler-off
     // serial run.
@@ -839,7 +771,6 @@ fn bench_snapshot_command(args: &[String]) -> i32 {
          \"stage_us\": {stage_us}, \
          \"telemetry_overhead_pct\": {telemetry_overhead_pct:.3}, \
          \"parallel\": {}, \
-         \"parallel_workers\": {workers_json}, \
          \"speedup\": {speedup:.4}, \"identical\": {identical} }}",
         serial.ases,
         serial.tracked,
@@ -850,13 +781,12 @@ fn bench_snapshot_command(args: &[String]) -> i32 {
         run_json(&parallel),
     );
     // Merge this tier into the artifact, preserving the other tiers
-    // (and, absent --baseline, the recorded baseline).
+    // and the recorded baseline.
     let existing = std::fs::read_to_string(out_path).ok();
     let json = match quicksand_bench::snapshot::merge_snapshot(
         existing.as_deref(),
         &scenario_name,
         &tier_json,
-        baseline_text.as_deref(),
     ) {
         Ok(doc) => doc,
         Err(e) => {
@@ -872,14 +802,13 @@ fn bench_snapshot_command(args: &[String]) -> i32 {
         "bench-snapshot: {events} events; serial {:.3}s ({:.0} ev/s replay, \
          {:.2} allocs/event), profiled {:.2} allocs/event \
          ({telemetry_overhead_pct:+.2}%), --jobs={jobs} {:.3}s \
-         (speedup {speedup:.2}x, {} workers); \
+         (speedup {speedup:.2}x); \
          raw log fnv {raw_log_fnv:#018x}; wrote {out_path}",
         serial.wall_s,
         serial.replay_events_per_s,
         per_event(serial.allocs),
         per_event(profiled.allocs),
         parallel.wall_s,
-        parallel.workers.len(),
     );
     if !identical {
         eprintln!(

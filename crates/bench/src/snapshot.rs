@@ -12,30 +12,23 @@
 //! }
 //! ```
 //!
-//! Baseline embedding is capped at **one level**: when a previously
-//! captured snapshot is embedded under `"baseline"`, its own
-//! `"baseline"` key is stripped. (The flat writer this replaces
-//! embedded the prior file verbatim, so every re-baselining nested the
-//! whole history one level deeper — three levels were committed before
-//! the cap.)
+//! The `"baseline"` an artifact already carries (an earlier snapshot,
+//! recorded for before/after comparison) rides along unchanged.
 
 use serde::Value;
 
 /// Merge one freshly measured tier into the snapshot document.
 ///
 /// * `existing` — the current artifact file's text, if any. Its other
-///   tiers and (absent a new `baseline`) its baseline are preserved. A
-///   missing, unparseable, or pre-tiered (flat) document starts fresh.
+///   tiers and its baseline are preserved. A missing, unparseable, or
+///   pre-tiered (flat) document starts fresh.
 /// * `tier` / `tier_json` — the tier name and its measurement object.
-/// * `baseline` — text of a previously captured snapshot to embed under
-///   `"baseline"`, with the inner `"baseline"` stripped (one-level cap).
 ///
 /// Returns the pretty-printed document.
 pub fn merge_snapshot(
     existing: Option<&str>,
     tier: &str,
     tier_json: &str,
-    baseline: Option<&str>,
 ) -> Result<String, String> {
     let tier_value: Value = serde_json::from_str(tier_json)
         .map_err(|e| format!("tier measurement is not valid JSON: {e}"))?;
@@ -55,21 +48,11 @@ pub fn merge_snapshot(
         None => tiers.push((Value::Str(tier.to_string()), tier_value)),
     }
 
-    let baseline_value = match baseline {
-        Some(text) => {
-            let mut v: Value = serde_json::from_str(text.trim())
-                .map_err(|e| format!("baseline is not valid JSON: {e}"))?;
-            strip_key(&mut v, "baseline");
-            v
-        }
-        // Re-running a tier without --baseline keeps whatever baseline
-        // the artifact already carries.
-        None => prior
-            .as_ref()
-            .and_then(|doc| doc.field("baseline"))
-            .cloned()
-            .unwrap_or(Value::Null),
-    };
+    let baseline_value = prior
+        .as_ref()
+        .and_then(|doc| doc.field("baseline"))
+        .cloned()
+        .unwrap_or(Value::Null);
 
     let doc = Value::Map(vec![
         (
@@ -82,13 +65,6 @@ pub fn merge_snapshot(
     serde_json::to_string_pretty(&doc).map_err(|e| format!("serializing snapshot: {e}"))
 }
 
-/// Remove a top-level key from a map value (no-op otherwise).
-fn strip_key(v: &mut Value, key: &str) {
-    if let Value::Map(entries) = v {
-        entries.retain(|(k, _)| k.as_str() != Some(key));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,7 +75,7 @@ mod tests {
 
     #[test]
     fn fresh_document_carries_the_tier_and_null_baseline() {
-        let doc = merge_snapshot(None, "medium", &tier(10), None).unwrap();
+        let doc = merge_snapshot(None, "medium", &tier(10)).unwrap();
         let v: Value = serde_json::from_str(&doc).unwrap();
         assert_eq!(v.field("bench").unwrap().as_str(), Some("month_replay"));
         assert_eq!(
@@ -111,9 +87,9 @@ mod tests {
 
     #[test]
     fn merging_preserves_other_tiers_and_replaces_the_rerun_one() {
-        let doc = merge_snapshot(None, "medium", &tier(10), None).unwrap();
-        let doc = merge_snapshot(Some(&doc), "large", &tier(999), None).unwrap();
-        let doc = merge_snapshot(Some(&doc), "medium", &tier(11), None).unwrap();
+        let doc = merge_snapshot(None, "medium", &tier(10)).unwrap();
+        let doc = merge_snapshot(Some(&doc), "large", &tier(999)).unwrap();
+        let doc = merge_snapshot(Some(&doc), "medium", &tier(11)).unwrap();
         let v: Value = serde_json::from_str(&doc).unwrap();
         let tiers = v.field("tiers").unwrap();
         assert_eq!(
@@ -134,33 +110,13 @@ mod tests {
     }
 
     #[test]
-    fn baseline_embedding_is_capped_at_one_level() {
-        // A previously captured snapshot that itself embeds a baseline
-        // (the unbounded-nesting shape this writer retires).
-        let nested = r#"{
-            "bench": "month_replay",
-            "tiers": { "medium": { "events": 9 } },
-            "baseline": { "tiers": { "medium": { "events": 8 } }, "baseline": null }
-        }"#;
-        let doc = merge_snapshot(None, "medium", &tier(10), Some(nested)).unwrap();
-        let v: Value = serde_json::from_str(&doc).unwrap();
-        let baseline = v.field("baseline").unwrap();
-        assert_eq!(
-            baseline.field("tiers").unwrap().field("medium").unwrap().field("events"),
-            Some(&Value::U64(9)),
-            "baseline content embeds"
-        );
-        assert!(
-            baseline.field("baseline").is_none(),
-            "inner baseline must be stripped (one-level cap)"
-        );
-    }
-
-    #[test]
     fn rerun_without_baseline_keeps_the_recorded_one() {
-        let first = merge_snapshot(None, "medium", &tier(10), Some(r#"{ "old": true }"#))
-            .unwrap();
-        let doc = merge_snapshot(Some(&first), "large", &tier(20), None).unwrap();
+        let first = r#"{
+            "bench": "month_replay",
+            "tiers": { "medium": { "events": 10 } },
+            "baseline": { "old": true }
+        }"#;
+        let doc = merge_snapshot(Some(first), "large", &tier(20)).unwrap();
         let v: Value = serde_json::from_str(&doc).unwrap();
         assert_eq!(
             v.field("baseline").unwrap().field("old"),
@@ -173,7 +129,7 @@ mod tests {
         // The pre-tiered artifact had scenario fields at the top level;
         // its keys must not leak into the tiered document.
         let legacy = r#"{ "bench": "month_replay", "scenario": "medium", "events": 5 }"#;
-        let doc = merge_snapshot(Some(legacy), "medium", &tier(10), None).unwrap();
+        let doc = merge_snapshot(Some(legacy), "medium", &tier(10)).unwrap();
         let v: Value = serde_json::from_str(&doc).unwrap();
         assert!(v.field("scenario").is_none());
         assert_eq!(
@@ -184,6 +140,6 @@ mod tests {
 
     #[test]
     fn invalid_tier_json_is_refused() {
-        assert!(merge_snapshot(None, "medium", "{ nope", None).is_err());
+        assert!(merge_snapshot(None, "medium", "{ nope").is_err());
     }
 }

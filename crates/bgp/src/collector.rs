@@ -59,28 +59,9 @@ pub struct UpdateRecord {
 /// any state is applied: for each prefix whose recorded entry changes,
 /// the new entry — `Some(id)` to insert or replace (an announcement),
 /// `None` to remove (a withdrawal) — in diff order. Produced by
-/// [`diff_run`] against pre-observe state (possibly on a worker shard)
-/// and consumed serially by [`Collector::apply_ops`].
+/// [`diff_run`] against pre-observe state and consumed by
+/// [`Collector::apply_ops`].
 type SessionOps = Vec<(Ipv4Prefix, Option<PathId>)>;
-
-/// One unit of a sharded observation, handed to the caller's region
-/// runner (see [`Collector::observe_dirty_sharded`]).
-pub type ShardTask<'s> = Box<dyn FnOnce() + Send + 's>;
-
-/// Parallelize a collector diff only when its actual work — (session,
-/// prefix) pairs to diff — reaches this; below it the observation stays
-/// on the caller thread. Galloped merge-diff retires a pair in tens of
-/// nanoseconds, so a region has to carry a few thousand before threads
-/// pay for themselves. Output is identical either way.
-const MIN_DIFF_WORK: usize = 4096;
-
-/// Run shard tasks one after another on the caller thread — the region
-/// runner of every width-1 observation.
-fn run_serially(tasks: Vec<ShardTask<'_>>) {
-    for task in tasks {
-        task();
-    }
-}
 
 /// A time-ordered log of updates across all sessions of all collectors.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -591,29 +572,22 @@ impl Collector {
         exported: &F,
         log: &mut UpdateLog,
     ) where
-        F: Fn(Asn, usize) -> Option<(PathId, RouteClass)> + Sync,
+        F: Fn(Asn, usize) -> Option<(PathId, RouteClass)>,
     {
         assert!(
             prefixes.windows(2).all(|w| w[0] < w[1]),
             "observe_interned: prefixes must be strictly ascending"
         );
-        self.observe_with(
-            at,
-            log,
-            1,
-            run_serially,
-            |_| prefixes.len(),
-            |_, info, table, ops| {
-                diff_run(
-                    info.kind,
-                    table,
-                    &mut 0,
-                    prefixes,
-                    |pi| exported(info.peer, pi),
-                    ops,
-                )
-            },
-        );
+        self.observe_with(at, log, |_, info, table, ops| {
+            diff_run(
+                info.kind,
+                table,
+                &mut 0,
+                prefixes,
+                |pi| exported(info.peer, pi),
+                ops,
+            )
+        });
     }
 
     /// Observe at time `at` only the **dirty** part of the routing
@@ -642,119 +616,41 @@ impl Collector {
         exported: &F,
         log: &mut UpdateLog,
     ) where
-        F: Fn(Asn, Asn) -> Option<(PathId, RouteClass)> + Sync,
-        P: Fn(Asn) -> &'a [Ipv4Prefix] + Sync,
+        F: Fn(Asn, Asn) -> Option<(PathId, RouteClass)>,
+        P: Fn(Asn) -> &'a [Ipv4Prefix],
     {
-        self.observe_dirty_sharded(at, dirty, prefixes_of, exported, log, 1, run_serially);
+        self.observe_with(at, log, |si, info, table, ops| {
+            let mut cursor = 0;
+            for &origin in &dirty[si] {
+                let now = exported(info.peer, origin);
+                diff_run(
+                    info.kind,
+                    table,
+                    &mut cursor,
+                    prefixes_of(origin),
+                    |_| now,
+                    ops,
+                );
+            }
+        });
     }
 
-    /// [`Collector::observe_dirty`] with per-session diffing fanned out
-    /// over up to `width` shards, each a task handed to `run_region`
-    /// (which must run every task before returning, e.g. a scoped
-    /// thread pool's region runner). The split is work-weighted — cut
-    /// points fall where cumulative dirty work (prefix count over each
-    /// session's dirty origins) crosses the next `total·k/width`
-    /// boundary, a pure function of the dirty sets — so one full-feed
-    /// session re-dumping its table does not serialize behind idle
-    /// peers. Below `MIN_DIFF_WORK` pairs the observation stays on the
-    /// caller thread. Shards read only pre-observe state
-    /// and write only their own sessions' op slots, and ops apply
-    /// serially in ascending session order, so the log is
-    /// record-for-record the width-1 log (DESIGN.md §10).
-    #[allow(clippy::too_many_arguments)]
-    pub fn observe_dirty_sharded<'a, F, P, R>(
-        &mut self,
-        at: SimTime,
-        dirty: &[Vec<Asn>],
-        prefixes_of: &P,
-        exported: &F,
-        log: &mut UpdateLog,
-        width: usize,
-        run_region: R,
-    ) where
-        F: Fn(Asn, Asn) -> Option<(PathId, RouteClass)> + Sync,
-        P: Fn(Asn) -> &'a [Ipv4Prefix] + Sync,
-        R: for<'s> FnOnce(Vec<ShardTask<'s>>),
-    {
-        self.observe_with(
-            at,
-            log,
-            width,
-            run_region,
-            |si| dirty[si].iter().map(|&o| prefixes_of(o).len()).sum(),
-            |si, info, table, ops| {
-                let mut cursor = 0;
-                for &origin in &dirty[si] {
-                    let now = exported(info.peer, origin);
-                    diff_run(
-                        info.kind,
-                        table,
-                        &mut cursor,
-                        prefixes_of(origin),
-                        |_| now,
-                        ops,
-                    );
-                }
-            },
-        );
-    }
-
-    /// The one observe path: emit due resets, diff every session
-    /// with `diff(si, info, table, ops)` against pre-observe state —
-    /// on the caller thread, or across up to `width` work-weighted
-    /// shards via `run_region` when the total `work(si)` warrants it —
-    /// then apply the ops and count the observation.
-    fn observe_with<R, W, D>(
-        &mut self,
-        at: SimTime,
-        log: &mut UpdateLog,
-        width: usize,
-        run_region: R,
-        work: W,
-        diff: D,
-    ) where
-        R: for<'s> FnOnce(Vec<ShardTask<'s>>),
-        W: Fn(usize) -> usize,
-        D: Fn(usize, &SessionInfo, &[(Ipv4Prefix, PathId)], &mut SessionOps) + Sync,
+    /// The one observe path: emit due resets, diff every session with
+    /// `diff(si, info, table, ops)` against pre-observe state, then
+    /// apply the ops in ascending session order and count the
+    /// observation.
+    fn observe_with<D>(&mut self, at: SimTime, log: &mut UpdateLog, diff: D)
+    where
+        D: Fn(usize, &SessionInfo, &[(Ipv4Prefix, PathId)], &mut SessionOps),
     {
         let _span = obs::prof::span("collector", "observe");
         let recorded_before = log.records.len();
         self.emit_due_resets(at, log);
         let mut ops = std::mem::take(&mut self.ops_scratch);
         ops.resize_with(self.sessions.len(), Vec::new);
-        let this: &Collector = self;
-        let diff_session = |si: usize, out: &mut SessionOps| {
+        for (si, out) in ops.iter_mut().enumerate() {
             let _span = obs::prof::span("collector", "diff");
-            diff(si, &this.sessions[si], &this.state[si].entries, out);
-        };
-        let shards = if width > 1 {
-            this.shard_sessions(width, work)
-        } else {
-            Vec::new()
-        };
-        if shards.len() < 2 {
-            for (si, out) in ops.iter_mut().enumerate() {
-                diff_session(si, out);
-            }
-        } else {
-            // Hand each shard the op slots of its own sessions.
-            let mut slots: Vec<Option<&mut SessionOps>> = ops.iter_mut().map(Some).collect();
-            let diff_session = &diff_session;
-            let tasks: Vec<ShardTask<'_>> = shards
-                .into_iter()
-                .map(|sessions| {
-                    let mine: Vec<(usize, &mut SessionOps)> = sessions
-                        .into_iter()
-                        .map(|si| (si, slots[si].take().expect("one shard per session")))
-                        .collect();
-                    Box::new(move || {
-                        for (si, out) in mine {
-                            diff_session(si, out);
-                        }
-                    }) as ShardTask<'_>
-                })
-                .collect();
-            run_region(tasks);
+            diff(si, &self.sessions[si], &self.state[si].entries, out);
         }
         self.apply_ops(at, &mut ops, log);
         self.ops_scratch = ops;
@@ -764,32 +660,6 @@ impl Collector {
             "records",
             (log.records.len() - recorded_before) as u64,
         );
-    }
-
-    /// Split the sessions with work into at most `width`
-    /// contiguous, ascending shards of roughly equal total `work`.
-    /// Empty when the observation is too small to be worth threads.
-    fn shard_sessions(&self, width: usize, work: impl Fn(usize) -> usize) -> Vec<Vec<usize>> {
-        let work_of: Vec<(usize, usize)> = (0..self.sessions.len())
-            .map(|si| (si, work(si)))
-            .filter(|&(_, w)| w > 0)
-            .collect();
-        let total: usize = work_of.iter().map(|&(_, w)| w).sum();
-        let n = width.min(work_of.len());
-        if n < 2 || total < MIN_DIFF_WORK {
-            return Vec::new();
-        }
-        let mut shards = vec![Vec::new(); n];
-        let (mut acc, mut k) = (0usize, 0usize);
-        for (si, w) in work_of {
-            shards[k].push(si);
-            acc += w;
-            if k + 1 < n && acc * n >= total * (k + 1) {
-                k += 1;
-            }
-        }
-        shards.retain(|s| !s.is_empty());
-        shards
     }
 
     /// Emit every scheduled session reset due by `at` (re-dumping the

@@ -21,6 +21,7 @@ use quicksand_obs as obs;
 use quicksand_topology::{
     AsGraph, ReconvergeScratch, Relationship, RouteClass, RoutingTree, TRACE_UNROUTED,
 };
+use std::ops::Range;
 
 /// Inverted link→trees index: for every *directed* tree edge
 /// `from → to` (a node and its next hop), which tracked trees currently
@@ -140,11 +141,8 @@ impl LinkIndex {
 pub struct FastConverge {
     graph: AsGraph,
     /// Tracked trees, ascending by origin ASN. Slot order (ascending
-    /// origin) is the candidate order `apply_with` hands its hook. The
-    /// `Option` is a move slot: `apply_with` takes candidate trees out
-    /// for the duration of the recompute hook and always puts them
-    /// back — every tree is `Some` outside that window.
-    trees: Vec<(Asn, Option<RoutingTree>)>,
+    /// origin) is the order `apply` reconverges candidates in.
+    trees: Vec<(Asn, RoutingTree)>,
     link_index: LinkIndex,
     /// Currently-down links with the relationship to restore, sorted by
     /// `(lo, hi)` ASN key; value is the relationship of `hi` from
@@ -155,12 +153,10 @@ pub struct FastConverge {
     /// Count of tree recomputations (for benchmarks/diagnostics).
     pub recomputes: u64,
     /// Worklist scratch reused across every event and candidate tree,
-    /// so serial [`FastConverge::apply`] allocates nothing per event.
+    /// so [`FastConverge::apply`] allocates nothing per event.
     scratch: ReconvergeScratch,
     /// Candidate slot list reused across events.
     cand_scratch: Vec<usize>,
-    /// Taken-trees buffer reused across events.
-    taken_scratch: Vec<(Asn, RoutingTree)>,
 }
 
 fn key(a: Asn, b: Asn) -> (Asn, Asn) {
@@ -179,26 +175,73 @@ fn invert(rel: Relationship) -> Relationship {
     }
 }
 
+/// The contiguous index ranges a `jobs`-wide build splits `n` origins
+/// into: `min(jobs, n)` near-equal ranges covering `0..n` in order, or
+/// the single empty range `0..0` when there are no origins.
+fn chunk_ranges(n: usize, jobs: usize) -> impl Iterator<Item = Range<usize>> {
+    let chunks = jobs.clamp(1, n.max(1));
+    (0..chunks).map(move |k| k * n / chunks..(k + 1) * n / chunks)
+}
+
+/// The traced routing trees toward `origins` (ascending), built in
+/// [`chunk_ranges`] chunks: chunk 0 on the caller thread, every other
+/// chunk on its own scoped thread, concatenated in chunk order.
+fn build_trees(graph: &AsGraph, origins: &[Asn], jobs: usize) -> Vec<(Asn, RoutingTree)> {
+    let build = |chunk: &[Asn]| -> Vec<(Asn, RoutingTree)> {
+        RoutingTree::compute_many(graph, chunk.iter().copied())
+            .map(|t| {
+                let mut t = t.expect("tracked origin not in graph");
+                t.set_tracing(true);
+                (t.dest(), t)
+            })
+            .collect()
+    };
+    let mut chunks = chunk_ranges(origins.len(), jobs);
+    let first = chunks.next().expect("at least one chunk");
+    std::thread::scope(|scope| {
+        let rest: Vec<_> = chunks
+            .map(|r| scope.spawn(move || build(&origins[r])))
+            .collect();
+        let mut trees = build(&origins[first]);
+        for handle in rest {
+            trees.extend(handle.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        trees
+    })
+}
+
 impl FastConverge {
     /// Build over `graph`, tracking routing trees toward each of
-    /// `origins` (duplicates are fine).
+    /// `origins` (duplicates are fine). Same as
+    /// [`FastConverge::with_jobs`] at one job.
     ///
     /// # Panics
     /// Panics if an origin is not present in the graph.
     pub fn new(graph: AsGraph, origins: impl IntoIterator<Item = Asn>) -> Self {
+        Self::with_jobs(graph, origins, 1)
+    }
+
+    /// [`FastConverge::new`] with the routing trees built on up to
+    /// `jobs` threads (DESIGN.md §10). The sorted, deduplicated origins
+    /// are split into `min(jobs, origins)` contiguous chunks, each built
+    /// by its own [`RoutingTree::compute_many`]; a tree is a pure
+    /// function of (graph, origin), so concatenating the chunks in
+    /// order yields exactly the serial tree list at any `jobs`.
+    ///
+    /// # Panics
+    /// Panics if an origin is not present in the graph.
+    pub fn with_jobs(
+        graph: AsGraph,
+        origins: impl IntoIterator<Item = Asn>,
+        jobs: usize,
+    ) -> Self {
         let mut os: Vec<Asn> = origins.into_iter().collect();
         os.sort_unstable();
         os.dedup();
-        let trees: Vec<(Asn, Option<RoutingTree>)> = RoutingTree::compute_many(&graph, os)
-            .map(|t| {
-                let mut t = t.expect("tracked origin not in graph");
-                t.set_tracing(true);
-                (t.dest(), Some(t))
-            })
-            .collect();
+        let trees = build_trees(&graph, &os, jobs);
         let mut link_index = LinkIndex::new(&graph, trees.len());
         for (slot, (_, t)) in trees.iter().enumerate() {
-            link_index.seed(slot, t.as_ref().expect("tree present"));
+            link_index.seed(slot, t);
         }
         FastConverge {
             graph,
@@ -209,7 +252,6 @@ impl FastConverge {
             recomputes: 0,
             scratch: ReconvergeScratch::new(),
             cand_scratch: Vec::new(),
-            taken_scratch: Vec::new(),
         }
     }
 
@@ -224,7 +266,7 @@ impl FastConverge {
             .trees
             .binary_search_by(|(o, _)| o.cmp(&origin))
             .ok()?;
-        Some(self.trees[i].1.as_ref().expect("tree present"))
+        Some(&self.trees[i].1)
     }
 
     /// Tracked origins, ascending.
@@ -253,9 +295,24 @@ impl FastConverge {
             ..self.link_index.clone()
         };
         for (slot, (_, t)) in self.trees.iter().enumerate() {
-            fresh.seed(slot, t.as_ref().expect("tree present"));
+            fresh.seed(slot, t);
         }
         fresh.bits == self.link_index.bits
+    }
+
+    /// The origins the link→trees index holds for the currently-up link
+    /// `a`–`b`, ascending — the candidate set a down event on it would
+    /// reconverge. Empty when the link is not up. Test support, called
+    /// before [`FastConverge::apply`] to compare against `uses_link`.
+    #[doc(hidden)]
+    pub fn down_candidates(&self, a: Asn, b: Asn) -> Vec<Asn> {
+        let mut slots = Vec::new();
+        if self.graph.relationship(a, b).is_some() {
+            if let (Some(ia), Some(ib)) = (self.graph.index_of(a), self.graph.index_of(b)) {
+                self.link_index.union_into(ia, ib, &mut slots);
+            }
+        }
+        slots.into_iter().map(|slot| self.trees[slot].0).collect()
     }
 
     /// Apply a link change; returns the tracked origins whose trees
@@ -267,41 +324,6 @@ impl FastConverge {
     /// check at the endpoints for recoveries) skip trees the event
     /// provably cannot touch.
     pub fn apply(&mut self, change: LinkChange) -> Vec<Asn> {
-        // Lend out the owned scratch for the duration of the closure
-        // (it cannot borrow `self` while `apply_with` holds `&mut self`).
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let changed = self.apply_with(change, |graph, (a, b), trees| {
-            let _span = obs::prof::span("routing", "reconverge");
-            trees
-                .iter_mut()
-                .map(|(_, tree)| tree.reconverge_with(graph, a, b, &mut scratch))
-                .collect()
-        });
-        self.scratch = scratch;
-        changed
-    }
-
-    /// [`FastConverge::apply`] with the per-tree reconvergence delegated
-    /// to `recompute` — the seam the parallel month-replay engine uses
-    /// to shard candidate trees across worker threads (DESIGN.md §10).
-    ///
-    /// The graph mutation and candidate filtering happen here, exactly
-    /// as in the serial path. `recompute` then receives the mutated
-    /// graph, the event endpoints, and the candidate trees in
-    /// **ascending origin order**, and must return one changed flag per
-    /// candidate (same order), each the result of
-    /// [`RoutingTree::reconverge_after_link_event`] on that tree. A
-    /// tree's reconvergence reads only the shared graph and its own
-    /// state, so any execution order — including concurrent — produces
-    /// the flags of the serial loop.
-    ///
-    /// # Panics
-    /// Panics if `recompute` returns a different number of flags than
-    /// it was given trees.
-    pub fn apply_with<F>(&mut self, change: LinkChange, recompute: F) -> Vec<Asn>
-    where
-        F: FnOnce(&AsGraph, (Asn, Asn), &mut [(Asn, RoutingTree)]) -> Vec<bool>,
-    {
         let _span = obs::prof::span("routing", "apply");
         let LinkChange { a, b, up } = change;
         let k = key(a, b);
@@ -333,7 +355,6 @@ impl FastConverge {
             let rel_hi_from_lo = rel;
             let rel_lo_from_hi = invert(rel);
             for (slot, (_, tree)) in self.trees.iter().enumerate() {
-                let tree = tree.as_ref().expect("tree present");
                 let matters = Self::endpoint_gains_idx(
                     &self.graph, tree, ilo, ihi, k.1, rel_lo_from_hi, rel_hi_from_lo,
                 ) || Self::endpoint_gains_idx(
@@ -370,35 +391,25 @@ impl FastConverge {
         }
         self.recomputes += self.cand_scratch.len() as u64;
         obs::incr("routing", "tree_recomputes", self.cand_scratch.len() as u64);
-        // Move the candidate trees out of their slots so `recompute` can
-        // mutate them while reading the graph it was handed. Each trace
-        // is cleared here, before the recompute, so after `apply_with`
-        // every tree's trace holds exactly its latest reconvergence's
-        // transitions, which the collector's export refresh reads
-        // (DESIGN.md §20).
-        let mut taken = std::mem::take(&mut self.taken_scratch);
-        debug_assert!(taken.is_empty());
-        for &slot in &self.cand_scratch {
-            let (o, t) = &mut self.trees[slot];
-            let mut tree = t.take().expect("tree present");
-            tree.clear_trace();
-            taken.push((*o, tree));
-        }
-        let flags = recompute(&self.graph, (a, b), &mut taken);
-        assert_eq!(
-            flags.len(),
-            taken.len(),
-            "recompute must return one changed flag per candidate tree"
-        );
+        // Reconverge each candidate in place. Its trace is cleared just
+        // before the recompute, so afterwards every tree's trace holds
+        // exactly its latest reconvergence's transitions, which the
+        // collector's export refresh reads (DESIGN.md §20).
         let mut changed = Vec::new();
-        for ((&slot, (o, tree)), did_change) in
-            self.cand_scratch.iter().zip(taken.drain(..)).zip(flags)
         {
-            // Replay the reconvergence's next-hop trace into the index
-            // before the tree goes back into its slot. Traces compose
-            // in recording order, so the index lands on the post-event
-            // tree no matter how the hook scheduled the recomputes.
-            for &(v, old, new) in tree.trace() {
+            let _span = obs::prof::span("routing", "reconverge");
+            for &slot in &self.cand_scratch {
+                let (o, tree) = &mut self.trees[slot];
+                tree.clear_trace();
+                if tree.reconverge_with(&self.graph, a, b, &mut self.scratch) {
+                    changed.push(*o);
+                }
+            }
+        }
+        // Replay each reconvergence's next-hop trace into the index, so
+        // the index lands on the post-event trees.
+        for &slot in &self.cand_scratch {
+            for &(v, old, new) in self.trees[slot].1.trace() {
                 let v = v as usize;
                 if old != TRACE_UNROUTED && old as usize != v {
                     self.link_index.clear(v, old as usize, slot);
@@ -407,12 +418,7 @@ impl FastConverge {
                     self.link_index.set(v, new as usize, slot);
                 }
             }
-            self.trees[slot].1 = Some(tree);
-            if did_change {
-                changed.push(o);
-            }
         }
-        self.taken_scratch = taken;
         changed
     }
 
@@ -597,40 +603,21 @@ mod tests {
     }
 
     #[test]
-    fn apply_with_matches_apply_for_any_execution_order() {
-        use rand::prelude::*;
-        use rand::rngs::StdRng;
-        let links: Vec<(Asn, Asn)> = vec![
-            (Asn(1), Asn(2)),
-            (Asn(3), Asn(1)),
-            (Asn(4), Asn(1)),
-            (Asn(5), Asn(2)),
-            (Asn(6), Asn(2)),
-            (Asn(4), Asn(5)),
-            (Asn(7), Asn(3)),
-            (Asn(8), Asn(4)),
-            (Asn(8), Asn(5)),
-        ];
-        let origins: Vec<Asn> = diamond().asns().collect();
-        let mut serial = FastConverge::new(diamond(), origins.clone());
-        let mut hooked = FastConverge::new(diamond(), origins);
-        let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..60 {
-            let (a, b) = links[rng.gen_range(0..links.len())];
-            let change = LinkChange { a, b, up: rng.gen_bool(0.5) };
-            let want = serial.apply(change);
-            // Recompute candidates back to front: the changed flags (and
-            // therefore the affected-origin list) must not depend on the
-            // order the hook walks the trees in.
-            let got = hooked.apply_with(change, |graph, (a, b), trees| {
-                let mut flags = vec![false; trees.len()];
-                for i in (0..trees.len()).rev() {
-                    flags[i] = trees[i].1.reconverge_after_link_event(graph, a, b);
+    fn chunk_ranges_cover_the_origins_in_at_most_origin_count_chunks() {
+        for n in [0usize, 1, 2, 5, 17, 800] {
+            for jobs in [0usize, 1, 2, 3, 4, n + 5, usize::MAX] {
+                let ranges: Vec<Range<usize>> = chunk_ranges(n, jobs).collect();
+                // The chunk count is capped at the origin count (one
+                // empty chunk when there are none), so a huge `jobs`
+                // never spawns more threads than there are origins.
+                assert_eq!(ranges.len(), jobs.clamp(1, n.max(1)), "n {n}, jobs {jobs}");
+                // Contiguous and in order: concatenation is `0..n`.
+                let flat: Vec<usize> = ranges.iter().cloned().flatten().collect();
+                assert_eq!(flat, (0..n).collect::<Vec<_>>(), "n {n}, jobs {jobs}");
+                if n > 0 {
+                    assert!(ranges.iter().all(|r| !r.is_empty()), "n {n}, jobs {jobs}");
                 }
-                flags
-            });
-            assert_eq!(got, want);
-            assert_eq!(hooked.recomputes, serial.recomputes);
+            }
         }
     }
 }

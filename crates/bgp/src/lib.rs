@@ -52,7 +52,7 @@ mod table;
 pub use churn::{ChurnConfig, ChurnEvent, ChurnGenerator, LinkChange};
 pub use collector::{
     clean_session_resets, CleaningConfig, Collector, CollectorConfig, CollectorState,
-    FeedKind, SessionId, ShardTask, UpdateLog, UpdateRecord,
+    FeedKind, SessionId, UpdateLog, UpdateRecord,
 };
 pub use event::{EventSim, SimConfig, SimStats};
 pub use fast::FastConverge;

@@ -144,20 +144,15 @@ proptest! {
             } else {
                 Vec::new()
             };
-            let mut candidates: Vec<Asn> = Vec::new();
-            fc.apply_with(LinkChange { a, b, up }, |graph, (a, b), trees| {
-                candidates.extend(trees.iter().map(|(o, _)| *o));
-                trees
-                    .iter_mut()
-                    .map(|(_, tree)| tree.reconverge_after_link_event(graph, a, b))
-                    .collect()
-            });
             if !up {
+                // The candidate set the index yields for a down event,
+                // read before the event is applied.
                 prop_assert_eq!(
-                    &candidates, &reference,
+                    &fc.down_candidates(a, b), &reference,
                     "down-candidate set diverged from the uses_link scan for {}-{}", a, b
                 );
             }
+            fc.apply(LinkChange { a, b, up });
             prop_assert!(
                 fc.index_is_consistent(),
                 "index inconsistent after {:?} of {}-{}",

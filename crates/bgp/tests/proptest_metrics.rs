@@ -145,7 +145,7 @@ proptest! {
         }
     }
 
-    /// The §10 merge argument, as a property: shard a canonically
+    /// The session-order merge argument, as a property: split a canonically
     /// ordered log into per-session fragments (preserving each
     /// session's subsequence) and k-way-merge them back by
     /// `(time, session)` — the result is the original log, record for
@@ -164,7 +164,7 @@ proptest! {
         records.sort_by_key(|r| (r.at, r.session));
         let canonical = UpdateLog { records: records.clone() };
 
-        // Shard per session — the unit the parallel engine diffs.
+        // Split per session — the unit the collector diffs.
         let mut fragments: BTreeMap<SessionId, Vec<UpdateRecord>> = BTreeMap::new();
         for r in records {
             fragments.entry(r.session).or_default().push(r);

@@ -45,7 +45,7 @@ pub use feed::{
     month_fnv, FeedBinding, FeedClient, FeedConfig, FeedServer, FeedSlot, PushOutcome,
     ReconnectPolicy, StreamReport,
 };
-pub use parallel::{Parallelism, WorkerPool};
+pub use parallel::Parallelism;
 pub use scenario::{MonthResult, Scale, ScaleSpec, Scenario, ScenarioConfig};
 pub use supervise::{
     Admission, CellFailure, CellOutcome, CellResult, FailureKind, RestartDecision,

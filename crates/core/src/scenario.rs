@@ -21,7 +21,7 @@ use quicksand_bgp::{
 };
 use quicksand_net::{Asn, Ipv4Prefix, QsResult, QuicksandError, SimTime};
 use quicksand_obs as obs;
-use crate::parallel::{self, Parallelism};
+use crate::parallel::Parallelism;
 use quicksand_recover::{config_fingerprint, HookAction, MetricsState, PipelineSnapshot};
 use quicksand_topology::{GeneratedTopology, TopologyConfig, TopologyGenerator};
 use quicksand_tor::{
@@ -64,11 +64,12 @@ pub struct ScenarioConfig {
     pub n_control_origins: usize,
     /// Master seed for vantage/control sampling.
     pub seed: u64,
-    /// Execution width for the month replay. Serial by default (the
-    /// reference engine); any other value must — and, per the
-    /// differential harness, does — produce bitwise-identical output.
-    /// Excluded from [`ScenarioConfig::config_hash`], so checkpoints
-    /// are portable across jobs counts.
+    /// Execution width for the month replay: the threads its routing
+    /// trees are built on. Serial by default; any other value must —
+    /// and, per the differential harness, does — produce
+    /// bitwise-identical output. Excluded from
+    /// [`ScenarioConfig::fingerprint`], so checkpoints are portable
+    /// across jobs counts.
     pub parallelism: Parallelism,
 }
 
@@ -99,7 +100,7 @@ pub enum Scale {
     Small,
     /// 800 ASes, two weeks of churn — the historical bench tier.
     Medium,
-    /// 20k ASes, ~110k tracked prefixes, 500 sessions — the
+    /// 20k ASes, ~110k tracked prefixes, 16 sessions — the
     /// Internet-scale bench tier.
     Large,
     /// An explicit spec, e.g. parsed from `--scale=n_ases=50000,...`.
@@ -351,7 +352,7 @@ impl ScenarioConfig {
     }
 
     /// The Internet-scale configuration: 20k ASes on the regional
-    /// generator path, ~110k tracked prefixes, 500 sessions, two days
+    /// generator path, ~110k tracked prefixes, 16 sessions, two days
     /// of thinned churn. Equivalent to `at_scale(&Scale::Large, seed)`.
     pub fn large(seed: u64) -> Self {
         ScenarioConfig::at_scale(&Scale::Large, seed)
@@ -635,7 +636,11 @@ impl Scenario {
         drop(prep_span);
 
         let init_span = obs::prof::span("fast", "init");
-        let mut fc = FastConverge::new(self.topo.graph.clone(), origins.iter().copied());
+        let mut fc = FastConverge::with_jobs(
+            self.topo.graph.clone(),
+            origins.iter().copied(),
+            self.config.parallelism.jobs(),
+        );
         drop(init_span);
         let mut collector = Collector::new(&self.session_peers, &self.config.collector)?;
         let mut log = UpdateLog::default();
@@ -709,11 +714,6 @@ impl Scenario {
             None => 0,
         };
 
-        // Sharded engine, engaged only off the serial default. Event
-        // application and collector observation both run at the pool's
-        // width with output proven (tests/parallel_equivalence.rs)
-        // bitwise-identical to the serial reference.
-        let pool = self.config.parallelism.pool();
         let prefixes_of = |o: Asn| prefixes_by_origin.get(&o).map_or(&[][..], |v| v.as_slice());
         // Every observation — the two full dumps included — diffs the
         // per-session dirty-origin lists `dirty` (DESIGN.md §16).
@@ -723,18 +723,7 @@ impl Scenario {
                        dirty: &[Vec<Asn>],
                        cache: &ExportCache| {
             let exported = |peer: Asn, origin: Asn| cache.get(origin, peer);
-            match &pool {
-                Some(pool) => collector.observe_dirty_sharded(
-                    at,
-                    dirty,
-                    &prefixes_of,
-                    &exported,
-                    log,
-                    pool.jobs(),
-                    |tasks| pool.run_region(tasks),
-                ),
-                None => collector.observe_dirty(at, dirty, &prefixes_of, &exported, log),
-            }
+            collector.observe_dirty(at, dirty, &prefixes_of, &exported, log);
         };
         // A full dump is the dirty path with every origin dirty on every
         // session. Tracked prefixes grouped by ascending origin are in
@@ -802,10 +791,7 @@ impl Scenario {
                 }
                 let affected = {
                     let _span = obs::prof::span("churn", "apply");
-                    match &pool {
-                        Some(pool) => parallel::apply_event_sharded(&mut fc, ev.change, pool),
-                        None => fc.apply(ev.change),
-                    }
+                    fc.apply(ev.change)
                 };
                 if !affected.is_empty() {
                     // Only the changed trees advanced their epochs, so

@@ -98,8 +98,8 @@ pub fn probe_count() -> u64 {
 }
 
 /// Make `tree` visible to [`capture`]. Threads' implicit default
-/// trees self-register; explicitly created trees (worker-pool slots)
-/// must be registered once by their owner. Registering the same tree
+/// trees self-register; explicitly created trees must be registered
+/// once by their owner. Registering the same tree
 /// twice is a no-op.
 pub fn register_tree(tree: &Arc<SpanTree>) {
     let mut trees = TREES.lock().unwrap_or_else(|e| e.into_inner());
@@ -215,7 +215,7 @@ impl Profile {
 }
 
 /// Aggregate every registered tree into a [`Profile`]. Nodes with the
-/// same call path (across threads/worker slots) are merged. Cold path:
+/// same call path (across threads) are merged. Cold path:
 /// allocates freely.
 pub fn capture() -> Profile {
     let mut merged: BTreeMap<String, ProfileEntry> = BTreeMap::new();

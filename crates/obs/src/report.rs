@@ -453,16 +453,15 @@ impl RunReport {
     /// Project the report down to its *deterministic* content: the part
     /// that must be bitwise-identical between an uninterrupted run and
     /// an interrupted-then-resumed run of the same scenario, and
-    /// between a serial run and a sharded (`--jobs N`) run.
+    /// between runs at any `--jobs` width.
     ///
     /// What goes: everything wall-clock (per-stage `wall_ms` totals in
     /// the stage table and the histogram snapshot, the `replay_rate`
-    /// gauge), everything describing the recovery machinery itself
-    /// (`recover`-stage metrics — an uninterrupted baseline has none by
-    /// definition), and everything describing the execution engine
-    /// (`parallel`-stage metrics — shard timings and fan-out counts
-    /// exist only off the serial reference). What stays: stage call
-    /// counts, every other counter and gauge, and the alarm timeline.
+    /// gauge), and everything describing the recovery and supervision
+    /// machinery itself (`recover`- and `supervisor`-stage metrics — an
+    /// uninterrupted baseline has none by definition). What stays:
+    /// stage call counts, every other counter and gauge, and the alarm
+    /// timeline.
     pub fn normalized(&self) -> RunReport {
         let mut out = self.clone();
         for s in &mut out.stages {
@@ -471,9 +470,7 @@ impl RunReport {
             s.wall_ms_p95 = 0.0;
             s.wall_ms_max = 0.0;
         }
-        let engine = |stage: &str| {
-            stage == "recover" || stage == "parallel" || stage == "supervisor"
-        };
+        let engine = |stage: &str| stage == "recover" || stage == "supervisor";
         out.stages.retain(|s| !engine(&s.stage));
         out.metrics.counters.retain(|c| !engine(&c.stage));
         out.metrics
@@ -720,9 +717,6 @@ mod tests {
     fn normalized_strips_wall_clock_and_recover_stage() {
         let r = full_registry();
         r.incr(Key::stage("recover", "saves"), 2);
-        r.incr(Key::stage("parallel", "regions"), 9);
-        r.gauge(Key::stage("parallel", "jobs"), 4.0);
-        r.observe(Key::stage("parallel", "shard_busy_ms"), 12.0);
         r.gauge(Key::stage("churn", "replay_rate"), 1234.5);
         r.gauge(Key::stage("topology", "ases"), 500.0);
         let rep = RunReport::assemble("x", &r.snapshot(), &[]);
@@ -731,14 +725,10 @@ mod tests {
             && s.wall_ms_mean == 0.0
             && s.wall_ms_p95 == 0.0
             && s.wall_ms_max == 0.0));
-        // Call counts survive; wall histograms, recover metrics, and
-        // execution-engine (parallel) metrics go — a serial run and a
-        // sharded run normalize to the same report.
+        // Call counts survive; wall histograms and recover metrics go.
         assert!(norm.stages.iter().all(|s| s.calls > 0));
         assert!(norm.metrics.histograms.is_empty());
         assert!(!norm.metrics.counters.iter().any(|c| c.stage == "recover"));
-        assert!(!norm.metrics.counters.iter().any(|c| c.stage == "parallel"));
-        assert!(!norm.metrics.gauges.iter().any(|g| g.stage == "parallel"));
         assert!(!norm.metrics.gauges.iter().any(|g| g.name == "replay_rate"));
         assert!(norm.metrics.gauges.iter().any(|g| g.name == "ases"));
     }

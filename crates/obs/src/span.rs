@@ -111,7 +111,7 @@ pub struct SpanNodeStats {
     pub buckets: [u64; SPAN_LATENCY_BUCKETS],
 }
 
-/// One thread's (or worker slot's) span call-tree.
+/// One thread's span call-tree.
 ///
 /// Cheap to share (`Arc`), internally mutexed; the lock is held for a
 /// handful of integer updates per span exit. Register with
@@ -322,9 +322,9 @@ fn current_tree() -> Arc<SpanTree> {
 }
 
 /// Run `f` with `tree` as this thread's span destination (restored on
-/// exit, including on panic). Worker pools keep one pre-registered
-/// tree per slot and reuse it across scoped-thread regions, so
-/// short-lived threads never grow the global tree list.
+/// exit, including on panic). A caller that keeps one pre-registered
+/// tree and reuses it across short-lived threads never grows the
+/// global tree list.
 pub fn with_tree<R>(tree: &Arc<SpanTree>, f: impl FnOnce() -> R) -> R {
     let prev = TREE.with(|t| t.borrow_mut().replace(tree.clone()));
     struct Restore(Option<Arc<SpanTree>>);

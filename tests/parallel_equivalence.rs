@@ -1,14 +1,13 @@
-//! Differential harness for the parallel month-replay engine (DESIGN.md
-//! §10): across a grid of seeds × scenario sizes × jobs ∈ {1, 2, 4, 8},
-//! the sharded engine must produce a `MonthResult` whose MRT encoding
-//! and a normalized `RunReport` whose JSON serialization are **byte
-//! identical** to the serial reference — including when the parallel
-//! run is interrupted at a checkpoint and resumed at a *different*
-//! width (checkpoints carry no execution-width identity).
+//! Differential harness for `--jobs` (DESIGN.md §10, routing trees
+//! built in parallel chunks): across a grid of seeds × scenario sizes ×
+//! jobs ∈ {1, 2, 4, 8}, a run must produce a `MonthResult` whose MRT
+//! encoding and a normalized `RunReport` whose JSON serialization are
+//! **byte identical** to the serial reference — including when a
+//! parallel run is interrupted at a checkpoint and resumed at a
+//! *different* width (checkpoints carry no execution-width identity).
 //!
 //! Each run gets its own metrics registry and event buffer, mirroring
-//! separate processes; worker shards record into the pool's captured
-//! registry, so per-run reports are complete and isolated.
+//! separate processes, so per-run reports are complete and isolated.
 
 use quicksand_bgp::mrt;
 use quicksand_core::parallel::Parallelism;

@@ -1,14 +1,12 @@
 //! Telemetry-plane integration (DESIGN.md §13): the JSONL sink stays
-//! line-atomic when every worker-pool thread emits through it at once,
-//! across the same `--jobs` widths the replay engine uses.
+//! line-atomic when 2, 4 and 8 threads emit through it at once.
 //!
-//! The worker pool re-installs the constructing thread's subscriber on
-//! each pool thread, so a single [`JsonlSubscriber`] receives genuinely
+//! Each emitter thread installs the one shared [`JsonlSubscriber`]
+//! through `obs::with_subscriber`, so the sink receives genuinely
 //! concurrent `emit` calls — exactly the situation where a torn write
 //! would interleave two JSON objects on one line.
 
-use quicksand_core::parallel::WorkerPool;
-use quicksand_obs::{self as obs, Event, JsonlSubscriber, Level};
+use quicksand_obs::{self as obs, Event, JsonlSubscriber, Level, Subscriber};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -24,41 +22,38 @@ fn jsonl_lines_stay_atomic_under_concurrent_worker_emits() {
 
     for &jobs in &[2usize, 4, 8] {
         let path = dir.join(format!("events-{jobs}.jsonl"));
-        // More tasks than slots, so slots are reused and threads run
-        // long enough to overlap.
+        // More tasks than emitters, handed out round-robin, so each
+        // thread runs long enough to overlap the others.
         let n_tasks = jobs as u64 * 3 + 1;
-        let jsonl: Arc<dyn obs::Subscriber> =
+        let jsonl: Arc<dyn Subscriber> =
             Arc::new(JsonlSubscriber::create(&path).unwrap());
-        obs::with_subscriber(jsonl, || {
-            // Construct the pool *inside* the override: it captures the
-            // calling thread's subscriber for its workers.
-            let pool = WorkerPool::new(jobs);
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..n_tasks)
-                .map(|t| {
-                    Box::new(move || {
-                        for k in 0..EVENTS_PER_TASK {
-                            // A long message makes a torn write far
-                            // more likely to straddle buffer flushes.
-                            obs::emit(
-                                Event::new(
-                                    Level::Info,
-                                    "parallel",
-                                    "burst",
-                                    format!(
-                                        "task {t} event {k} {}",
-                                        "x".repeat(96)
-                                    ),
-                                )
-                                .with("task", t)
-                                .with("k", k),
-                            );
-                        }
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run_region(tasks);
-            obs::flush();
+        let emit_task = |t: u64| {
+            for k in 0..EVENTS_PER_TASK {
+                // A long message makes a torn write far more likely to
+                // straddle buffer flushes.
+                obs::emit(
+                    Event::new(
+                        Level::Info,
+                        "parallel",
+                        "burst",
+                        format!("task {t} event {k} {}", "x".repeat(96)),
+                    )
+                    .with("task", t)
+                    .with("k", k),
+                );
+            }
+        };
+        std::thread::scope(|scope| {
+            for emitter in 0..jobs as u64 {
+                let jsonl = Arc::clone(&jsonl);
+                scope.spawn(move || {
+                    obs::with_subscriber(jsonl, || {
+                        (emitter..n_tasks).step_by(jobs).for_each(emit_task);
+                    })
+                });
+            }
         });
+        jsonl.flush();
 
         let text = std::fs::read_to_string(&path).unwrap();
         let mut bursts: BTreeSet<(u64, u64)> = BTreeSet::new();
