@@ -11,16 +11,15 @@
 //! Per event, a tree is recomputed only when it can actually change:
 //!
 //! * **link down** — only if the link carries traffic in that tree;
-//! * **link up** — only if the new link would offer either endpoint a
-//!   route that beats (or ties and displaces, via the deterministic
-//!   tie-break) its current one under the decision process.
+//! * **link up** — only if [`RoutingTree::must_redecide`] holds at
+//!   either endpoint: the other endpoint's route may be exported over
+//!   the new link and beats the endpoint's current one under the
+//!   decision process (DESIGN.md §21).
 
 use crate::churn::LinkChange;
 use quicksand_net::Asn;
 use quicksand_obs as obs;
-use quicksand_topology::{
-    AsGraph, ReconvergeScratch, Relationship, RouteClass, RoutingTree, TRACE_UNROUTED,
-};
+use quicksand_topology::{AsGraph, ReconvergeScratch, Relationship, RoutingTree, TRACE_UNROUTED};
 use std::ops::Range;
 
 /// Inverted link→trees index: for every *directed* tree edge
@@ -164,14 +163,6 @@ fn key(a: Asn, b: Asn) -> (Asn, Asn) {
         (a, b)
     } else {
         (b, a)
-    }
-}
-
-fn invert(rel: Relationship) -> Relationship {
-    match rel {
-        Relationship::Customer => Relationship::Provider,
-        Relationship::Provider => Relationship::Customer,
-        Relationship::Peer => Relationship::Peer,
     }
 }
 
@@ -320,9 +311,9 @@ impl FastConverge {
     ///
     /// Each candidate tree is updated by the exact incremental
     /// reconvergence of [`RoutingTree::reconverge_after_link_event`];
-    /// cheap pre-filters (`uses_link` for failures, the decision-process
-    /// check at the endpoints for recoveries) skip trees the event
-    /// provably cannot touch.
+    /// cheap pre-filters (the link→trees index for failures,
+    /// [`RoutingTree::must_redecide`] at both endpoints for recoveries)
+    /// skip trees the event provably cannot touch.
     pub fn apply(&mut self, change: LinkChange) -> Vec<Asn> {
         let _span = obs::prof::span("routing", "apply");
         let LinkChange { a, b, up } = change;
@@ -345,22 +336,19 @@ impl FastConverge {
                     self.graph.add_customer_provider(k.0, k.1).unwrap()
                 }
             }
-            // Resolve endpoint indices and the two relationship views
-            // once per event, not once per tracked tree.
+            // Resolve endpoint indices once per event, not once per
+            // tracked tree. The link was down, so neither endpoint
+            // routes over it: a tree can change only if the link offers
+            // one endpoint a better route.
             let (Some(ilo), Some(ihi)) =
                 (self.graph.index_of(k.0), self.graph.index_of(k.1))
             else {
                 unreachable!("link endpoints are in the graph");
             };
-            let rel_hi_from_lo = rel;
-            let rel_lo_from_hi = invert(rel);
             for (slot, (_, tree)) in self.trees.iter().enumerate() {
-                let matters = Self::endpoint_gains_idx(
-                    &self.graph, tree, ilo, ihi, k.1, rel_lo_from_hi, rel_hi_from_lo,
-                ) || Self::endpoint_gains_idx(
-                    &self.graph, tree, ihi, ilo, k.0, rel_hi_from_lo, rel_lo_from_hi,
-                );
-                if matters {
+                if tree.must_redecide(&self.graph, ilo, ihi, Some(rel.reversed()))
+                    || tree.must_redecide(&self.graph, ihi, ilo, Some(rel))
+                {
                     self.cand_scratch.push(slot);
                 }
             }
@@ -420,56 +408,6 @@ impl FastConverge {
             }
         }
         changed
-    }
-
-    /// Would `at` select a route via `via` for this tree's destination?
-    ///
-    /// Index-addressed form of the decision-process check: node indices
-    /// and both relationship views are resolved once per *event* by the
-    /// caller, so the per-tree work is a few array reads. Must decide
-    /// exactly like the reference (`class`/`dist`/`next_hop` by ASN with
-    /// the lowest-next-hop-ASN tie-break) — the affected-origin lists
-    /// and the `recomputes` counter are pinned by the differential
-    /// harness.
-    fn endpoint_gains_idx(
-        graph: &AsGraph,
-        tree: &RoutingTree,
-        at: usize,
-        via: usize,
-        via_asn: Asn,
-        rel_of_at_from_via: Relationship,
-        rel_of_via_from_at: Relationship,
-    ) -> bool {
-        let Some((via_class, via_dist, via_next)) = tree.route_at_idx(via) else {
-            return false; // via has no route to offer
-        };
-        // Export legality at `via`: own/customer routes go to anyone;
-        // peer/provider routes only to via's customers.
-        let exportable = matches!(via_class, RouteClass::Origin | RouteClass::Customer)
-            || rel_of_at_from_via == Relationship::Customer;
-        if !exportable {
-            return false;
-        }
-        // Never route back through yourself.
-        if via_next == at {
-            return false;
-        }
-        let cand_class = match rel_of_via_from_at {
-            Relationship::Customer => RouteClass::Customer,
-            Relationship::Peer => RouteClass::Peer,
-            Relationship::Provider => RouteClass::Provider,
-        };
-        let cand_dist = via_dist + 1;
-        match tree.route_at_idx(at) {
-            None => true,
-            Some((cur_class, cur_dist, cur_next)) => {
-                if cur_class == RouteClass::Origin {
-                    return false;
-                }
-                let cur_next_asn = graph.asn_of(cur_next);
-                (cand_class, cand_dist, via_asn) < (cur_class, cur_dist, cur_next_asn)
-            }
-        }
     }
 }
 
@@ -533,35 +471,25 @@ mod tests {
 
     #[test]
     fn unrelated_link_event_skips_recompute() {
+        // Raising an up link or failing a down one recomputes no tree.
         let mut fc = FastConverge::new(diamond(), [Asn(8)]);
-        // 9–6 carries no traffic toward 8's prefix except 9's own.
-        // It does carry 9's traffic, so use 7–3 instead? 7 routes via 3.
-        // Every stub's access link carries its own traffic, so use a
-        // link that is genuinely unused: none in a tree spanning all ASes.
-        // Instead verify the filter via link-up of an already-up link
-        // (no-op) and down of an already-down link.
         assert_eq!(fc.apply(LinkChange::up(Asn(9), Asn(6))), vec![]);
+        assert_eq!(fc.recomputes, 0);
         fc.apply(LinkChange::down(Asn(9), Asn(6)));
+        assert_eq!(fc.recomputes, 1);
         assert_eq!(fc.apply(LinkChange::down(Asn(9), Asn(6))), vec![]);
+        assert_eq!(fc.recomputes, 1);
     }
 
     #[test]
     fn link_up_that_cannot_improve_is_skipped() {
-        // Take down 9–6 (9 isolated), then 4–8: tree for 8 reroutes.
-        // Bringing 9–6 back up: 9 gains a route to 8, so it *does*
-        // matter. Instead check a peering that can't win: 4===5 peer
-        // link down/up for destination 8 — wait, that link matters for 4
-        // only if 4 lost its customer route. With 4–8 intact, 4 has a
-        // dist-1 customer route; the peer route via 5 can't beat it, and
-        // 5 has a dist-1 customer route too. So 4===5 up is a no-op for
-        // destination 8 once it is down.
+        // Toward 8, 4 and 5 both hold one-hop customer routes: their
+        // peering carries no traffic, and its return beats neither.
         let mut fc = FastConverge::new(diamond(), [Asn(8)]);
-        let affected = fc.apply(LinkChange::down(Asn(4), Asn(5)));
-        // The peer link carries no traffic in 8's tree (both have
-        // customer routes), so even the down is a no-op.
-        assert_eq!(affected, vec![]);
-        let affected = fc.apply(LinkChange::up(Asn(4), Asn(5)));
-        assert_eq!(affected, vec![]);
+        assert_eq!(fc.apply(LinkChange::down(Asn(4), Asn(5))), vec![]);
+        assert_eq!(fc.recomputes, 0);
+        assert_eq!(fc.apply(LinkChange::up(Asn(4), Asn(5))), vec![]);
+        assert_eq!(fc.recomputes, 0);
     }
 
     #[test]

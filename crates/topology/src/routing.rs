@@ -131,6 +131,21 @@ fn offer(
     }
 }
 
+/// The class of the route `e` as offered to a node that sees its
+/// holder as `rel_of_holder`, or `None` when export policy withholds
+/// it: own and customer routes go to anyone, peer and provider routes
+/// only to the holder's customers (the node is the holder's customer
+/// iff the holder is its provider).
+fn offered_class(e: Entry, rel_of_holder: Relationship) -> Option<RouteClass> {
+    let exportable = matches!(e.class, RouteClass::Origin | RouteClass::Customer)
+        || rel_of_holder == Relationship::Provider;
+    exportable.then_some(match rel_of_holder {
+        Relationship::Customer => RouteClass::Customer,
+        Relationship::Peer => RouteClass::Peer,
+        Relationship::Provider => RouteClass::Provider,
+    })
+}
+
 /// Sentinel node id in a [`RoutingTree`] trace entry: "no route", i.e.
 /// the node had (or ends up with) no next hop at all.
 pub const TRACE_UNROUTED: u32 = u32::MAX;
@@ -480,15 +495,17 @@ impl RoutingTree {
     ///
     /// This runs the distributed decision process as a worklist
     /// ("re-decide a node from its neighbors' current routes; if its
-    /// best changed, re-examine its neighbors"), seeded with the link
-    /// endpoints — exactly how the change propagates in BGP. Under
+    /// best changed, re-decide the neighbors it can move"), seeded with
+    /// the link endpoints the event can move — exactly how the change
+    /// propagates in BGP. A node is queued only when
+    /// [`RoutingTree::must_redecide`] holds (DESIGN.md §21). Under
     /// Gao–Rexford policies the process is safe (no dispute wheel), so
     /// it terminates in the unique stable state, which equals a full
     /// [`RoutingTree::compute`]; a work budget guards the theory and
     /// falls back to the full recomputation if ever exhausted.
     ///
     /// Returns `true` if any node's route changed. Cost is proportional
-    /// to the region of the tree the change actually touches — O(1) for
+    /// to the region of the tree the change actually moves — O(1) for
     /// a leaf access link, larger for core links.
     pub fn reconverge_after_link_event(&mut self, graph: &AsGraph, a: Asn, b: Asn) -> bool {
         self.reconverge_with(graph, a, b, &mut ReconvergeScratch::new())
@@ -507,9 +524,17 @@ impl RoutingTree {
         let n = graph.len();
         debug_assert_eq!(n, self.entries.len(), "graph node set changed");
         scratch.begin(n);
-        for x in [a, b] {
-            if let Some(i) = graph.index_of(x) {
-                scratch.push(i);
+        if let (Some(ia), Some(ib)) = (graph.index_of(a), graph.index_of(b)) {
+            // `b` as `a` sees it; `None` after a failure, when only an
+            // endpoint that routed over the link has to move.
+            let rel_of_b = graph.relationship(a, b);
+            for (at, via, rel) in [
+                (ia, ib, rel_of_b.map(Relationship::reversed)),
+                (ib, ia, rel_of_b),
+            ] {
+                if self.must_redecide(graph, at, via, rel) {
+                    scratch.push(at);
+                }
             }
         }
         let mut changed_any = false;
@@ -552,8 +577,10 @@ impl RoutingTree {
                 }
                 self.entries[v] = new;
                 changed_any = true;
-                for &(w, _) in graph.neighbors_idx(v) {
-                    scratch.push(w);
+                for &(w, rel) in graph.neighbors_idx(v) {
+                    if self.must_redecide(graph, w, v, Some(rel)) {
+                        scratch.push(w);
+                    }
                 }
             }
         }
@@ -561,6 +588,49 @@ impl RoutingTree {
             self.epoch += 1;
         }
         changed_any
+    }
+
+    /// Can node `at`'s decision change now that `via`'s entry has
+    /// changed, or the link `via`–`at` has come up? `rel` is `at` as
+    /// `via` sees it, `None` when the link is down. `at` must re-decide
+    /// iff
+    ///
+    /// 1. its next hop is `via`, or
+    /// 2. `via` has a route that may be exported to `at` (own and
+    ///    customer routes to anyone, others to customers only), whose
+    ///    next hop is not `at`, and whose offer beats `at`'s current
+    ///    route by (class, length, next-hop ASN) — or `at` is unrouted.
+    ///
+    /// The decision process takes the best legal offer of `at`'s
+    /// neighbors and only `via`'s offer moved, so in a consistent tree
+    /// nothing else can move `at` (DESIGN.md §21).
+    pub fn must_redecide(
+        &self,
+        graph: &AsGraph,
+        at: usize,
+        via: usize,
+        rel: Option<Relationship>,
+    ) -> bool {
+        let cur = self.entries[at];
+        if cur.is_some_and(|e| e.next as usize == via) {
+            return true;
+        }
+        let (Some(rel), Some(offer)) = (rel, self.entries[via]) else {
+            return false;
+        };
+        let Some(class) = offered_class(offer, rel.reversed()) else {
+            return false;
+        };
+        if offer.next as usize == at {
+            return false;
+        }
+        match cur {
+            None => true,
+            Some(e) => {
+                (class, offer.dist + 1, graph.asn_of(via))
+                    < (e.class, e.dist, graph.asn_of(e.next as usize))
+            }
+        }
     }
 
     /// The decision process at node `v` over its neighbors' current
@@ -578,18 +648,8 @@ impl RoutingTree {
         let mut best: Option<(RouteClass, u32, Asn, usize)> = None;
         for &(nb, rel_of_nb) in graph.neighbors_idx(v) {
             let Some(e) = self.entries[nb] else { continue };
-            // Export legality at the neighbor: own/customer routes go to
-            // anyone; peer/provider routes only to the neighbor's
-            // customers (v is nb's customer iff nb is v's provider).
-            let exportable = matches!(e.class, RouteClass::Origin | RouteClass::Customer)
-                || rel_of_nb == Relationship::Provider;
-            if !exportable {
+            let Some(class) = offered_class(e, rel_of_nb) else {
                 continue;
-            }
-            let class = match rel_of_nb {
-                Relationship::Customer => RouteClass::Customer,
-                Relationship::Peer => RouteClass::Peer,
-                Relationship::Provider => RouteClass::Provider,
             };
             let cand = (class, e.dist + 1, graph.asn_of(nb), nb);
             let better = match &best {

@@ -92,8 +92,8 @@ fn month_replay_is_bitwise_identical_across_jobs_grid() {
 }
 
 /// The second scenario size: the full `small()` configuration (a week,
-/// twelve sessions — enough live sessions and prefixes that collector
-/// diffing genuinely shards) at the widths CI smokes.
+/// twelve sessions — enough tracked origins that every width builds
+/// the routing trees in `jobs` chunks) at the widths CI smokes.
 #[test]
 fn small_scenario_is_bitwise_identical_at_higher_widths() {
     let (base_month, base_report) = run_with_jobs(ScenarioConfig::small(0xD1FF), 1);
@@ -108,12 +108,13 @@ fn small_scenario_is_bitwise_identical_at_higher_widths() {
     }
 }
 
-/// Checkpoint semantics under sharding: interrupt a jobs = 4 run at its
+/// Checkpoint semantics across widths: interrupt a jobs = 4 run at its
 /// second checkpoint, resume the snapshot at jobs = 2, and the result
 /// must still be bitwise-identical to the uninterrupted serial run.
-/// Works because the checkpoint cursor counts *fully processed events*
-/// (sharding never splits an event across a checkpoint boundary) and
-/// `Parallelism` is excluded from the config fingerprint.
+/// Works because `--jobs` only chunks tree construction — the resumed
+/// run rebuilds the same trees at any width and replays events
+/// serially from the checkpoint cursor — and `Parallelism` is excluded
+/// from the config fingerprint.
 #[test]
 fn checkpointed_parallel_run_resumes_bitwise_identical_across_widths() {
     let (base_month, base_report) = run_with_jobs(tiny(0xCAFE), 1);
