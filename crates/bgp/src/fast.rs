@@ -55,6 +55,16 @@ struct LinkIndex {
     bits: Vec<u64>,
 }
 
+/// The edge id of `from → to` in a [`LinkIndex`]'s `start`/`to`
+/// arrays, if `to` is a base-graph neighbor of `from`.
+fn edge_of(start: &[usize], to: &[u32], from: usize, target: usize) -> Option<usize> {
+    let (lo, hi) = (start[from], start[from + 1]);
+    let pos = to[lo..hi]
+        .binary_search(&u32::try_from(target).ok()?)
+        .ok()?;
+    Some(lo + pos)
+}
+
 impl LinkIndex {
     /// An empty index over the directed edges of `graph`.
     fn new(graph: &AsGraph, n_slots: usize) -> Self {
@@ -83,11 +93,7 @@ impl LinkIndex {
 
     /// The edge id of `from → to`, if `to` is a base-graph neighbor.
     fn edge(&self, from: usize, to: usize) -> Option<usize> {
-        let (lo, hi) = (self.start[from], self.start[from + 1]);
-        let pos = self.to[lo..hi]
-            .binary_search(&u32::try_from(to).ok()?)
-            .ok()?;
-        Some(lo + pos)
+        edge_of(&self.start, &self.to, from, to)
     }
 
     /// The bit for `slot` in edge `from → to`.
@@ -109,11 +115,19 @@ impl LinkIndex {
         *word &= !mask;
     }
 
-    /// Record every tree edge of `tree` under `slot`.
+    /// Record every tree edge of `tree` under `slot`: the slot's word
+    /// row and bit are resolved once, then each edge is one lookup and
+    /// one OR into that row.
     fn seed(&mut self, slot: usize, tree: &RoutingTree) {
+        let n_edges = self.to.len();
+        let w = slot / 64;
+        let row = &mut self.bits[w * n_edges..(w + 1) * n_edges];
+        let mask = 1u64 << (slot % 64);
         for (v, next) in tree.next_hops() {
             if v != next {
-                self.set(v, next, slot);
+                let e = edge_of(&self.start, &self.to, v, next)
+                    .expect("next hop is a base-graph neighbor");
+                row[e] |= mask;
             }
         }
     }
@@ -229,11 +243,18 @@ impl FastConverge {
         let mut os: Vec<Asn> = origins.into_iter().collect();
         os.sort_unstable();
         os.dedup();
-        let trees = build_trees(&graph, &os, jobs);
-        let mut link_index = LinkIndex::new(&graph, trees.len());
-        for (slot, (_, t)) in trees.iter().enumerate() {
-            link_index.seed(slot, t);
-        }
+        let trees = {
+            let _span = obs::prof::span("routing", "build");
+            build_trees(&graph, &os, jobs)
+        };
+        let link_index = {
+            let _span = obs::prof::span("routing", "index_seed");
+            let mut link_index = LinkIndex::new(&graph, trees.len());
+            for (slot, (_, t)) in trees.iter().enumerate() {
+                link_index.seed(slot, t);
+            }
+            link_index
+        };
         FastConverge {
             graph,
             trees,
@@ -310,70 +331,16 @@ impl FastConverge {
     /// actually changed (some path differs from before the event).
     ///
     /// Each candidate tree is updated by the exact incremental
-    /// reconvergence of [`RoutingTree::reconverge_after_link_event`];
+    /// reconvergence of [`RoutingTree::reconverge_with`], addressed by
+    /// the endpoint indices and relationship this event resolves once;
     /// cheap pre-filters (the link→trees index for failures,
     /// [`RoutingTree::must_redecide`] at both endpoints for recoveries)
     /// skip trees the event provably cannot touch.
     pub fn apply(&mut self, change: LinkChange) -> Vec<Asn> {
         let _span = obs::prof::span("routing", "apply");
-        let LinkChange { a, b, up } = change;
-        let k = key(a, b);
-        self.cand_scratch.clear();
-        if up {
-            let Ok(pos) = self.down_keys.binary_search(&k) else {
-                return Vec::new(); // link was not down; nothing to do
-            };
-            let (_, rel) = self.down.remove(pos);
-            self.down_keys.remove(pos);
-            // Restore: rel is relationship of k.1 (hi) from k.0 (lo).
-            match rel {
-                Relationship::Peer => self.graph.add_peering(k.0, k.1).unwrap(),
-                Relationship::Customer => {
-                    // hi is lo's customer ⇒ hi buys transit from lo.
-                    self.graph.add_customer_provider(k.1, k.0).unwrap()
-                }
-                Relationship::Provider => {
-                    self.graph.add_customer_provider(k.0, k.1).unwrap()
-                }
-            }
-            // Resolve endpoint indices once per event, not once per
-            // tracked tree. The link was down, so neither endpoint
-            // routes over it: a tree can change only if the link offers
-            // one endpoint a better route.
-            let (Some(ilo), Some(ihi)) =
-                (self.graph.index_of(k.0), self.graph.index_of(k.1))
-            else {
-                unreachable!("link endpoints are in the graph");
-            };
-            for (slot, (_, tree)) in self.trees.iter().enumerate() {
-                if tree.must_redecide(&self.graph, ilo, ihi, Some(rel.reversed()))
-                    || tree.must_redecide(&self.graph, ihi, ilo, Some(rel))
-                {
-                    self.cand_scratch.push(slot);
-                }
-            }
-        } else {
-            let Some(rel) = self.graph.relationship(k.0, k.1) else {
-                return Vec::new(); // already down
-            };
-            let pos = self
-                .down_keys
-                .binary_search(&k)
-                .expect_err("up link cannot be in the down set");
-            self.down.insert(pos, (k, rel));
-            self.down_keys.insert(pos, k);
-            self.graph.remove_link(k.0, k.1).unwrap();
-            let (Some(ilo), Some(ihi)) =
-                (self.graph.index_of(k.0), self.graph.index_of(k.1))
-            else {
-                unreachable!("link endpoints are in the graph");
-            };
-            // A tree can change only if the failed link carried traffic
-            // in it — exactly the trees the inverted index holds for
-            // the link's two directions (ascending slot = ascending
-            // origin, preserving the candidate order).
-            self.link_index.union_into(ilo, ihi, &mut self.cand_scratch);
-        }
+        let Some((ia, ib, rel_of_b)) = self.edit_and_filter(change) else {
+            return Vec::new();
+        };
         if self.cand_scratch.is_empty() {
             return Vec::new();
         }
@@ -389,13 +356,14 @@ impl FastConverge {
             for &slot in &self.cand_scratch {
                 let (o, tree) = &mut self.trees[slot];
                 tree.clear_trace();
-                if tree.reconverge_with(&self.graph, a, b, &mut self.scratch) {
+                if tree.reconverge_with(&self.graph, ia, ib, rel_of_b, &mut self.scratch) {
                     changed.push(*o);
                 }
             }
         }
         // Replay each reconvergence's next-hop trace into the index, so
         // the index lands on the post-event trees.
+        let _index_span = obs::prof::span("routing", "index");
         for &slot in &self.cand_scratch {
             for &(v, old, new) in self.trees[slot].1.trace() {
                 let v = v as usize;
@@ -408,6 +376,75 @@ impl FastConverge {
             }
         }
         changed
+    }
+
+    /// Edit the graph for `change` and fill `cand_scratch` with the
+    /// slots of the trees it can move, ascending. Returns the link's
+    /// endpoints `(ia, ib)` in the event's own `(a, b)` order, which
+    /// is the order a reconvergence seeds them in, with `ib` as `ia`
+    /// sees it (`None` after a failure); `None` when the event changes
+    /// nothing (raising an up link or failing a down one).
+    fn edit_and_filter(
+        &mut self,
+        change: LinkChange,
+    ) -> Option<(usize, usize, Option<Relationship>)> {
+        let _span = obs::prof::span("routing", "filter");
+        let LinkChange { a, b, up } = change;
+        let k = key(a, b);
+        self.cand_scratch.clear();
+        // `rel` is hi as lo sees it after a link-up event, `None` after
+        // a failure.
+        let rel = if up {
+            let pos = self.down_keys.binary_search(&k).ok()?;
+            let (_, rel) = self.down.remove(pos);
+            self.down_keys.remove(pos);
+            match rel {
+                Relationship::Peer => self.graph.add_peering(k.0, k.1).unwrap(),
+                Relationship::Customer => {
+                    // hi is lo's customer ⇒ hi buys transit from lo.
+                    self.graph.add_customer_provider(k.1, k.0).unwrap()
+                }
+                Relationship::Provider => self.graph.add_customer_provider(k.0, k.1).unwrap(),
+            }
+            Some(rel)
+        } else {
+            let rel = self.graph.relationship(k.0, k.1)?;
+            let pos = self
+                .down_keys
+                .binary_search(&k)
+                .expect_err("up link cannot be in the down set");
+            self.down.insert(pos, (k, rel));
+            self.down_keys.insert(pos, k);
+            self.graph.remove_link(k.0, k.1).unwrap();
+            None
+        };
+        let (Some(ilo), Some(ihi)) = (self.graph.index_of(k.0), self.graph.index_of(k.1)) else {
+            unreachable!("link endpoints are in the graph");
+        };
+        match rel {
+            // The link was down, so neither endpoint routes over it: a
+            // tree can change only if the link offers one endpoint a
+            // better route.
+            Some(rel) => {
+                for (slot, (_, tree)) in self.trees.iter().enumerate() {
+                    if tree.must_redecide(&self.graph, ilo, ihi, Some(rel.reversed()))
+                        || tree.must_redecide(&self.graph, ihi, ilo, Some(rel))
+                    {
+                        self.cand_scratch.push(slot);
+                    }
+                }
+            }
+            // A tree can change only if the failed link carried traffic
+            // in it — exactly the trees the inverted index holds for
+            // the link's two directions (ascending slot = ascending
+            // origin, preserving the candidate order).
+            None => self.link_index.union_into(ilo, ihi, &mut self.cand_scratch),
+        }
+        Some(if a == k.0 {
+            (ilo, ihi, rel)
+        } else {
+            (ihi, ilo, rel.map(Relationship::reversed))
+        })
     }
 }
 

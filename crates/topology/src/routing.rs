@@ -21,6 +21,7 @@ use crate::graph::{AsGraph, Relationship};
 use quicksand_net::Asn;
 use quicksand_obs as obs;
 use std::collections::VecDeque;
+use std::num::NonZeroU32;
 
 /// Reusable worklist state for [`RoutingTree::reconverge_with`]: the
 /// pending-node queue plus a generation-stamped "queued" mark per node.
@@ -74,27 +75,85 @@ impl ReconvergeScratch {
     }
 }
 
-/// How a route was learned, in decreasing order of preference.
+/// How a route was learned, in decreasing order of preference. The
+/// discriminants are the class bits of a route's packed preference
+/// word (DESIGN.md §22).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum RouteClass {
     /// The destination itself (the origin has a trivial route).
-    Origin,
+    Origin = 0,
     /// Learned from a customer.
-    Customer,
+    Customer = 1,
     /// Learned from a peer.
-    Peer,
+    Peer = 2,
     /// Learned from a provider.
-    Provider,
+    Provider = 3,
 }
 
+/// Width of the distance field of a preference word; the class takes
+/// the two bits above it.
+const DIST_BITS: u32 = 30;
+const DIST_MASK: u32 = (1 << DIST_BITS) - 1;
+
+/// A reconvergence's work budget in `decide` calls is
+/// `max(BUDGET_PER_NODE · n, BUDGET_FLOOR)` over an `n`-node graph.
+const BUDGET_PER_NODE: usize = 50;
+const BUDGET_FLOOR: usize = 10_000;
+
+/// The most nodes a routing tree may span, checked once when trees are
+/// built. A consistent tree has every distance below `n`, and each
+/// `decide` raises the longest distance by at most one, so a
+/// reconvergence that stays within its budget never holds a route
+/// longer than `n - 1 + 50n + 10⁴`, nor makes an offer longer than
+/// [`MAX_DIST`] = `51n + 10⁴`. Below this bound (~21M nodes) every such
+/// distance fits the 30-bit field (DESIGN.md §22).
+const MAX_NODES: usize = (DIST_MASK as usize - 1 - BUDGET_FLOOR) / (BUDGET_PER_NODE + 1);
+
+/// The longest distance a tree of [`MAX_NODES`] nodes ever packs.
+const MAX_DIST: usize = (BUDGET_PER_NODE + 1) * MAX_NODES + BUDGET_FLOOR;
+const _: () = assert!(MAX_DIST < DIST_MASK as usize, "51n + 10⁴ must fit 30 bits");
+
+/// The packed preference word of a `class` route of length `dist`:
+/// `class << 30 | (dist + 1)`. Word order is `(class, dist)` order, the
+/// decision process's first two keys, and a word is never 0.
+fn pref(class: RouteClass, dist: u32) -> u32 {
+    debug_assert!(dist < DIST_MASK, "distance {dist} overflows its field");
+    (class as u32) << DIST_BITS | (dist + 1)
+}
+
+/// One node's route in 8 bytes, and `Option<Entry>` too: the
+/// preference word is never 0, so `None` takes that niche.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Entry {
-    class: RouteClass,
-    /// AS-hop distance to the destination (origin = 0).
-    dist: u32,
+    /// The route's [`pref`] word: class, then AS-hop distance to the
+    /// destination (origin = 0).
+    pref: NonZeroU32,
     /// Next hop on the way to the destination (index), origin points to
-    /// itself. A u32 keeps `Option<Entry>` at 12 bytes per node.
+    /// itself.
     next: u32,
+}
+
+impl Entry {
+    fn new(pref: u32, next: u32) -> Entry {
+        Entry {
+            pref: NonZeroU32::new(pref).expect("a preference word is never 0"),
+            next,
+        }
+    }
+
+    fn class(self) -> RouteClass {
+        const CLASSES: [RouteClass; 4] = [
+            RouteClass::Origin,
+            RouteClass::Customer,
+            RouteClass::Peer,
+            RouteClass::Provider,
+        ];
+        CLASSES[(self.pref.get() >> DIST_BITS) as usize]
+    }
+
+    fn dist(self) -> u32 {
+        (self.pref.get() & DIST_MASK) - 1
+    }
 }
 
 /// Offer `via`'s route to node `to` as a `class` route of length `dist`
@@ -110,40 +169,38 @@ fn offer(
     class: RouteClass,
     dist: u32,
 ) -> bool {
+    let p = pref(class, dist);
     match &mut entries[to as usize] {
         slot @ None => {
-            *slot = Some(Entry {
-                class,
-                dist,
-                next: via,
-            });
+            *slot = Some(Entry::new(p, via));
             true
         }
         Some(e) => {
-            if e.class == class
-                && (dist, graph.asn_of(via as usize)) < (e.dist, graph.asn_of(e.next as usize))
+            // Same class: the words differ only in their distances.
+            if e.class() == class
+                && (p, graph.asn_of(via as usize)) < (e.pref.get(), graph.asn_of(e.next as usize))
             {
-                e.dist = dist;
-                e.next = via;
+                *e = Entry::new(p, via);
             }
             false
         }
     }
 }
 
-/// The class of the route `e` as offered to a node that sees its
-/// holder as `rel_of_holder`, or `None` when export policy withholds
-/// it: own and customer routes go to anyone, peer and provider routes
-/// only to the holder's customers (the node is the holder's customer
-/// iff the holder is its provider).
-fn offered_class(e: Entry, rel_of_holder: Relationship) -> Option<RouteClass> {
-    let exportable = matches!(e.class, RouteClass::Origin | RouteClass::Customer)
-        || rel_of_holder == Relationship::Provider;
-    exportable.then_some(match rel_of_holder {
+/// The preference word of the route `e` as offered to a node that sees
+/// its holder as `rel_of_holder` (one hop longer, classed by that
+/// relationship), or `None` when export policy withholds it: own and
+/// customer routes go to anyone, peer and provider routes only to the
+/// holder's customers (the node is the holder's customer iff the holder
+/// is its provider).
+fn offered_pref(e: Entry, rel_of_holder: Relationship) -> Option<u32> {
+    let exportable = e.class() <= RouteClass::Customer || rel_of_holder == Relationship::Provider;
+    let class = match rel_of_holder {
         Relationship::Customer => RouteClass::Customer,
         Relationship::Peer => RouteClass::Peer,
         Relationship::Provider => RouteClass::Provider,
-    })
+    };
+    exportable.then(|| pref(class, e.dist() + 1))
 }
 
 /// Sentinel node id in a [`RoutingTree`] trace entry: "no route", i.e.
@@ -249,6 +306,11 @@ struct TreeBuilder<'g> {
 
 impl<'g> TreeBuilder<'g> {
     fn new(graph: &'g AsGraph) -> Self {
+        assert!(
+            graph.len() <= MAX_NODES,
+            "a routing tree spans at most {MAX_NODES} nodes, the graph has {}",
+            graph.len()
+        );
         TreeBuilder {
             graph,
             adj: SplitAdjacency::new(graph),
@@ -265,11 +327,7 @@ impl<'g> TreeBuilder<'g> {
         let d = graph.index_of(dest)?;
         let d32 = u32::try_from(d).expect("graph size fits u32");
         let mut entries: Vec<Option<Entry>> = vec![None; graph.len()];
-        entries[d] = Some(Entry {
-            class: RouteClass::Origin,
-            dist: 0,
-            next: d32,
-        });
+        entries[d] = Some(Entry::new(pref(RouteClass::Origin, 0), d32));
 
         // Every phase routes through `offer`: the first offer claims an
         // unrouted node, and a later offer of the same class replaces
@@ -307,7 +365,7 @@ impl<'g> TreeBuilder<'g> {
         let phase1 = routed.len();
         for i in 0..phase1 {
             let x = routed[i];
-            let dist = entries[x as usize].expect("phase 1 routed it").dist + 1;
+            let dist = entries[x as usize].expect("phase 1 routed it").dist() + 1;
             for &q in adj.peers(x) {
                 if offer(&mut entries, graph, q, x, RouteClass::Peer, dist) {
                     routed.push(q);
@@ -333,11 +391,11 @@ impl<'g> TreeBuilder<'g> {
             routed
                 .iter()
                 .filter(|&&x| !adj.customers(x).is_empty())
-                .map(|&x| (entries[x as usize].expect("routed").dist, x)),
+                .map(|&x| (entries[x as usize].expect("routed").dist(), x)),
         );
         seeds.sort_unstable();
         let dist_of = |entries: &[Option<Entry>], x: u32| {
-            entries[x as usize].expect("queued nodes are routed").dist
+            entries[x as usize].expect("queued nodes are routed").dist()
         };
         let queue = &mut self.queue;
         queue.clear();
@@ -467,7 +525,7 @@ impl RoutingTree {
     /// [`RoutingTree::class_of`]/[`RoutingTree::next_hop`] for hot
     /// paths that already resolved the node index.
     pub fn route_at_idx(&self, i: usize) -> Option<(RouteClass, u32, usize)> {
-        self.entries[i].map(|e| (e.class, e.dist, e.next as usize))
+        self.entries[i].map(|e| (e.class(), e.dist(), e.next as usize))
     }
 
     /// Iterate `(node, next_hop)` index pairs for every routed node,
@@ -508,39 +566,46 @@ impl RoutingTree {
     /// to the region of the tree the change actually moves — O(1) for
     /// a leaf access link, larger for core links.
     pub fn reconverge_after_link_event(&mut self, graph: &AsGraph, a: Asn, b: Asn) -> bool {
-        self.reconverge_with(graph, a, b, &mut ReconvergeScratch::new())
+        let (Some(ia), Some(ib)) = (graph.index_of(a), graph.index_of(b)) else {
+            return false;
+        };
+        let rel_of_b = graph.relationship(a, b);
+        self.reconverge_with(graph, ia, ib, rel_of_b, &mut ReconvergeScratch::new())
     }
 
-    /// [`RoutingTree::reconverge_after_link_event`] with caller-owned
-    /// scratch, so the replay hot loop reuses one queue/stamp buffer
-    /// across every tree and event instead of allocating per call.
+    /// [`RoutingTree::reconverge_after_link_event`] addressed by node
+    /// index, with caller-owned scratch: the link's endpoints `ia`–`ib`
+    /// and `rel_of_b`, `ib` as `ia` sees it (`None` when the link is
+    /// down), are resolved once per event by the caller, and one
+    /// queue/stamp buffer serves every tree and event, so the replay hot
+    /// loop neither looks up an ASN nor allocates per candidate tree.
     pub fn reconverge_with(
         &mut self,
         graph: &AsGraph,
-        a: Asn,
-        b: Asn,
+        ia: usize,
+        ib: usize,
+        rel_of_b: Option<Relationship>,
         scratch: &mut ReconvergeScratch,
     ) -> bool {
         let n = graph.len();
         debug_assert_eq!(n, self.entries.len(), "graph node set changed");
         scratch.begin(n);
-        if let (Some(ia), Some(ib)) = (graph.index_of(a), graph.index_of(b)) {
-            // `b` as `a` sees it; `None` after a failure, when only an
-            // endpoint that routed over the link has to move.
-            let rel_of_b = graph.relationship(a, b);
-            for (at, via, rel) in [
-                (ia, ib, rel_of_b.map(Relationship::reversed)),
-                (ib, ia, rel_of_b),
-            ] {
-                if self.must_redecide(graph, at, via, rel) {
-                    scratch.push(at);
-                }
+        // After a failure (`rel_of_b` is `None`) only an endpoint that
+        // routed over the link has to move.
+        for (at, via, rel) in [
+            (ia, ib, rel_of_b.map(Relationship::reversed)),
+            (ib, ia, rel_of_b),
+        ] {
+            if self.must_redecide(graph, at, via, rel) {
+                scratch.push(at);
             }
         }
         let mut changed_any = false;
         // Budget: in safe policy networks the process is near-linear in
         // the affected region; allow generous slack before bailing out.
-        let mut budget = 50usize.saturating_mul(n).max(10_000);
+        // It also bounds every distance a transient tree can reach
+        // (`MAX_NODES`).
+        let mut budget = BUDGET_PER_NODE.saturating_mul(n).max(BUDGET_FLOOR);
         while let Some(v) = scratch.pop() {
             if budget == 0 {
                 // Theory says we never get here; make sure practice
@@ -600,6 +665,8 @@ impl RoutingTree {
     ///    customer routes to anyone, others to customers only), whose
     ///    next hop is not `at`, and whose offer beats `at`'s current
     ///    route by (class, length, next-hop ASN) — or `at` is unrouted.
+    ///    Class and length are one packed word, so this compares one
+    ///    word and, on a tie, the two next-hop ASNs.
     ///
     /// The decision process takes the best legal offer of `at`'s
     /// neighbors and only `via`'s offer moved, so in a consistent tree
@@ -618,7 +685,7 @@ impl RoutingTree {
         let (Some(rel), Some(offer)) = (rel, self.entries[via]) else {
             return false;
         };
-        let Some(class) = offered_class(offer, rel.reversed()) else {
+        let Some(p) = offered_pref(offer, rel.reversed()) else {
             return false;
         };
         if offer.next as usize == at {
@@ -627,8 +694,8 @@ impl RoutingTree {
         match cur {
             None => true,
             Some(e) => {
-                (class, offer.dist + 1, graph.asn_of(via))
-                    < (e.class, e.dist, graph.asn_of(e.next as usize))
+                let cur = e.pref.get();
+                p < cur || (p == cur && graph.asn_of(via) < graph.asn_of(e.next as usize))
             }
         }
     }
@@ -639,22 +706,19 @@ impl RoutingTree {
     /// lowest neighbor ASN.
     fn decide(&self, graph: &AsGraph, v: usize) -> Option<Entry> {
         if v == self.dest_idx {
-            return Some(Entry {
-                class: RouteClass::Origin,
-                dist: 0,
-                next: v as u32,
-            });
+            return Some(Entry::new(pref(RouteClass::Origin, 0), v as u32));
         }
-        let mut best: Option<(RouteClass, u32, Asn, usize)> = None;
+        // The best loop-free offer so far as (preference word, ASN, node).
+        let mut best: Option<(u32, Asn, usize)> = None;
         for &(nb, rel_of_nb) in graph.neighbors_idx(v) {
             let Some(e) = self.entries[nb] else { continue };
-            let Some(class) = offered_class(e, rel_of_nb) else {
+            let Some(p) = offered_pref(e, rel_of_nb) else {
                 continue;
             };
-            let cand = (class, e.dist + 1, graph.asn_of(nb), nb);
-            let better = match &best {
+            let cand = (p, graph.asn_of(nb), nb);
+            let better = match best {
                 None => true,
-                Some((bc, bd, ba, _)) => (cand.0, cand.1, cand.2) < (*bc, *bd, *ba),
+                Some((bp, ba, _)) => (cand.0, cand.1) < (bp, ba),
             };
             // Loop rejection: v must not appear on nb's current path.
             // Checked only for would-be winners — a candidate that
@@ -665,11 +729,7 @@ impl RoutingTree {
                 best = Some(cand);
             }
         }
-        best.map(|(class, dist, _, next)| Entry {
-            class,
-            dist,
-            next: next as u32,
-        })
+        best.map(|(p, _, next)| Entry::new(p, next as u32))
     }
 
     /// Does the current path of `from` (following next pointers) pass
@@ -694,13 +754,13 @@ impl RoutingTree {
     /// The class of `src`'s best route, if it has one.
     pub fn class_of(&self, graph: &AsGraph, src: Asn) -> Option<RouteClass> {
         let i = graph.index_of(src)?;
-        self.entries[i].map(|e| e.class)
+        self.entries[i].map(|e| e.class())
     }
 
     /// AS-hop distance from `src` to the destination, if routed.
     pub fn distance(&self, graph: &AsGraph, src: Asn) -> Option<u32> {
         let i = graph.index_of(src)?;
-        self.entries[i].map(|e| e.dist)
+        self.entries[i].map(|e| e.dist())
     }
 
     /// The next hop on `src`'s path to the destination (the destination
@@ -762,7 +822,7 @@ impl RoutingTree {
         out: &mut Vec<Asn>,
     ) -> Option<RouteClass> {
         out.clear();
-        let class = self.entries[i]?.class;
+        let class = self.entries[i]?.class();
         out.push(graph.asn_of(i));
         let mut cur = i;
         while cur != self.dest_idx {
@@ -793,9 +853,10 @@ impl RoutingTree {
         &'a self,
         graph: &'a AsGraph,
     ) -> impl Iterator<Item = (Asn, RouteClass, u32)> + 'a {
-        self.entries.iter().enumerate().filter_map(move |(i, e)| {
-            e.map(|e| (graph.asn_of(i), e.class, e.dist))
-        })
+        self.entries
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, e)| e.map(|e| (graph.asn_of(i), e.class(), e.dist())))
     }
 }
 
@@ -944,6 +1005,40 @@ mod tests {
         let t = RoutingTree::compute(&g, Asn(1)).unwrap();
         assert_eq!(t.routed(&g).count(), 9);
     }
+
+    #[test]
+    fn a_route_takes_eight_bytes() {
+        assert_eq!(std::mem::size_of::<Entry>(), 8);
+        assert_eq!(std::mem::size_of::<Option<Entry>>(), 8);
+    }
+
+    /// Preference words order exactly as `(class, dist)` for every pair
+    /// of classes and distances up to the bound, and unpack to both.
+    #[test]
+    fn preference_words_order_as_class_then_distance() {
+        let classes = [
+            RouteClass::Origin,
+            RouteClass::Customer,
+            RouteClass::Peer,
+            RouteClass::Provider,
+        ];
+        let dists = [0, 1, 2, 1 << 16, MAX_DIST as u32];
+        for c1 in classes {
+            for d1 in dists {
+                let e = Entry::new(pref(c1, d1), 7);
+                assert_eq!((e.class(), e.dist(), e.next), (c1, d1, 7));
+                for c2 in classes {
+                    for d2 in dists {
+                        assert_eq!(
+                            pref(c1, d1).cmp(&pref(c2, d2)),
+                            (c1, d1).cmp(&(c2, d2)),
+                            "({c1:?}, {d1}) vs ({c2:?}, {d2})"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1061,11 +1156,7 @@ mod oracle_tests {
         let n = graph.len();
         let d = graph.index_of(dest)?;
         let mut entries: Vec<Option<Entry>> = vec![None; n];
-        entries[d] = Some(Entry {
-            class: RouteClass::Origin,
-            dist: 0,
-            next: d as u32,
-        });
+        entries[d] = Some(Entry::new(pref(RouteClass::Origin, 0), d as u32));
 
         let mut frontier = vec![d];
         let mut dist = 0u32;
@@ -1083,11 +1174,7 @@ mod oracle_tests {
             let mut next_frontier = Vec::new();
             for (p, via) in offers {
                 if entries[p].is_none() {
-                    entries[p] = Some(Entry {
-                        class: RouteClass::Customer,
-                        dist,
-                        next: via as u32,
-                    });
+                    entries[p] = Some(Entry::new(pref(RouteClass::Customer, dist), via as u32));
                     next_frontier.push(p);
                 }
             }
@@ -1097,27 +1184,24 @@ mod oracle_tests {
         let mut peer_offers: Vec<(usize, u32, Asn, usize)> = Vec::new();
         for x in 0..n {
             let Some(e) = entries[x] else { continue };
-            if e.class > RouteClass::Customer {
+            if e.class() > RouteClass::Customer {
                 continue;
             }
             for &(q, rel) in graph.neighbors_idx(x) {
-                let better = entries[q].map_or(true, |eq| eq.class > RouteClass::Peer);
+                let better = entries[q].map_or(true, |eq| eq.class() > RouteClass::Peer);
                 if rel == Relationship::Peer && better {
-                    peer_offers.push((q, e.dist + 1, graph.asn_of(x), x));
+                    peer_offers.push((q, e.dist() + 1, graph.asn_of(x), x));
                 }
             }
         }
         peer_offers.sort_by_key(|&(q, dist, via_asn, _)| (q, dist, via_asn));
         for (q, dist, _, via) in peer_offers {
             let take = entries[q].map_or(true, |eq| {
-                eq.class > RouteClass::Peer || (eq.class == RouteClass::Peer && dist < eq.dist)
+                eq.class() > RouteClass::Peer
+                    || (eq.class() == RouteClass::Peer && dist < eq.dist())
             });
             if take {
-                entries[q] = Some(Entry {
-                    class: RouteClass::Peer,
-                    dist,
-                    next: via as u32,
-                });
+                entries[q] = Some(Entry::new(pref(RouteClass::Peer, dist), via as u32));
             }
         }
 
@@ -1126,7 +1210,7 @@ mod oracle_tests {
             let Some(e) = entries[x] else { continue };
             for &(c, rel) in graph.neighbors_idx(x) {
                 if rel == Relationship::Customer && entries[c].is_none() {
-                    heap.push(Reverse((e.dist + 1, graph.asn_of(x), c, x)));
+                    heap.push(Reverse((e.dist() + 1, graph.asn_of(x), c, x)));
                 }
             }
         }
@@ -1134,11 +1218,7 @@ mod oracle_tests {
             if entries[c].is_some() {
                 continue;
             }
-            entries[c] = Some(Entry {
-                class: RouteClass::Provider,
-                dist,
-                next: via as u32,
-            });
+            entries[c] = Some(Entry::new(pref(RouteClass::Provider, dist), via as u32));
             for &(cc, rel) in graph.neighbors_idx(c) {
                 if rel == Relationship::Customer && entries[cc].is_none() {
                     heap.push(Reverse((dist + 1, graph.asn_of(c), cc, c)));

@@ -3,7 +3,9 @@
 //! `RoutingTree::reconverge_with` queues a node only when
 //! `RoutingTree::must_redecide` says its decision can change. Random
 //! single-link down/up events are applied to one traced tree per
-//! destination, and after every event each tree must
+//! destination through the index-addressed `reconverge_with`, with the
+//! endpoints and relationship resolved once per event, and after every
+//! event each tree must
 //!
 //! 1. equal a fresh `RoutingTree::compute`, node for node;
 //! 2. report a change whenever any entry differs from the pre-event
@@ -90,12 +92,16 @@ fn check_churn(label: &str, mut g: AsGraph, dests: &[Asn], events: usize, seed: 
             (true, Relationship::Customer) => g.add_customer_provider(b, a).unwrap(),
             (true, Relationship::Provider) => g.add_customer_provider(a, b).unwrap(),
         }
+        // Resolved once per event, as `FastConverge::apply` does.
+        let (ia, ib) = (g.index_of(a).unwrap(), g.index_of(b).unwrap());
+        let rel_of_b = up.then_some(rel);
+        assert_eq!(rel_of_b, g.relationship(a, b));
         for tree in &mut trees {
             let dest = tree.dest();
             let what = format!("{label}: event {event} ({a}-{b} up={up}), tree toward {dest}");
             let before = routes(tree, n);
             tree.clear_trace();
-            let changed = tree.reconverge_with(&g, a, b, &mut scratch);
+            let changed = tree.reconverge_with(&g, ia, ib, rel_of_b, &mut scratch);
             let after = routes(tree, n);
             let fresh = routes(&RoutingTree::compute(&g, dest).unwrap(), n);
             for i in 0..n {
