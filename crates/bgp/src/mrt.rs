@@ -140,73 +140,20 @@ pub fn write_log(log: &UpdateLog, w: &mut impl Write) -> Result<(), MrtError> {
 }
 
 /// Deserialize a log from a reader, consuming it to EOF.
+///
+/// The whole input is read first and then decoded record by record
+/// from the slice; the first malformed or cut-off record fails the
+/// read.
 pub fn read_log(r: &mut impl Read) -> Result<UpdateLog, MrtError> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
+    let mut buf = Vec::new();
+    r.read_to_end(&mut buf)?;
+    let Some(mut rest) = buf.strip_prefix(MAGIC.as_slice()) else {
         return Err(MrtError::BadMagic);
-    }
+    };
     let mut records = Vec::new();
-    loop {
-        // Peek: a clean EOF before a record boundary ends the stream.
-        let at = {
-            let mut b = [0u8; 8];
-            match r.read(&mut b)? {
-                0 => break,
-                8 => u64::from_le_bytes(b),
-                n => {
-                    // Partial read: try to complete (short reads are
-                    // legal for readers); fail only on true truncation.
-                    let mut rest = vec![0u8; 8 - n];
-                    r.read_exact(&mut rest)?;
-                    let mut full = [0u8; 8];
-                    full[..n].copy_from_slice(&b[..n]);
-                    full[n..].copy_from_slice(&rest);
-                    u64::from_le_bytes(full)
-                }
-            }
-        };
-        let session = SessionId(get_u32(r)?);
-        let kind = get_u8(r)?;
-        let net = get_u32(r)?;
-        let len = get_u8(r)?;
-        if len > 32 {
-            return Err(MrtError::Malformed("prefix length > 32"));
-        }
-        let prefix = Ipv4Prefix::from_u32(net, len);
-        let msg = match kind {
-            1 => {
-                let path_len = get_u16(r)? as usize;
-                let mut asns = Vec::with_capacity(path_len);
-                for _ in 0..path_len {
-                    asns.push(Asn(get_u32(r)?));
-                }
-                let n_comm = get_u8(r)? as usize;
-                let mut communities = std::collections::BTreeSet::new();
-                for _ in 0..n_comm {
-                    let tag = get_u8(r)?;
-                    let payload = get_u32(r)?;
-                    communities.insert(match tag {
-                        1 => Community::NoExport,
-                        2 => Community::NoExportTo(Asn(payload)),
-                        3 => Community::Opaque(payload),
-                        _ => return Err(MrtError::Malformed("unknown community tag")),
-                    });
-                }
-                UpdateMessage::Announce(Route {
-                    prefix,
-                    as_path: AsPath::from_asns(asns),
-                    communities,
-                })
-            }
-            2 => UpdateMessage::Withdraw(prefix),
-            _ => return Err(MrtError::Malformed("unknown record kind")),
-        };
-        records.push(UpdateRecord {
-            at: SimTime(at),
-            session,
-            msg,
-        });
+    while let Some((rec, consumed)) = decode_record(rest)? {
+        records.push(rec);
+        rest = &rest[consumed..];
     }
     Ok(UpdateLog { records })
 }
@@ -269,44 +216,6 @@ fn decode_record(buf: &[u8]) -> Result<Option<(UpdateRecord, usize)>, MrtError> 
         },
         consumed,
     )))
-}
-
-/// Deserialize a log leniently, salvaging the longest valid record
-/// prefix of a truncated or corrupted stream.
-///
-/// Strict [`read_log`] hard-fails on the first bad byte — correct for
-/// integrity checks, but a crash mid-write should not cost a month of
-/// recorded updates. This variant stops at the first record that is cut
-/// off or malformed and returns everything decoded before it, plus the
-/// number of trailing bytes it discarded (0 for a clean stream). The
-/// discarded tail is also counted on the `collector` /
-/// `mrt_lossy_discarded_bytes` obs counter.
-///
-/// A missing or wrong magic header is still an error: that is not a
-/// damaged log, it is not a log at all.
-pub fn read_log_lossy(r: &mut impl Read) -> Result<(UpdateLog, u64), MrtError> {
-    let mut buf = Vec::new();
-    r.read_to_end(&mut buf)?;
-    if buf.len() < MAGIC.len() || &buf[..MAGIC.len()] != MAGIC {
-        return Err(MrtError::BadMagic);
-    }
-    let mut pos = MAGIC.len();
-    let mut records = Vec::new();
-    loop {
-        match decode_record(&buf[pos..]) {
-            Ok(None) => break,
-            Ok(Some((rec, consumed))) => {
-                records.push(rec);
-                pos += consumed;
-            }
-            Err(_) => break,
-        }
-    }
-    let discarded = (buf.len() - pos) as u64;
-    if discarded > 0 {
-        quicksand_obs::incr("collector", "mrt_lossy_discarded_bytes", discarded);
-    }
-    Ok((UpdateLog { records }, discarded))
 }
 
 #[cfg(test)]
@@ -399,18 +308,10 @@ mod tests {
     }
 
     #[test]
-    fn lossy_salvages_mid_record_truncation() {
+    fn strict_read_rejects_every_mid_record_cut() {
         let log = sample_log();
         let mut buf = Vec::new();
         write_log(&log, &mut buf).unwrap();
-        // Cut the last record off mid-field: strict read fails, lossy
-        // read returns the first two records and counts the tail.
-        let cut = buf.len() - 3;
-        buf.truncate(cut);
-        assert!(read_log(&mut buf.as_slice()).is_err());
-
-        // Length of the two intact records = total minus magic minus
-        // what the third record occupied.
         let mut intact = Vec::new();
         write_log(
             &UpdateLog {
@@ -419,69 +320,10 @@ mod tests {
             &mut intact,
         )
         .unwrap();
-
-        let (salvaged, discarded) = read_log_lossy(&mut buf.as_slice()).unwrap();
-        assert_eq!(salvaged.records, log.records[..2]);
-        assert_eq!(discarded as usize, cut - intact.len());
-        assert!(discarded > 0);
-    }
-
-    #[test]
-    fn lossy_salvages_corrupt_kind() {
-        let log = sample_log();
-        let mut buf = Vec::new();
-        write_log(&log, &mut buf).unwrap();
-        // Corrupt record 2's kind byte: records 0..2 survive, the rest
-        // of the stream is discarded.
-        let mut two_rec = Vec::new();
-        write_log(
-            &UpdateLog {
-                records: log.records[..2].to_vec(),
-            },
-            &mut two_rec,
-        )
-        .unwrap();
-        // Kind byte of record 2 sits 8 + 4 bytes into that record.
-        buf[two_rec.len() + 12] = 99;
-        let (salvaged, discarded) = read_log_lossy(&mut buf.as_slice()).unwrap();
-        assert_eq!(salvaged.records, log.records[..2]);
-        assert_eq!(discarded as usize, buf.len() - two_rec.len());
-    }
-
-    #[test]
-    fn lossy_clean_stream_discards_nothing() {
-        let log = sample_log();
-        let mut buf = Vec::new();
-        write_log(&log, &mut buf).unwrap();
-        let (salvaged, discarded) = read_log_lossy(&mut buf.as_slice()).unwrap();
-        assert_eq!(salvaged.records, log.records);
-        assert_eq!(discarded, 0);
-    }
-
-    #[test]
-    fn lossy_still_rejects_bad_magic() {
-        let buf = b"NOTMRT00rest".to_vec();
-        assert!(matches!(
-            read_log_lossy(&mut buf.as_slice()),
-            Err(MrtError::BadMagic)
-        ));
-    }
-
-    #[test]
-    fn lossy_discard_counter_is_observable() {
-        use quicksand_obs::metrics::{Key, Registry};
-        let metrics = std::sync::Arc::new(Registry::new());
-        let log = sample_log();
-        let mut buf = Vec::new();
-        write_log(&log, &mut buf).unwrap();
-        buf.truncate(buf.len() - 3);
-        let discarded = quicksand_obs::with_metrics(metrics.clone(), || {
-            read_log_lossy(&mut buf.as_slice()).unwrap().1
-        });
-        assert_eq!(
-            metrics.counter_value(Key::stage("collector", "mrt_lossy_discarded_bytes")),
-            discarded
-        );
+        // Every cut strictly inside the last record leaves it partial.
+        for cut in intact.len() + 1..buf.len() {
+            assert!(read_log(&mut &buf[..cut]).is_err(), "cut at {cut}");
+        }
     }
 
     #[test]

@@ -537,13 +537,15 @@ impl Scenario {
     }
 
     /// Build the pipeline snapshot for a run of this scenario that has
-    /// fully processed `cursor` churn events.
+    /// fully processed `cursor` churn events. The snapshot takes `log`
+    /// by value; the replay moves it back out after the hook has run,
+    /// so a checkpoint never copies the log (DESIGN.md §23).
     fn snapshot_at(
         &self,
         cursor: u64,
         fc: &FastConverge,
         collector: &Collector,
-        log: &UpdateLog,
+        log: UpdateLog,
     ) -> PipelineSnapshot {
         PipelineSnapshot {
             config_hash: self.config_hash(),
@@ -551,7 +553,7 @@ impl Scenario {
             cursor,
             down_links: fc.down_links().to_vec(),
             collector: collector.export_state(),
-            log: log.clone(),
+            log,
             monitor: None,
             metrics: MetricsState::capture(&obs::metrics()),
         }
@@ -828,8 +830,10 @@ impl Scenario {
                 }
                 let done = i as u64 + 1;
                 if every > 0 && done % every == 0 {
-                    let snap = self.snapshot_at(done, &fc, &collector, &log);
-                    if hook(&snap) == HookAction::Stop {
+                    let snap = self.snapshot_at(done, &fc, &collector, std::mem::take(&mut log));
+                    let action = hook(&snap);
+                    log = snap.log;
+                    if action == HookAction::Stop {
                         return Err(QuicksandError::Interrupted { events_done: done });
                     }
                 }

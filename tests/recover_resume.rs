@@ -208,6 +208,41 @@ fn resume_against_other_scenario_is_a_typed_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The replay moves its log into each snapshot and back out after the
+/// hook, instead of copying it. The hook must still see the whole log
+/// so far: every snapshot's log is a byte prefix of the final raw log,
+/// the snapshots never shrink, and the checkpointed month is the
+/// uninterrupted one byte for byte.
+#[test]
+fn checkpoint_snapshots_hold_the_log_so_far() {
+    let scenario = Scenario::build(ScenarioConfig::small(11));
+    let (full_month, _) = run_baseline(&scenario);
+    let full_bytes = log_bytes(&full_month.raw);
+
+    let every = 7;
+    let mut lens = Vec::new();
+    let month = obs::with_metrics(Arc::new(Registry::new()), || {
+        scenario
+            .run_month_checkpointed(None, every, |snap| {
+                assert_eq!(snap.cursor, every * (lens.len() as u64 + 1));
+                assert!(
+                    full_bytes.starts_with(&log_bytes(&snap.log)),
+                    "snapshot log at cursor {} is not a prefix of the raw log",
+                    snap.cursor
+                );
+                lens.push(snap.log.len());
+                HookAction::Continue
+            })
+            .expect("valid scenario config")
+    });
+    assert!(lens.len() >= 10, "only {} checkpoints", lens.len());
+    assert!(
+        lens.windows(2).all(|w| w[0] <= w[1]),
+        "snapshot log lengths decrease: {lens:?}"
+    );
+    assert_months_bitwise_identical(&full_month, &month);
+}
+
 /// The checkpoint wire image of a small-tier run stopped at a fixed
 /// cursor: the fnv64 of `PipelineSnapshot::encode()` with the metrics
 /// section cleared (counters depend on what else ran in the process).
