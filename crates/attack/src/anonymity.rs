@@ -33,17 +33,6 @@ impl AnonymitySet {
             self.exposed_clients.len() as f64 / self.total_clients as f64
         }
     }
-
-    /// The anonymity-set *reduction* for one targeted client: before the
-    /// attack the client hides among `population` candidates; after it,
-    /// among the exposed set (if observed at all).
-    pub fn reduction_factor(&self, population: usize) -> f64 {
-        if self.exposed_clients.is_empty() {
-            1.0
-        } else {
-            population as f64 / self.exposed_clients.len() as f64
-        }
-    }
 }
 
 /// Compute the anonymity set exposed by hijacking a guard's prefix.
@@ -98,22 +87,11 @@ mod tests {
     }
 
     #[test]
-    fn reduction_factor() {
-        let (clients, connected) = setup();
-        let captured: BTreeSet<Asn> = [Asn(100)].into_iter().collect();
-        let set = exposed_anonymity_set(&clients, &connected, &captured);
-        assert_eq!(set.exposed_clients.len(), 1);
-        // One suspect out of a 1000-user population: 1000x reduction.
-        assert_eq!(set.reduction_factor(1000), 1000.0);
-    }
-
-    #[test]
     fn empty_capture_exposes_nothing() {
         let (clients, connected) = setup();
         let set = exposed_anonymity_set(&clients, &connected, &BTreeSet::new());
         assert!(set.exposed_clients.is_empty());
         assert_eq!(set.exposure_fraction(), 0.0);
-        assert_eq!(set.reduction_factor(1000), 1.0);
     }
 
     #[test]

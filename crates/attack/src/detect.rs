@@ -95,11 +95,6 @@ impl PrefixMonitor {
         }
     }
 
-    /// Number of protected prefixes.
-    pub fn protected_count(&self) -> usize {
-        self.registered.len()
-    }
-
     /// Learn legitimate origin-adjacent ASes from a clean log.
     pub fn train(&mut self, log: &UpdateLog) {
         for r in &log.records {

@@ -109,11 +109,6 @@ impl AdvisoryBoard {
             .map(|(p, _)| *p)
             .collect()
     }
-
-    /// Number of advisories ever raised.
-    pub fn total_raised(&self) -> usize {
-        self.active.len()
-    }
 }
 
 /// An online prefix monitor with advisory feedback.
@@ -645,7 +640,7 @@ mod tests {
         let t1 = t0 + SimDuration::from_hours(8);
         m.ingest(&ann(t1, "78.46.0.0/15", &[1, 666])).unwrap();
         assert!(m.is_flagged(&prefix, t1 + SimDuration::from_hours(5)));
-        assert_eq!(m.board().total_raised(), 1);
+        assert_eq!(m.board().active.len(), 1);
     }
 
     #[test]
@@ -699,7 +694,7 @@ mod tests {
         assert!(m.is_flagged(&prefix, t1 + ttl));
         assert!(!m.is_flagged(&prefix, t1 + ttl + SimDuration::from_millis(1)));
         // Still a single advisory, refreshed rather than re-raised.
-        assert_eq!(m.board().total_raised(), 1);
+        assert_eq!(m.board().active.len(), 1);
     }
 
     #[test]

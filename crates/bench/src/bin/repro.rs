@@ -124,7 +124,6 @@ use quicksand_core::supervise::{
 use quicksand_core::telemetry::TelemetryServer;
 use quicksand_attack::monitord::{MonitorConfig, StreamingMonitor};
 use quicksand_bgp::fault::{ConnChaosPlan, ConnFaultKind, FaultInjector, FaultProfile};
-use quicksand_bgp::feed::fnv64;
 use quicksand_bgp::{
     clean_session_resets, metrics, CleaningConfig, ReplayChaosPlan, Route, UpdateMessage,
     UpdateRecord,
@@ -733,10 +732,7 @@ fn bench_snapshot_command(args: &[String]) -> i32 {
             && a.month.reset_bursts == b.month.reset_bursts
     };
     let identical = same_month(&serial, &parallel) && same_month(&serial, &profiled);
-    let mut raw_bytes = Vec::new();
-    quicksand_bgp::mrt::write_log(&serial.month.raw, &mut raw_bytes)
-        .expect("writing to a Vec cannot fail");
-    let raw_log_fnv = fnv64(&raw_bytes);
+    let raw_log_fnv = serial.month.raw.fingerprint();
     let speedup = serial.wall_s / parallel.wall_s.max(f64::MIN_POSITIVE);
     let events = serial.events;
     let per_event = |x: u64| x as f64 / (events.max(1)) as f64;

@@ -81,6 +81,16 @@ impl UpdateLog {
         self.records.is_empty()
     }
 
+    /// The log's fingerprint: FNV-1a over its QSMRT001 encoding
+    /// ([`crate::mrt::write_log`]), folded as the encoder writes. It is
+    /// the `raw_log_fnv` that `repro bench-snapshot` prints; equal
+    /// fingerprints mean byte-identical encodings.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = crate::feed::FnvHasher::new();
+        crate::mrt::write_log(self, &mut h).expect("folding into a digest cannot fail");
+        h.finish()
+    }
+
     /// The set of sessions that appear in the log.
     pub fn sessions(&self) -> Vec<SessionId> {
         let mut v: Vec<SessionId> = self.records.iter().map(|r| r.session).collect();
@@ -917,6 +927,23 @@ mod tests {
             session: SessionId(sess),
             msg: UpdateMessage::Withdraw(p(prefix)),
         }
+    }
+
+    #[test]
+    fn fingerprint_is_the_fnv_of_the_mrt_encoding() {
+        let log = UpdateLog {
+            records: vec![
+                announce(0, 0, "10.0.0.0/8", &[1, 2]),
+                withdraw(30, 1, "10.0.0.0/8"),
+            ],
+        };
+        let mut bytes = Vec::new();
+        crate::mrt::write_log(&log, &mut bytes).unwrap();
+        assert_eq!(log.fingerprint(), crate::feed::fnv64(&bytes));
+        let short = UpdateLog {
+            records: log.records[..1].to_vec(),
+        };
+        assert_ne!(short.fingerprint(), log.fingerprint());
     }
 
     #[test]

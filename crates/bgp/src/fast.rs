@@ -8,147 +8,21 @@
 //! faster and exactly consistent with what [`crate::EventSim`] converges
 //! to (cross-validated in the workspace integration tests).
 //!
-//! Per event, a tree is recomputed only when it can actually change:
+//! Per event, a tree is recomputed only when
+//! [`RoutingTree::must_redecide`] holds at either endpoint of the link
+//! (DESIGN.md §21, §24):
 //!
-//! * **link down** — only if the link carries traffic in that tree;
-//! * **link up** — only if [`RoutingTree::must_redecide`] holds at
-//!   either endpoint: the other endpoint's route may be exported over
-//!   the new link and beats the endpoint's current one under the
-//!   decision process (DESIGN.md §21).
+//! * **link down** — the link carries traffic in that tree (one
+//!   endpoint's next hop is the other);
+//! * **link up** — the other endpoint's route may be exported over the
+//!   new link and beats the endpoint's current one under the decision
+//!   process.
 
 use crate::churn::LinkChange;
 use quicksand_net::Asn;
 use quicksand_obs as obs;
-use quicksand_topology::{AsGraph, ReconvergeScratch, Relationship, RoutingTree, TRACE_UNROUTED};
+use quicksand_topology::{AsGraph, ReconvergeScratch, Relationship, RoutingTree};
 use std::ops::Range;
-
-/// Inverted link→trees index: for every *directed* tree edge
-/// `from → to` (a node and its next hop), which tracked trees currently
-/// contain it. A link-down event's candidate set is then the union of
-/// the two directed bitmaps for the failed link — no per-tree
-/// `uses_link` scan.
-///
-/// Node-indexed and flat: the edges out of node `v` are the base
-/// graph's neighbors of `v`, `start[v]..start[v + 1]` in `to` (ascending
-/// node index). The bitmaps are stored word-major: word `w` of edge `e`
-/// is `bits[w * n_edges + e]`, so the 64 slots of one word form one
-/// contiguous row over all edges. Seeding a tree writes only its own
-/// row, in ascending edge order, instead of striding across every
-/// edge's bitmap (DESIGN.md §17, §19). A next hop is always a neighbor
-/// in the graph `FastConverge` was built over — events only remove
-/// those links and restore them — so the layout is fixed at
-/// construction and every update is an in-place bit flip.
-///
-/// Seeded from [`RoutingTree::next_hops`] at construction and kept
-/// current by replaying each reconvergence's next-hop trace
-/// ([`RoutingTree::trace`]); `FastConverge::index_is_consistent`
-/// cross-checks the two in tests.
-#[derive(Clone)]
-struct LinkIndex {
-    /// Bitmap length in u64 words (`ceil(n_slots / 64)`).
-    words: usize,
-    /// Per node, the first of its edges in `to`; `n + 1` entries.
-    start: Vec<usize>,
-    /// Edge targets, ascending within each node's range.
-    to: Vec<u32>,
-    /// `words` rows of one u64 per edge, over tree slots (word-major).
-    bits: Vec<u64>,
-}
-
-/// The edge id of `from → to` in a [`LinkIndex`]'s `start`/`to`
-/// arrays, if `to` is a base-graph neighbor of `from`.
-fn edge_of(start: &[usize], to: &[u32], from: usize, target: usize) -> Option<usize> {
-    let (lo, hi) = (start[from], start[from + 1]);
-    let pos = to[lo..hi]
-        .binary_search(&u32::try_from(target).ok()?)
-        .ok()?;
-    Some(lo + pos)
-}
-
-impl LinkIndex {
-    /// An empty index over the directed edges of `graph`.
-    fn new(graph: &AsGraph, n_slots: usize) -> Self {
-        let words = n_slots.div_ceil(64);
-        let mut start = Vec::with_capacity(graph.len() + 1);
-        let mut to = Vec::with_capacity(2 * graph.link_count());
-        for v in 0..graph.len() {
-            start.push(to.len());
-            to.extend(
-                graph
-                    .neighbors_idx(v)
-                    .iter()
-                    .map(|&(w, _)| u32::try_from(w).expect("node index fits u32")),
-            );
-            to[start[v]..].sort_unstable();
-        }
-        start.push(to.len());
-        let bits = vec![0u64; to.len() * words];
-        LinkIndex {
-            words,
-            start,
-            to,
-            bits,
-        }
-    }
-
-    /// The edge id of `from → to`, if `to` is a base-graph neighbor.
-    fn edge(&self, from: usize, to: usize) -> Option<usize> {
-        edge_of(&self.start, &self.to, from, to)
-    }
-
-    /// The bit for `slot` in edge `from → to`.
-    fn bit(&mut self, from: usize, to: usize, slot: usize) -> (&mut u64, u64) {
-        let e = self
-            .edge(from, to)
-            .expect("next hop is a base-graph neighbor");
-        let n_edges = self.to.len();
-        (&mut self.bits[slot / 64 * n_edges + e], 1u64 << (slot % 64))
-    }
-
-    fn set(&mut self, from: usize, to: usize, slot: usize) {
-        let (word, mask) = self.bit(from, to, slot);
-        *word |= mask;
-    }
-
-    fn clear(&mut self, from: usize, to: usize, slot: usize) {
-        let (word, mask) = self.bit(from, to, slot);
-        *word &= !mask;
-    }
-
-    /// Record every tree edge of `tree` under `slot`: the slot's word
-    /// row and bit are resolved once, then each edge is one lookup and
-    /// one OR into that row.
-    fn seed(&mut self, slot: usize, tree: &RoutingTree) {
-        let n_edges = self.to.len();
-        let w = slot / 64;
-        let row = &mut self.bits[w * n_edges..(w + 1) * n_edges];
-        let mask = 1u64 << (slot % 64);
-        for (v, next) in tree.next_hops() {
-            if v != next {
-                let e = edge_of(&self.start, &self.to, v, next)
-                    .expect("next hop is a base-graph neighbor");
-                row[e] |= mask;
-            }
-        }
-    }
-
-    /// Push (ascending) every slot whose tree uses the undirected link
-    /// `a`–`b`, i.e. has `a → b` or `b → a` as a tree edge.
-    fn union_into(&self, a: usize, b: usize, out: &mut Vec<usize>) {
-        let (Some(x), Some(y)) = (self.edge(a, b), self.edge(b, a)) else {
-            return;
-        };
-        let n_edges = self.to.len();
-        for w in 0..self.words {
-            let row = &self.bits[w * n_edges..];
-            let mut bits = row[x] | row[y];
-            while bits != 0 {
-                out.push(w * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-            }
-        }
-    }
-}
 
 /// Incrementally maintained routing trees for tracked origins.
 pub struct FastConverge {
@@ -156,7 +30,6 @@ pub struct FastConverge {
     /// Tracked trees, ascending by origin ASN. Slot order (ascending
     /// origin) is the order `apply` reconverges candidates in.
     trees: Vec<(Asn, RoutingTree)>,
-    link_index: LinkIndex,
     /// Currently-down links with the relationship to restore, sorted by
     /// `(lo, hi)` ASN key; value is the relationship of `hi` from
     /// `lo`'s point of view. `down_keys` mirrors the keys so checkpoint
@@ -247,18 +120,9 @@ impl FastConverge {
             let _span = obs::prof::span("routing", "build");
             build_trees(&graph, &os, jobs)
         };
-        let link_index = {
-            let _span = obs::prof::span("routing", "index_seed");
-            let mut link_index = LinkIndex::new(&graph, trees.len());
-            for (slot, (_, t)) in trees.iter().enumerate() {
-                link_index.seed(slot, t);
-            }
-            link_index
-        };
         FastConverge {
             graph,
             trees,
-            link_index,
             down: Vec::new(),
             down_keys: Vec::new(),
             recomputes: 0,
@@ -297,45 +161,14 @@ impl FastConverge {
         &self.down_keys
     }
 
-    /// Cross-check the incrementally maintained link→trees index
-    /// against one rebuilt from the trees' current next hops. Test
-    /// support (the index is exactly the `uses_link` relation).
-    #[doc(hidden)]
-    pub fn index_is_consistent(&self) -> bool {
-        let mut fresh = LinkIndex {
-            bits: vec![0; self.link_index.bits.len()],
-            ..self.link_index.clone()
-        };
-        for (slot, (_, t)) in self.trees.iter().enumerate() {
-            fresh.seed(slot, t);
-        }
-        fresh.bits == self.link_index.bits
-    }
-
-    /// The origins the link→trees index holds for the currently-up link
-    /// `a`–`b`, ascending — the candidate set a down event on it would
-    /// reconverge. Empty when the link is not up. Test support, called
-    /// before [`FastConverge::apply`] to compare against `uses_link`.
-    #[doc(hidden)]
-    pub fn down_candidates(&self, a: Asn, b: Asn) -> Vec<Asn> {
-        let mut slots = Vec::new();
-        if self.graph.relationship(a, b).is_some() {
-            if let (Some(ia), Some(ib)) = (self.graph.index_of(a), self.graph.index_of(b)) {
-                self.link_index.union_into(ia, ib, &mut slots);
-            }
-        }
-        slots.into_iter().map(|slot| self.trees[slot].0).collect()
-    }
-
     /// Apply a link change; returns the tracked origins whose trees
     /// actually changed (some path differs from before the event).
     ///
     /// Each candidate tree is updated by the exact incremental
     /// reconvergence of [`RoutingTree::reconverge_with`], addressed by
     /// the endpoint indices and relationship this event resolves once;
-    /// cheap pre-filters (the link→trees index for failures,
-    /// [`RoutingTree::must_redecide`] at both endpoints for recoveries)
-    /// skip trees the event provably cannot touch.
+    /// a cheap pre-filter ([`RoutingTree::must_redecide`] at both
+    /// endpoints) skips trees the event provably cannot touch.
     pub fn apply(&mut self, change: LinkChange) -> Vec<Asn> {
         let _span = obs::prof::span("routing", "apply");
         let Some((ia, ib, rel_of_b)) = self.edit_and_filter(change) else {
@@ -358,20 +191,6 @@ impl FastConverge {
                 tree.clear_trace();
                 if tree.reconverge_with(&self.graph, ia, ib, rel_of_b, &mut self.scratch) {
                     changed.push(*o);
-                }
-            }
-        }
-        // Replay each reconvergence's next-hop trace into the index, so
-        // the index lands on the post-event trees.
-        let _index_span = obs::prof::span("routing", "index");
-        for &slot in &self.cand_scratch {
-            for &(v, old, new) in self.trees[slot].1.trace() {
-                let v = v as usize;
-                if old != TRACE_UNROUTED && old as usize != v {
-                    self.link_index.clear(v, old as usize, slot);
-                }
-                if new != TRACE_UNROUTED && new as usize != v {
-                    self.link_index.set(v, new as usize, slot);
                 }
             }
         }
@@ -421,24 +240,21 @@ impl FastConverge {
         let (Some(ilo), Some(ihi)) = (self.graph.index_of(k.0), self.graph.index_of(k.1)) else {
             unreachable!("link endpoints are in the graph");
         };
-        match rel {
-            // The link was down, so neither endpoint routes over it: a
-            // tree can change only if the link offers one endpoint a
-            // better route.
-            Some(rel) => {
-                for (slot, (_, tree)) in self.trees.iter().enumerate() {
-                    if tree.must_redecide(&self.graph, ilo, ihi, Some(rel.reversed()))
-                        || tree.must_redecide(&self.graph, ihi, ilo, Some(rel))
-                    {
-                        self.cand_scratch.push(slot);
-                    }
-                }
+        // One filter for both kinds of event (DESIGN.md §24): a tree can
+        // change only if `must_redecide` holds at an endpoint, given the
+        // link's state after the event. After a recovery the link was
+        // down, so neither endpoint routes over it and the test is
+        // whether it offers one endpoint a better route; after a failure
+        // (`rel` is `None`) it is exactly "the endpoint's next hop is the
+        // other one", i.e. the failed link carried traffic in the tree.
+        // Slots are pushed ascending, which is ascending origin.
+        let (rel_of_lo, rel_of_hi) = (rel.map(Relationship::reversed), rel);
+        for (slot, (_, tree)) in self.trees.iter().enumerate() {
+            if tree.must_redecide(&self.graph, ilo, ihi, rel_of_lo)
+                || tree.must_redecide(&self.graph, ihi, ilo, rel_of_hi)
+            {
+                self.cand_scratch.push(slot);
             }
-            // A tree can change only if the failed link carried traffic
-            // in it — exactly the trees the inverted index holds for
-            // the link's two directions (ascending slot = ascending
-            // origin, preserving the candidate order).
-            None => self.link_index.union_into(ilo, ihi, &mut self.cand_scratch),
         }
         Some(if a == k.0 {
             (ilo, ihi, rel)

@@ -307,6 +307,20 @@ impl Default for FnvHasher {
     }
 }
 
+/// A byte-stream encoder can write straight into the digest, so a
+/// fingerprint never holds the bytes it covers
+/// ([`crate::UpdateLog::fingerprint`]).
+impl std::io::Write for FnvHasher {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        self.update(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

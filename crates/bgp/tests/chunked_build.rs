@@ -1,9 +1,9 @@
 //! The chunked tree build of `FastConverge::with_jobs`: on a generated
 //! 800-AS topology, every width — including one wider than there are
-//! origins — must build the one-job trees node for node, seed a
-//! consistent link→trees index, and replay a churn sequence to the same
-//! affected-origin lists and recompute count. The degenerate zero- and
-//! one-origin builds must work at every width too.
+//! origins — must build the one-job trees node for node and replay a
+//! churn sequence to the same affected-origin lists and recompute
+//! count. The degenerate zero- and one-origin builds must work at every
+//! width too.
 
 use quicksand_bgp::{ChurnConfig, ChurnGenerator, FastConverge, LinkChange};
 use quicksand_net::Asn;
@@ -60,7 +60,6 @@ fn chunked_build_matches_the_one_job_build_at_every_width() {
         .map(|jobs| {
             let fc = FastConverge::with_jobs(graph.clone(), origins.iter().copied(), jobs);
             assert_same_trees(&fc, &reference, &format!("jobs {jobs}, built"));
-            assert!(fc.index_is_consistent(), "jobs {jobs}: seeded index inconsistent");
             (jobs, fc)
         })
         .collect();
@@ -76,7 +75,6 @@ fn chunked_build_matches_the_one_job_build_at_every_width() {
     assert!(affected_any, "the churn sequence changes some tree");
     for (jobs, fc) in &wide {
         assert_same_trees(fc, &reference, &format!("jobs {jobs}, after churn"));
-        assert!(fc.index_is_consistent(), "jobs {jobs}: index inconsistent");
     }
 }
 
@@ -87,13 +85,11 @@ fn zero_and_one_origin_builds_work_at_every_width() {
     for jobs in [1, 2, 3, 6] {
         let mut empty = FastConverge::with_jobs(graph.clone(), [], jobs);
         assert_eq!(empty.origins().count(), 0, "jobs {jobs}");
-        assert!(empty.index_is_consistent(), "jobs {jobs}");
         assert!(empty.apply(LinkChange::down(a, b)).is_empty(), "jobs {jobs}");
 
         let one_origin = [origins[0], origins[0]]; // duplicates collapse
         let one = FastConverge::with_jobs(graph.clone(), one_origin, jobs);
         let serial = FastConverge::new(graph.clone(), one_origin);
         assert_same_trees(&one, &serial, &format!("one origin, jobs {jobs}"));
-        assert!(one.index_is_consistent(), "jobs {jobs}");
     }
 }

@@ -77,16 +77,6 @@ impl SegmentObservers {
         })
     }
 
-    /// ASes that can observe the entry side under `mode`.
-    pub fn entry_observers(&self, mode: ObservationMode) -> BTreeSet<Asn> {
-        match mode {
-            ObservationMode::SymmetricOnly => self.entry_fwd.clone(),
-            ObservationMode::AnyDirection => {
-                self.entry_fwd.union(&self.entry_rev).copied().collect()
-            }
-        }
-    }
-
     /// Can the single AS `a` deanonymize the circuit under `mode`?
     pub fn can_deanonymize(&self, a: Asn, mode: ObservationMode) -> bool {
         match mode {

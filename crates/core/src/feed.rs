@@ -45,7 +45,7 @@
 use crate::scenario::MonthResult;
 use crate::telemetry::{FeedSessionTelemetry, SessionState};
 use quicksand_bgp::feed::{self, FeedMsg, FnvHasher};
-use quicksand_bgp::{mrt, ChurnEvent, ConnChaosPlan, ConnFaultKind};
+use quicksand_bgp::{ChurnEvent, ConnChaosPlan, ConnFaultKind};
 use quicksand_net::{
     decorrelated_jitter, read_frame, splitmix64, FrameDecoder, FrameError, QsResult, QuicksandError,
 };
@@ -1082,9 +1082,7 @@ fn drain_acks(stream: &mut TcpStream, dec: &mut FrameDecoder, report: &mut Strea
 /// the bit `repro` reports to prove a streamed run equals its batch
 /// twin.
 pub fn month_fnv(month: &MonthResult) -> u64 {
-    let mut bytes = Vec::new();
-    mrt::write_log(&month.raw, &mut bytes).expect("writing to a Vec cannot fail");
-    quicksand_bgp::feed::fnv64(&bytes)
+    month.raw.fingerprint()
 }
 
 #[cfg(test)]
@@ -1497,7 +1495,7 @@ mod tests {
         let (_, month) = crate::testworld::get();
         assert_eq!(month_fnv(month), month_fnv(month));
         let mut bytes = Vec::new();
-        mrt::write_log(&month.raw, &mut bytes).unwrap();
+        quicksand_bgp::mrt::write_log(&month.raw, &mut bytes).unwrap();
         assert_eq!(
             month_fnv(month),
             quicksand_bgp::feed::fnv64(&bytes),
@@ -1507,7 +1505,7 @@ mod tests {
             records: month.raw.records[..month.raw.records.len() - 1].to_vec(),
         };
         let mut short_bytes = Vec::new();
-        mrt::write_log(&truncated, &mut short_bytes).unwrap();
+        quicksand_bgp::mrt::write_log(&truncated, &mut short_bytes).unwrap();
         assert_ne!(month_fnv(month), quicksand_bgp::feed::fnv64(&short_bytes));
     }
 }

@@ -73,11 +73,6 @@ impl IxpMap {
         self.link_ixp.get(&k).copied()
     }
 
-    /// Number of peering links at `ixp`.
-    pub fn links_at(&self, ixp: IxpId) -> usize {
-        self.link_ixp.values().filter(|&&x| x == ixp).count()
-    }
-
     /// The exchanges crossed by an AS-level path (each consecutive pair
     /// that is a peering link contributes its exchange).
     pub fn ixps_on_path(&self, path: &[Asn]) -> BTreeSet<IxpId> {
@@ -268,7 +263,9 @@ mod tests {
     fn first_exchange_hosts_the_most_links() {
         let (s, _) = crate::testworld::get();
         let map = IxpMap::assign(&s.topo.graph, 5, 2);
-        let counts: Vec<usize> = (0..5).map(|k| map.links_at(IxpId(k))).collect();
+        let counts: Vec<usize> = (0..5)
+            .map(|k| map.link_ixp.values().filter(|&&x| x == IxpId(k)).count())
+            .collect();
         assert_eq!(counts.iter().sum::<usize>(), map.link_ixp.len());
         assert!(
             counts[0] >= counts[4],

@@ -50,12 +50,6 @@ pub fn end_to_end_probability(f: f64, entry: &BTreeSet<Asn>, exit: &BTreeSet<Asn
     1.0 - q.powi(e) - q.powi(x) + q.powi(u)
 }
 
-/// Probability that a *single* (non-colluding) malicious AS observes
-/// both segments: some AS lies in the intersection and is malicious.
-pub fn single_as_probability(f: f64, entry: &BTreeSet<Asn>, exit: &BTreeSet<Asn>) -> f64 {
-    compromise_probability(f, entry.intersection(exit).count())
-}
-
 /// Monte-Carlo estimate of [`end_to_end_probability`], for validating
 /// the closed form: each trial flips a malicious coin per AS and checks
 /// both segments. Returns the observed frequency.
@@ -125,16 +119,6 @@ mod tests {
         assert!((p - compromise_probability(f, 3)).abs() < 1e-12);
         // Empty segment: zero.
         assert_eq!(end_to_end_probability(f, &set(&[]), &x), 0.0);
-    }
-
-    #[test]
-    fn single_as_uses_intersection() {
-        let e = set(&[1, 2, 3]);
-        let x = set(&[3, 4]);
-        assert!(
-            (single_as_probability(0.1, &e, &x) - 0.1).abs() < 1e-12
-        );
-        assert_eq!(single_as_probability(0.1, &e, &set(&[9])), 0.0);
     }
 
     #[test]

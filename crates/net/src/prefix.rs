@@ -101,11 +101,6 @@ impl Ipv4Prefix {
         self.len
     }
 
-    /// True for the zero-length default route `0.0.0.0/0`.
-    pub fn is_default(&self) -> bool {
-        self.len == 0
-    }
-
     /// Does this prefix contain the given address?
     pub fn contains_addr(&self, a: Ipv4Addr) -> bool {
         (u32::from(a) & mask(self.len)) == self.addr
@@ -273,12 +268,6 @@ mod tests {
         assert!(p("10.0.0.0/8").contains(&hi));
         assert!(!lo.contains(&hi) && !hi.contains(&lo));
         assert!(p("1.2.3.4/32").split().is_none());
-    }
-
-    #[test]
-    fn default_route() {
-        assert!(p("0.0.0.0/0").is_default());
-        assert!(!p("10.0.0.0/8").is_default());
     }
 
     #[test]

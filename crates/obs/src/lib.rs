@@ -216,11 +216,6 @@ pub fn observe(stage: &'static str, name: &'static str, value: f64) {
     metrics().observe(Key::stage(stage, name), value);
 }
 
-/// Record `value` into the per-session histogram `(stage, name, session)`.
-pub fn observe_session(stage: &'static str, name: &'static str, session: u32, value: f64) {
-    metrics().observe(Key::session(stage, name, session), value);
-}
-
 /// Record `value` into `(stage, name)` with custom bucket `bounds`
 /// (used for scores in `[-1, 1]`, e.g. [`SCORE_BOUNDS`]).
 pub fn observe_bounded(stage: &'static str, name: &'static str, value: f64, bounds: &[f64]) {

@@ -79,22 +79,8 @@ pub fn set_alloc_probe(probe: fn() -> u64) {
     let _ = ALLOC_PROBE.set(probe);
 }
 
-/// Is an alloc probe installed? (Alloc deltas are all-zero without
-/// one.)
-pub fn has_alloc_probe() -> bool {
-    ALLOC_PROBE.get().is_some()
-}
-
 pub(crate) fn alloc_count() -> u64 {
     ALLOC_PROBE.get().map_or(0, |probe| probe())
-}
-
-/// Read the probe's current allocation count (0 without a probe).
-/// The count is process-wide and monotonic; deltas taken around a
-/// single-threaded section attribute exactly, deltas around concurrent
-/// sections include every thread's allocations.
-pub fn probe_count() -> u64 {
-    alloc_count()
 }
 
 /// Make `tree` visible to [`capture`]. Threads' implicit default
@@ -393,7 +379,6 @@ mod tests {
         // First-wins, and no other test in this binary installs a
         // probe, so ours is the process probe from here on.
         set_alloc_probe(probe);
-        assert!(has_alloc_probe());
         let profile = with_profiler(|| {
             let tree = Arc::new(SpanTree::new());
             register_tree(&tree);

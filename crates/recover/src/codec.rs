@@ -86,6 +86,11 @@ impl Enc {
         self.buf
     }
 
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -133,6 +138,25 @@ impl Enc {
         debug_assert!(b.len() <= u16::MAX as usize, "string too long for str16");
         self.u16(b.len() as u16);
         self.bytes(b);
+    }
+
+    /// Overwrite the little-endian u64 at byte offset `at` — a length
+    /// placeholder written before the bytes it counts.
+    pub fn patch_u64(&mut self, at: usize, v: u64) {
+        self.buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Byte-stream writers (the MRT log encoder) append straight into the
+/// encoder's buffer.
+impl io::Write for Enc {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.bytes(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
     }
 }
 

@@ -147,43 +147,41 @@ pub struct PipelineSnapshot {
 }
 
 impl PipelineSnapshot {
-    /// Serialize to the checkpoint wire format.
+    /// Serialize to the checkpoint wire format. Everything, the MRT log
+    /// included, is written once into one buffer: each section's length
+    /// is patched in after its payload, and the CRC is taken over the
+    /// body in place.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Enc::new();
-        body.u32(VERSION);
-        body.u64(self.config_hash);
-        body.u64(self.seed);
-        body.u64(self.cursor);
+        let mut out = Enc::new();
+        out.bytes(MAGIC);
+        out.u32(VERSION);
+        out.u64(self.config_hash);
+        out.u64(self.seed);
+        out.u64(self.cursor);
         let n_sections = 4 + u32::from(self.monitor.is_some());
-        body.u32(n_sections);
+        out.u32(n_sections);
 
-        section(&mut body, TAG_LINKS, |e| {
+        section(&mut out, TAG_LINKS, |e| {
             e.u64(self.down_links.len() as u64);
             for &(a, b) in &self.down_links {
                 e.u32(a.0);
                 e.u32(b.0);
             }
         });
-        section(&mut body, TAG_COLLECTOR, |e| {
+        section(&mut out, TAG_COLLECTOR, |e| {
             encode_collector(e, &self.collector)
         });
-        section(&mut body, TAG_LOG, |e| {
-            let mut bytes = Vec::new();
-            mrt::write_log(&self.log, &mut bytes)
-                .expect("writing to a Vec cannot fail");
-            e.bytes(&bytes);
+        section(&mut out, TAG_LOG, |e| {
+            mrt::write_log(&self.log, e).expect("writing to memory cannot fail");
         });
         if let Some(m) = &self.monitor {
-            section(&mut body, TAG_MONITOR, |e| encode_monitor(e, m));
+            section(&mut out, TAG_MONITOR, |e| encode_monitor(e, m));
         }
-        section(&mut body, TAG_METRICS, |e| encode_metrics(e, &self.metrics));
+        section(&mut out, TAG_METRICS, |e| encode_metrics(e, &self.metrics));
 
-        let body = body.into_bytes();
-        let mut out = Vec::with_capacity(MAGIC.len() + body.len() + 4);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&body);
-        out.extend_from_slice(&crc32(&body).to_le_bytes());
-        out
+        let crc = crc32(&out.as_bytes()[MAGIC.len()..]);
+        out.u32(crc);
+        out.into_bytes()
     }
 
     /// Deserialize from the checkpoint wire format, verifying the CRC
@@ -274,14 +272,16 @@ impl PipelineSnapshot {
     }
 }
 
-/// Append one `tag, len, payload` section produced by `fill`.
-fn section(body: &mut Enc, tag: u8, fill: impl FnOnce(&mut Enc)) {
-    let mut payload = Enc::new();
-    fill(&mut payload);
-    let payload = payload.into_bytes();
-    body.u8(tag);
-    body.u64(payload.len() as u64);
-    body.bytes(&payload);
+/// Append one `tag, len, payload` section whose payload `fill` writes
+/// in place after a length placeholder, patched once the payload's size
+/// is known.
+fn section(out: &mut Enc, tag: u8, fill: impl FnOnce(&mut Enc)) {
+    out.u8(tag);
+    let len_at = out.len();
+    out.u64(0);
+    fill(out);
+    let len = out.len() - len_at - 8;
+    out.patch_u64(len_at, len as u64);
 }
 
 fn encode_prefix(e: &mut Enc, p: &Ipv4Prefix) {

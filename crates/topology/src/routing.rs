@@ -528,16 +528,6 @@ impl RoutingTree {
         self.entries[i].map(|e| (e.class(), e.dist(), e.next as usize))
     }
 
-    /// Iterate `(node, next_hop)` index pairs for every routed node,
-    /// including the origin's self-loop. Used to seed external
-    /// link→tree indexes, which are then kept current from traces.
-    pub fn next_hops(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| e.map(|e| (i, e.next as usize)))
-    }
-
     #[inline]
     fn record_trace(&mut self, v: usize, old: Option<Entry>, new: Option<Entry>) {
         let old_next = old.map_or(TRACE_UNROUTED, |e| e.next);
@@ -682,7 +672,12 @@ impl RoutingTree {
         if cur.is_some_and(|e| e.next as usize == via) {
             return true;
         }
-        let (Some(rel), Some(offer)) = (rel, self.entries[via]) else {
+        // A down link offers nothing; `via`'s entry is read only when it
+        // is up, so a failure's test is the one next-hop read above.
+        let Some(rel) = rel else {
+            return false;
+        };
+        let Some(offer) = self.entries[via] else {
             return false;
         };
         let Some(p) = offered_pref(offer, rel.reversed()) else {

@@ -173,16 +173,6 @@ impl AddressPlan {
         let host: u32 = rng.gen_range(1..(1 << 16) - 1);
         Ipv4Addr::from(block.network_u32() | host)
     }
-
-    /// The AS owning the block containing `addr` (by block arithmetic,
-    /// not announcement LPM).
-    pub fn block_owner(&self, addr: Ipv4Addr) -> Option<Asn> {
-        let block = Ipv4Prefix::new(addr, 16);
-        self.blocks
-            .iter()
-            .find(|(_, b)| **b == block)
-            .map(|(a, _)| *a)
-    }
 }
 
 #[cfg(test)]
@@ -230,7 +220,6 @@ mod tests {
         for asn in t.graph.asns().take(20) {
             let addr = plan.random_addr_in(asn, &mut rng);
             assert!(plan.blocks[&asn].contains_addr(addr));
-            assert_eq!(plan.block_owner(addr), Some(asn));
             // LPM through the announcement table resolves to the same AS.
             let (_, origin) = plan.table.longest_match(addr).expect("covered");
             assert_eq!(origin, asn);

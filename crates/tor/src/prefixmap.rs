@@ -52,14 +52,6 @@ impl TorPrefixes {
             .len()
     }
 
-    /// The Tor prefix containing a given relay, if any.
-    pub fn prefix_of(&self, relay: RelayId) -> Option<Ipv4Prefix> {
-        self.relays_by_prefix
-            .iter()
-            .find(|(_, v)| v.contains(&relay))
-            .map(|(p, _)| *p)
-    }
-
     /// Summary statistics (the paper's Table-1 numbers).
     pub fn stats(&self) -> TorPrefixStats {
         let mut counts: Vec<usize> =
@@ -162,8 +154,6 @@ mod tests {
         );
         assert_eq!(tp.unmatched, vec![RelayId(5)]);
         assert_eq!(tp.distinct_origins(), 2);
-        assert_eq!(tp.prefix_of(RelayId(1)), Some(p("78.46.0.0/15")));
-        assert_eq!(tp.prefix_of(RelayId(4)), None);
         let s = tp.stats();
         assert_eq!(s.n_prefixes, 3);
         assert_eq!(s.n_origin_ases, 2);

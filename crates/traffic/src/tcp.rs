@@ -36,13 +36,6 @@ pub struct PacketRecord {
     pub ack: u64,
 }
 
-impl PacketRecord {
-    /// Is this a pure acknowledgment?
-    pub fn is_pure_ack(&self) -> bool {
-        self.len == 0
-    }
-}
-
 /// Configuration for [`TcpSim`].
 #[derive(Clone, Debug)]
 pub struct TcpConfig {

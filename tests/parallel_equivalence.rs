@@ -9,7 +9,6 @@
 //! Each run gets its own metrics registry and event buffer, mirroring
 //! separate processes, so per-run reports are complete and isolated.
 
-use quicksand_bgp::mrt;
 use quicksand_core::parallel::Parallelism;
 use quicksand_core::scenario::{MonthResult, Scale, ScaleSpec, Scenario, ScenarioConfig};
 use quicksand_net::{QuicksandError, SimDuration};
@@ -17,23 +16,18 @@ use quicksand_obs::{self as obs, MemorySubscriber, Registry, RunReport};
 use quicksand_recover::{HookAction, PipelineSnapshot};
 use std::sync::Arc;
 
-/// MRT-encode an update log: the byte-level identity used to assert
-/// "bitwise identical" rather than merely `PartialEq`.
-fn log_bytes(log: &quicksand_bgp::UpdateLog) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    mrt::write_log(log, &mut bytes).expect("writing to a Vec cannot fail");
-    bytes
-}
-
+/// Logs are compared by `UpdateLog::fingerprint`, the digest of their
+/// MRT encoding: the byte-level identity used to assert "bitwise
+/// identical" rather than merely `PartialEq`.
 fn assert_months_bitwise_identical(a: &MonthResult, b: &MonthResult, context: &str) {
     assert_eq!(
-        log_bytes(&a.raw),
-        log_bytes(&b.raw),
+        a.raw.fingerprint(),
+        b.raw.fingerprint(),
         "raw logs differ ({context})"
     );
     assert_eq!(
-        log_bytes(&a.cleaned),
-        log_bytes(&b.cleaned),
+        a.cleaned.fingerprint(),
+        b.cleaned.fingerprint(),
         "cleaned logs differ ({context})"
     );
     assert_eq!(a.removed_duplicates, b.removed_duplicates, "{context}");

@@ -10,7 +10,6 @@
 //! crash-then-restart topology where nothing but the checkpoint file
 //! survives.
 
-use quicksand_bgp::mrt;
 use quicksand_core::scenario::{MonthResult, Scenario, ScenarioConfig};
 use quicksand_net::QuicksandError;
 use quicksand_obs::{self as obs, Key, MemorySubscriber, Registry, RunReport};
@@ -28,19 +27,14 @@ fn scratch_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// MRT-encode an update log: the byte-level identity used to assert
-/// "bitwise identical" rather than merely `PartialEq`.
-fn log_bytes(log: &quicksand_bgp::UpdateLog) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    mrt::write_log(log, &mut bytes).expect("writing to a Vec cannot fail");
-    bytes
-}
-
+/// Logs are compared by `UpdateLog::fingerprint`, the digest of their
+/// MRT encoding: the byte-level identity used to assert "bitwise
+/// identical" rather than merely `PartialEq`.
 fn assert_months_bitwise_identical(a: &MonthResult, b: &MonthResult) {
-    assert_eq!(log_bytes(&a.raw), log_bytes(&b.raw), "raw logs differ");
+    assert_eq!(a.raw.fingerprint(), b.raw.fingerprint(), "raw logs differ");
     assert_eq!(
-        log_bytes(&a.cleaned),
-        log_bytes(&b.cleaned),
+        a.cleaned.fingerprint(),
+        b.cleaned.fingerprint(),
         "cleaned logs differ"
     );
     assert_eq!(a.removed_duplicates, b.removed_duplicates);
@@ -210,14 +204,13 @@ fn resume_against_other_scenario_is_a_typed_error() {
 
 /// The replay moves its log into each snapshot and back out after the
 /// hook, instead of copying it. The hook must still see the whole log
-/// so far: every snapshot's log is a byte prefix of the final raw log,
+/// so far: every snapshot's log is a prefix of the final raw log,
 /// the snapshots never shrink, and the checkpointed month is the
 /// uninterrupted one byte for byte.
 #[test]
 fn checkpoint_snapshots_hold_the_log_so_far() {
     let scenario = Scenario::build(ScenarioConfig::small(11));
     let (full_month, _) = run_baseline(&scenario);
-    let full_bytes = log_bytes(&full_month.raw);
 
     let every = 7;
     let mut lens = Vec::new();
@@ -226,7 +219,7 @@ fn checkpoint_snapshots_hold_the_log_so_far() {
             .run_month_checkpointed(None, every, |snap| {
                 assert_eq!(snap.cursor, every * (lens.len() as u64 + 1));
                 assert!(
-                    full_bytes.starts_with(&log_bytes(&snap.log)),
+                    full_month.raw.records.starts_with(&snap.log.records),
                     "snapshot log at cursor {} is not a prefix of the raw log",
                     snap.cursor
                 );
