@@ -119,10 +119,7 @@ impl PrefixMonitor {
 
     /// Scan a log and return all alarms, in log order.
     pub fn scan(&self, log: &UpdateLog) -> Vec<Alarm> {
-        obs::timed("detect", || self.scan_inner(log))
-    }
-
-    fn scan_inner(&self, log: &UpdateLog) -> Vec<Alarm> {
+        let _span = obs::prof::span("detect", "scan");
         let mut alarms = Vec::new();
         for r in &log.records {
             let UpdateMessage::Announce(route) = &r.msg else {

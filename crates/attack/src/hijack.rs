@@ -61,21 +61,19 @@ pub fn origin_hijack_scoped(
     attacker_spec: OriginSpec,
 ) -> HijackOutcome {
     assert_ne!(victim, attacker_spec.asn, "attacker cannot be the victim");
-    obs::timed("detect", || {
-        obs::incr("detect", "hijacks", 1);
-        let attacker = attacker_spec.asn;
-        let routing =
-            MultiOriginRouting::compute(graph, &[OriginSpec::plain(victim), attacker_spec]);
-        let captured = routing.capture_set(graph, attacker);
-        let retained = routing.capture_set(graph, victim);
-        let unrouted = routing.unrouted(graph);
-        HijackOutcome {
-            captured,
-            retained,
-            unrouted,
-            routing,
-        }
-    })
+    let _span = obs::prof::span("detect", "origin_hijack");
+    obs::incr("detect", "hijacks", 1);
+    let attacker = attacker_spec.asn;
+    let routing = MultiOriginRouting::compute(graph, &[OriginSpec::plain(victim), attacker_spec]);
+    let captured = routing.capture_set(graph, attacker);
+    let retained = routing.capture_set(graph, victim);
+    let unrouted = routing.unrouted(graph);
+    HijackOutcome {
+        captured,
+        retained,
+        unrouted,
+        routing,
+    }
 }
 
 /// Simulate a more-specific-prefix hijack: the attacker announces a
@@ -89,34 +87,33 @@ pub fn more_specific_hijack(
     attacker_spec: OriginSpec,
 ) -> HijackOutcome {
     assert_ne!(victim, attacker_spec.asn, "attacker cannot be the victim");
-    obs::timed("detect", || {
-        obs::incr("detect", "more_specific_hijacks", 1);
-        let attacker = attacker_spec.asn;
-        // The more-specific is a different NLRI: compute its propagation
-        // alone. Capture = every AS with a route to it; everyone else still
-        // follows the covering prefix to the victim.
-        let specific = MultiOriginRouting::compute(graph, &[attacker_spec]);
-        let captured = specific.capture_set(graph, attacker);
-        let covering = MultiOriginRouting::compute(graph, &[OriginSpec::plain(victim)]);
-        let mut retained = BTreeSet::new();
-        let mut unrouted = BTreeSet::new();
-        for a in graph.asns() {
-            if captured.contains(&a) {
-                continue;
-            }
-            if covering.selected_origin(graph, a) == Some(victim) {
-                retained.insert(a);
-            } else {
-                unrouted.insert(a);
-            }
+    let _span = obs::prof::span("detect", "more_specific_hijack");
+    obs::incr("detect", "more_specific_hijacks", 1);
+    let attacker = attacker_spec.asn;
+    // The more-specific is a different NLRI: compute its propagation
+    // alone. Capture = every AS with a route to it; everyone else still
+    // follows the covering prefix to the victim.
+    let specific = MultiOriginRouting::compute(graph, &[attacker_spec]);
+    let captured = specific.capture_set(graph, attacker);
+    let covering = MultiOriginRouting::compute(graph, &[OriginSpec::plain(victim)]);
+    let mut retained = BTreeSet::new();
+    let mut unrouted = BTreeSet::new();
+    for a in graph.asns() {
+        if captured.contains(&a) {
+            continue;
         }
-        HijackOutcome {
-            captured,
-            retained,
-            unrouted,
-            routing: specific,
+        if covering.selected_origin(graph, a) == Some(victim) {
+            retained.insert(a);
+        } else {
+            unrouted.insert(a);
         }
-    })
+    }
+    HijackOutcome {
+        captured,
+        retained,
+        unrouted,
+        routing: specific,
+    }
 }
 
 #[cfg(test)]

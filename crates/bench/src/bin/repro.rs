@@ -23,19 +23,19 @@
 //! archives as an artifact.
 //!
 //! Observability: progress notes are `quicksand-obs` events rendered to
-//! stderr (`-v` adds span timings, `--quiet` silences both events and
-//! the stdout tables). `--obs-out=PATH` writes the machine-readable
-//! [`RunReport`] at exit; `--obs-jsonl=PATH` streams every event and
-//! span as one JSON object per line. `--log-level=SPEC` (or the
-//! `QUICKSAND_LOG` env var — the flag wins) sets the console threshold
-//! with optional per-stage overrides (`warn,routing=debug,churn=error`),
-//! overriding `-v`/the default. `--profile-out=PATH` turns the span
-//! profiler on for the run and writes the aggregated profile as
-//! collapsed-stack text (flamegraph input; weight = self-time µs);
-//! `--profile-sample=N` records every N-th top-level span activation.
-//! With `--profile-out`, `--obs-out` reports also carry a `profile`
-//! section and per-span `_span_us` latency histograms — both excluded
-//! from `report --check` determinism. `repro report a.json` pretty-prints
+//! stderr (`-v` adds debug events, `--quiet` silences both events and
+//! the stdout tables). `--obs-out=PATH` turns the span profiler on and
+//! writes the machine-readable [`RunReport`] at exit: its per-stage
+//! wall-time table is derived from the span profile, which the report
+//! also carries as a `profile` section beside per-span `_span_us`
+//! latency histograms — all excluded from `report --check`
+//! determinism. `--obs-jsonl=PATH` streams every event as one JSON
+//! object per line. `--log-level=SPEC` (or the `QUICKSAND_LOG` env var
+//! — the flag wins) sets the console threshold with optional per-stage
+//! overrides (`warn,routing=debug,churn=error`), overriding `-v`/the
+//! default. `--profile-out=PATH` turns the span profiler on as well and
+//! writes the aggregated profile as collapsed-stack text (flamegraph
+//! input; weight = self-time µs). `repro report a.json` pretty-prints
 //! a report and exits non-zero when a required pipeline stage is missing
 //! (the CI schema gate); `repro report a.json b.json` diffs two runs;
 //! `repro report --check a.json b.json` exits 1 unless the two runs are
@@ -146,7 +146,7 @@ repro [all|table1|fig2-left|fig2-right|fig3-left|fig3-right|model|
        stealth|longterm|countermeasures|chaos]
        [--small|--medium|--large|--scale=SPEC] [--jobs=N]
        [--intensity=<0..1>] [--obs-out=run.json] [--obs-jsonl=run.jsonl]
-       [--profile-out=PATH] [--profile-sample=N] [--log-level=SPEC]
+       [--profile-out=PATH] [--log-level=SPEC]
        [--checkpoint-every=N] [--checkpoint-dir=DIR] [--resume-from=PATH]
        [--halt-after=K] [-v|--verbose] [-q|--quiet]
 repro report [--check] <run.json> [other.json]
@@ -643,7 +643,6 @@ fn bench_snapshot_command(args: &[String]) -> i32 {
         let registry = Arc::new(obs::Registry::default());
         if profiled {
             obs::prof::reset();
-            obs::prof::set_sample_every(1);
             obs::prof::set_enabled(true);
         }
         let run = obs::with_metrics(registry.clone(), || {
@@ -696,8 +695,8 @@ fn bench_snapshot_command(args: &[String]) -> i32 {
     );
     let serial = timed_run(1, false);
     let parallel = timed_run(jobs, false);
-    // Third run: serial again with the span profiler recording at
-    // default sampling — the telemetry-overhead measurement. The
+    // Third run: serial again with the span profiler recording every
+    // span — the telemetry-overhead measurement. The
     // profiled replay must stay within 5% of the serial allocation
     // budget (the `alloc_budget` tripwire enforces this in CI).
     let profiled = timed_run(1, true);
@@ -1278,16 +1277,7 @@ fn main() {
     let profile_out = args
         .iter()
         .find_map(|a| a.strip_prefix("--profile-out="));
-    if let Some(every) = parse_u64("--profile-sample=") {
-        if profile_out.is_none() {
-            eprintln!("error: --profile-sample requires --profile-out");
-            std::process::exit(exitcode::USAGE);
-        }
-        obs::prof::set_sample_every(every);
-    }
-    if profile_out.is_some() {
-        obs::prof::set_enabled(true);
-    }
+    obs::prof::set_enabled(obs_out.is_some() || profile_out.is_some());
     let which: Vec<&str> = args
         .iter()
         .filter(|a| !a.starts_with('-'))
@@ -1624,24 +1614,23 @@ fn main() {
     }
 
     obs::flush();
-    // Profile epilogue: freeze the profiler, write the collapsed-stack
-    // text (flamegraph input), and fold the per-span latency histograms
-    // into the global registry so the run report renders them.
-    let profile = profile_out.map(|path| {
-        obs::prof::set_enabled(false);
-        let profile = obs::prof::capture();
+    // Profile epilogue: freeze the profiler, fold the per-span latency
+    // histograms into the global registry so the run report renders
+    // them, and write the collapsed-stack text (flamegraph input).
+    obs::prof::set_enabled(false);
+    let profile = obs::prof::capture();
+    profile.publish(&obs::global_metrics());
+    if let Some(path) = profile_out {
         if let Err(e) = std::fs::write(path, profile.collapsed()) {
             eprintln!("error: cannot write {path}: {e}");
             std::process::exit(exitcode::CHECK_FAILED);
         }
-        profile.publish(&obs::global_metrics());
         progress(format!(
             "wrote collapsed-stack profile to {path} ({} call paths, {} dropped)",
             profile.entries.len(),
             profile.dropped
         ));
-        profile
-    });
+    }
     if let Some(path) = obs_out {
         let label = format!(
             "repro {}{}",
@@ -1652,10 +1641,8 @@ fn main() {
                 .unwrap_or_default()
         );
         let snapshot = obs::global_metrics().snapshot();
-        let mut run_report = RunReport::assemble(label, &snapshot, &memory.events());
-        if let Some(profile) = &profile {
-            run_report = run_report.with_profile(profile);
-        }
+        let run_report =
+            RunReport::assemble(label, &snapshot, &memory.events()).with_profile(&profile);
         let json = match serde_json::to_string_pretty(&run_report) {
             Ok(j) => j,
             Err(e) => {

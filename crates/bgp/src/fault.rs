@@ -236,10 +236,7 @@ impl FaultInjector {
     /// same duplicate-burst artifact real session resets produce, which
     /// [`crate::clean_session_resets`] is designed to remove.
     pub fn apply(&self, log: &UpdateLog) -> (UpdateLog, FaultReport) {
-        obs::timed("collector", || self.apply_inner(log))
-    }
-
-    fn apply_inner(&self, log: &UpdateLog) -> (UpdateLog, FaultReport) {
+        let _span = obs::prof::span("collector", "fault");
         let mut report = FaultReport::default();
         if log.is_empty() {
             return (UpdateLog::default(), report);

@@ -16,8 +16,7 @@
 use quicksand_bgp::metrics::PathTimeline;
 use quicksand_bgp::{
     clean_session_resets, ChurnConfig, ChurnEvent, ChurnGenerator, CleaningConfig, Collector,
-    CollectorConfig, ExportCache, FastConverge, FaultInjector, FaultProfile, FaultReport,
-    LinkChange, PrefixTable, UpdateLog,
+    CollectorConfig, ExportCache, FastConverge, LinkChange, PrefixTable, UpdateLog,
 };
 use quicksand_net::{Asn, Ipv4Prefix, QsResult, QuicksandError, SimTime};
 use quicksand_obs as obs;
@@ -407,20 +406,26 @@ pub struct MonthResult {
 impl Scenario {
     /// Assemble the world from a configuration.
     pub fn build(config: ScenarioConfig) -> Scenario {
-        obs::timed("topology", || Scenario::build_inner(config))
-    }
+        let _span = obs::prof::span("topology", "build");
+        let topo = {
+            let _span = obs::prof::span("topology", "generate");
+            TopologyGenerator::new(config.topology.clone()).generate()
+        };
+        let plan = {
+            let _span = obs::prof::span("tor", "plan");
+            AddressPlan::generate(&topo.graph, &topo.hosting, &config.plan)
+        };
+        let consensus = {
+            let _span = obs::prof::span("tor", "consensus");
+            let asns: Vec<Asn> = topo.graph.asns().collect();
+            ConsensusGenerator::new(config.consensus.clone()).generate(&plan, &topo.hosting, &asns)
+        };
+        let tor_prefixes = {
+            let _span = obs::prof::span("tor", "prefix_join");
+            map_tor_prefixes(&consensus, &plan.table)
+        };
 
-    fn build_inner(config: ScenarioConfig) -> Scenario {
-        let topo = TopologyGenerator::new(config.topology.clone()).generate();
-        let plan = AddressPlan::generate(&topo.graph, &topo.hosting, &config.plan);
-        let asns: Vec<Asn> = topo.graph.asns().collect();
-        let consensus = ConsensusGenerator::new(config.consensus.clone()).generate(
-            &plan,
-            &topo.hosting,
-            &asns,
-        );
-        let tor_prefixes = map_tor_prefixes(&consensus, &plan.table);
-
+        let select_span = obs::prof::span("scenario", "select");
         let mut rng = StdRng::seed_from_u64(config.seed);
         // Collector peers: RIS peers are ISPs, so draw a quarter from
         // the tier-1 clique and the rest from the *largest* tier-2s
@@ -472,6 +477,7 @@ impl Scenario {
         };
         control.truncate(config.n_control_origins);
         control.sort();
+        drop(select_span);
 
         obs::incr("topology", "builds", 1);
         obs::gauge("topology", "ases", topo.graph.len() as f64);
@@ -750,7 +756,7 @@ impl Scenario {
 
         // Play the schedule (generation + replay are one churn span).
         let replay_started = std::time::Instant::now();
-        let n_events = obs::timed("churn", || -> QsResult<usize> {
+        let n_events = {
             let _replay_span = obs::prof::span("churn", "replay");
             // Batch mode generates the schedule inside the span (a pure
             // function of the seed); streaming mode consumes whatever
@@ -848,8 +854,8 @@ impl Scenario {
                     detail: format!("checkpoint at event {cursor}, schedule has {n}"),
                 });
             }
-            Ok(n)
-        })?;
+            n
+        };
         obs::incr("churn", "events", n_events as u64);
         let replay_s = replay_started.elapsed().as_secs_f64();
         if replay_s > 0.0 {
@@ -871,9 +877,7 @@ impl Scenario {
         // before cleaning allocates (DESIGN.md §19).
         drop((fc, collector, cache, dirty));
         let (cleaned, removed_duplicates, reset_bursts) =
-            obs::timed("collector", || {
-                clean_session_resets(&log, &CleaningConfig::default())
-            });
+            clean_session_resets(&log, &CleaningConfig::default());
         Ok(MonthResult {
             raw: log,
             cleaned,
@@ -881,31 +885,6 @@ impl Scenario {
             reset_bursts,
             horizon_end,
         })
-    }
-
-    /// [`Scenario::run_month`] with a fault profile applied to the raw
-    /// feed before cleaning: the §4 dataset as a degraded collector
-    /// would have recorded it. Returns the month result plus the report
-    /// of injected faults.
-    pub fn run_month_faulted(
-        &self,
-        profile: FaultProfile,
-    ) -> QsResult<(MonthResult, FaultReport)> {
-        let injector = FaultInjector::new(profile)?;
-        let pristine = self.run_month()?;
-        let (raw, report) = injector.apply(&pristine.raw);
-        let (cleaned, removed_duplicates, reset_bursts) =
-            clean_session_resets(&raw, &CleaningConfig::default());
-        Ok((
-            MonthResult {
-                raw,
-                cleaned,
-                removed_duplicates,
-                reset_bursts,
-                horizon_end: pristine.horizon_end,
-            },
-            report,
-        ))
     }
 
     /// Replay the same churn schedule, recording the AS-set timeline of

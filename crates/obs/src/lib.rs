@@ -12,11 +12,13 @@
 //!   fixed-bucket histograms keyed by `(stage, name, session)` —
 //!   replay rates, reconnect counts, alarm-latency histograms,
 //!   fault-injector decisions, correlation scores.
-//! * **Profiling** ([`timed`]): stage-level wall-clock spans recorded
-//!   as `wall_ms` histograms and forwarded to the subscriber.
+//! * **Profiling** ([`prof`]): one span tree over the whole pipeline —
+//!   RAII spans keyed by `(stage, name)` that record self/total wall
+//!   time and alloc deltas, and the source of every stage timing.
 //! * **Run reports** ([`report::RunReport`]): the machine-readable
 //!   end-of-run artifact behind `repro --obs-out=run.json` and
-//!   `repro report`.
+//!   `repro report`; its per-stage wall-time table is derived from the
+//!   span profile.
 //!
 //! # Dispatch model
 //!
@@ -35,10 +37,9 @@
 //!
 //! let reg = Arc::new(obs::Registry::new());
 //! let out = obs::with_metrics(reg.clone(), || {
-//!     obs::timed("churn", || {
-//!         obs::incr("churn", "events", 10);
-//!         2 + 2
-//!     })
+//!     let _span = obs::prof::span("churn", "replay");
+//!     obs::incr("churn", "events", 10);
+//!     2 + 2
 //! });
 //! assert_eq!(out, 4);
 //! assert_eq!(reg.counter_value(obs::Key::stage("churn", "events")), 10);
@@ -69,10 +70,6 @@ pub use subscriber::{
 
 use std::cell::RefCell;
 use std::sync::{Arc, OnceLock, RwLock};
-use std::time::Instant;
-
-/// Name of the per-stage wall-time histogram recorded by [`timed`].
-pub const WALL_MS: &str = "wall_ms";
 
 static GLOBAL_SUBSCRIBER: RwLock<Option<Arc<dyn Subscriber>>> = RwLock::new(None);
 static GLOBAL_REGISTRY: OnceLock<Arc<Registry>> = OnceLock::new();
@@ -222,20 +219,6 @@ pub fn observe_bounded(stage: &'static str, name: &'static str, value: f64, boun
     metrics().observe_bounded(Key::stage(stage, name), value, bounds);
 }
 
-/// Profile `f` as one span of `stage`: wall time lands in the stage's
-/// `wall_ms` histogram and is forwarded to the subscriber's
-/// `span_end`. Returns `f`'s result unchanged.
-pub fn timed<R>(stage: &'static str, f: impl FnOnce() -> R) -> R {
-    let start = Instant::now();
-    let out = f();
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    metrics().observe(Key::stage(stage, WALL_MS), wall_ms);
-    if let Some(s) = current_subscriber() {
-        s.span_end(stage, wall_ms);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,25 +275,6 @@ mod tests {
         // not the abandoned override.
         incr("topology", "panic_probe", 1);
         assert_eq!(reg.counter_value(Key::stage("topology", "panic_probe")), 0);
-    }
-
-    #[test]
-    fn timed_records_wall_ms_and_notifies_subscriber() {
-        let reg = Arc::new(Registry::new());
-        let sub = Arc::new(MemorySubscriber::new());
-        let value = with_metrics(reg.clone(), || {
-            with_subscriber(sub.clone(), || timed("topology", || 42))
-        });
-        assert_eq!(value, 42);
-        let snap = reg.snapshot();
-        assert_eq!(snap.histograms.len(), 1);
-        assert_eq!(snap.histograms[0].stage, "topology");
-        assert_eq!(snap.histograms[0].name, WALL_MS);
-        assert_eq!(snap.histograms[0].stats.count, 1);
-        let spans = sub.spans();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].0, "topology");
-        assert!(spans[0].1 >= 0.0);
     }
 
     #[test]

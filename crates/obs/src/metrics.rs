@@ -568,17 +568,6 @@ impl Snapshot {
         v.dedup();
         v
     }
-
-    /// Does `stage` have at least one metric besides the `wall_ms`
-    /// profiling histogram?
-    pub fn has_stage_metrics(&self, stage: &str) -> bool {
-        self.counters.iter().any(|e| e.stage == stage)
-            || self.gauges.iter().any(|e| e.stage == stage)
-            || self
-                .histograms
-                .iter()
-                .any(|e| e.stage == stage && e.name != crate::WALL_MS)
-    }
 }
 
 #[cfg(test)]
@@ -758,7 +747,6 @@ mod tests {
         let json = serde_json::to_string_pretty(&snap).unwrap();
         let back: Snapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
-        assert!(snap.has_stage_metrics("detect"));
-        assert!(!snap.has_stage_metrics("topology"));
+        assert_eq!(snap.stages(), vec!["correlate", "detect"]);
     }
 }

@@ -1,5 +1,5 @@
-//! The span profiler's control plane: global on/off gate, sampling,
-//! the alloc probe, tree registration, and aggregation.
+//! The span profiler's control plane: global on/off gate, the alloc
+//! probe, tree registration, and aggregation.
 //!
 //! The hot-path contract: when the profiler is **off**,
 //! [`span`] costs one relaxed atomic load and returns an inert guard —
@@ -38,13 +38,12 @@
 use crate::metrics::{intern, Key, Registry, LOG2_US_BOUNDS};
 use crate::span::{self, SpanGuard, SpanNodeStats, SpanTree, SPAN_LATENCY_BUCKETS};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 pub use crate::span::with_tree;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static SAMPLE_EVERY: AtomicU64 = AtomicU64::new(1);
 static ALLOC_PROBE: OnceLock<fn() -> u64> = OnceLock::new();
 static TREES: Mutex<Vec<Arc<SpanTree>>> = Mutex::new(Vec::new());
 
@@ -57,18 +56,6 @@ pub fn set_enabled(on: bool) {
 /// Is the profiler currently recording?
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// Record only every `every`-th top-level span activation (nested
-/// spans follow their root's fate, so trees stay internally
-/// consistent). `0` is treated as `1` (record everything — the
-/// default).
-pub fn set_sample_every(every: u64) {
-    SAMPLE_EVERY.store(every.max(1), Ordering::Relaxed);
-}
-
-pub(crate) fn sample_every() -> u64 {
-    SAMPLE_EVERY.load(Ordering::Relaxed)
 }
 
 /// Install the allocation-count probe (a monotonic count of heap
@@ -151,8 +138,6 @@ pub struct ProfileEntry {
 /// An aggregated snapshot of every registered span tree.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Profile {
-    /// Sampling in effect when captured (`1` = every activation).
-    pub sample_every: u64,
     /// Spans dropped to depth/node-table limits across all trees.
     pub dropped: u64,
     /// Aggregated call paths, sorted by path.
@@ -227,7 +212,6 @@ pub fn capture() -> Profile {
         }
     }
     Profile {
-        sample_every: sample_every(),
         dropped,
         entries: merged.into_values().collect(),
     }
@@ -281,7 +265,6 @@ mod tests {
     fn with_profiler<R>(f: impl FnOnce() -> R) -> R {
         let _lock = GATE.lock().unwrap_or_else(|e| e.into_inner());
         reset();
-        set_sample_every(1);
         set_enabled(true);
         let out = f();
         set_enabled(false);
@@ -336,38 +319,6 @@ mod tests {
         let collapsed = profile.collapsed();
         assert!(collapsed.contains("churn.replay "));
         assert!(collapsed.contains("churn.replay;collector.observe "));
-    }
-
-    #[test]
-    fn sampling_skips_whole_activations() {
-        let profile = with_profiler(|| {
-            let tree = Arc::new(SpanTree::new());
-            register_tree(&tree);
-            set_sample_every(4);
-            with_tree(&tree, || {
-                for _ in 0..8 {
-                    let _root = span("churn", "replay");
-                    let _child = span("churn", "apply");
-                }
-            });
-            set_sample_every(1);
-            let profile = capture();
-            reset();
-            profile
-        });
-        let root = profile
-            .entries
-            .iter()
-            .find(|e| e.path == "churn.replay")
-            .expect("root recorded");
-        let child = profile
-            .entries
-            .iter()
-            .find(|e| e.path == "churn.replay;churn.apply")
-            .expect("child recorded");
-        // Exactly every 4th activation recorded, children in lockstep.
-        assert_eq!(root.count, 2);
-        assert_eq!(child.count, 2);
     }
 
     #[test]

@@ -1,22 +1,24 @@
 //! Machine-readable run reports.
 //!
 //! A [`RunReport`] is the end-of-run artifact written by
-//! `repro --obs-out=run.json`: per-stage wall time (from the `wall_ms`
-//! profiling histograms recorded by [`crate::timed`]), a full metric
+//! `repro --obs-out=run.json`: per-stage wall time (derived from the
+//! span profile, see [`RunReport::with_profile`]), a full metric
 //! [`Snapshot`], and the alarm timeline extracted from buffered monitor
 //! events. `repro report run.json` pretty-prints one report or diffs
 //! two; [`RunReport::validate`] is the CI schema gate that fails a run
 //! missing any of the six instrumented stages.
 
 use crate::event::Event;
-use crate::metrics::Snapshot;
+use crate::metrics::{Histogram, Snapshot, LOG2_US_BOUNDS};
+use crate::prof::Profile;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Report schema version, bumped on incompatible changes.
 pub const REPORT_VERSION: u32 = 1;
 
 /// The six pipeline stages every full run must profile. A report
-/// missing wall time or metrics for any of these fails validation.
+/// missing spans or metrics for any of these fails validation.
 pub const REQUIRED_STAGES: [&str; 6] = [
     "topology",
     "churn",
@@ -26,21 +28,68 @@ pub const REQUIRED_STAGES: [&str; 6] = [
     "correlate",
 ];
 
-/// Wall-time profile of one pipeline stage.
+/// Wall-time profile of one pipeline stage, derived from the span
+/// profile. A stage's *outermost* spans are those with no ancestor
+/// frame of the same stage.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct StageReport {
     /// Stage name (see [`REQUIRED_STAGES`]).
     pub stage: String,
-    /// Number of timed spans recorded for the stage.
+    /// Activations of the stage's outermost spans.
     pub calls: u64,
-    /// Total wall time across all spans, milliseconds.
+    /// Self time of every span of the stage, milliseconds. The column
+    /// sums to the profiled wall time, with nothing counted twice.
     pub wall_ms_total: f64,
-    /// Mean span duration, milliseconds.
+    /// `wall_ms_total / calls`, milliseconds.
     pub wall_ms_mean: f64,
-    /// Estimated p95 span duration, milliseconds.
+    /// Estimated p95 outermost-span duration (log₂ buckets),
+    /// milliseconds.
     pub wall_ms_p95: f64,
-    /// Longest span, milliseconds.
+    /// Longest outermost span, milliseconds.
     pub wall_ms_max: f64,
+}
+
+/// The stage table of `profile`, ordered by stage name.
+fn stage_table(profile: &Profile) -> Vec<StageReport> {
+    let mut by_stage: BTreeMap<&str, (u64, Histogram)> = BTreeMap::new();
+    for e in &profile.entries {
+        let (self_ns, outermost) = by_stage
+            .entry(e.stage.as_str())
+            .or_insert_with(|| (0, Histogram::new(&LOG2_US_BOUNDS)));
+        *self_ns += e.self_ns;
+        let ancestors = e.path.rsplit_once(';').map_or("", |(a, _)| a);
+        let nested = ancestors
+            .split(';')
+            .any(|frame| frame.split_once('.').is_some_and(|(st, _)| st == e.stage));
+        if !nested {
+            outermost.merge_parts(
+                &e.buckets,
+                e.count,
+                e.total_ns as f64 / 1e3,
+                e.min_ns as f64 / 1e3,
+                e.max_ns as f64 / 1e3,
+            );
+        }
+    }
+    by_stage
+        .into_iter()
+        .map(|(stage, (self_ns, outermost))| {
+            let calls = outermost.count();
+            let total = self_ns as f64 / 1e6;
+            StageReport {
+                stage: stage.to_string(),
+                calls,
+                wall_ms_total: total,
+                wall_ms_mean: if calls == 0 {
+                    0.0
+                } else {
+                    total / calls as f64
+                },
+                wall_ms_p95: outermost.quantile(0.95).unwrap_or(0.0) / 1e3,
+                wall_ms_max: outermost.max().unwrap_or(0.0) / 1e3,
+            }
+        })
+        .collect()
 }
 
 /// One monitor alarm, lifted from the event stream into the report.
@@ -88,7 +137,7 @@ impl SupervisorSection {
     /// Build the section from a metric snapshot, when the run recorded
     /// any `supervisor`-stage metrics at all.
     fn from_snapshot(metrics: &Snapshot) -> Option<SupervisorSection> {
-        if !metrics.has_stage_metrics("supervisor") {
+        if !metrics.stages().contains(&"supervisor") {
             return None;
         }
         let counter = |name: &str| {
@@ -137,24 +186,21 @@ pub struct ProfileSpanEntry {
     pub total_allocs: u64,
 }
 
-/// Span-profiler summary, attached to reports written with profiling
-/// enabled (`repro --profile-out`). Wall-clock content through and
-/// through, so [`RunReport::normalized`] strips it — old-schema files
-/// without the section and new files with it `--check` identically.
+/// Span-profiler summary, attached to every batch report
+/// (`repro --obs-out` turns the profiler on). Wall-clock content
+/// through and through, so [`RunReport::normalized`] strips it —
+/// files without the section and files with it `--check` identically.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ProfileSection {
-    /// Sampling in effect (`1` = every top-level activation recorded).
-    pub sample_every: u64,
     /// Spans dropped to depth/node-table limits.
     pub dropped: u64,
     /// Aggregated call paths, sorted by path.
     pub spans: Vec<ProfileSpanEntry>,
 }
 
-impl From<&crate::prof::Profile> for ProfileSection {
-    fn from(profile: &crate::prof::Profile) -> ProfileSection {
+impl From<&Profile> for ProfileSection {
+    fn from(profile: &Profile) -> ProfileSection {
         ProfileSection {
-            sample_every: profile.sample_every,
             dropped: profile.dropped,
             spans: profile
                 .entries
@@ -179,7 +225,8 @@ pub struct RunReport {
     pub version: u32,
     /// Caller-supplied label (scenario / figure set / git describe).
     pub label: String,
-    /// Per-stage wall-time profiles, ordered by stage name.
+    /// Per-stage wall-time profiles, ordered by stage name (empty
+    /// until [`RunReport::with_profile`] derives them).
     pub stages: Vec<StageReport>,
     /// Full metric snapshot at end of run.
     pub metrics: Snapshot,
@@ -195,25 +242,10 @@ pub struct RunReport {
 
 impl RunReport {
     /// Build a report from a metric snapshot and the buffered event
-    /// stream of a run.
-    ///
-    /// Stages come from the stage-level `wall_ms` histograms recorded
-    /// by [`crate::timed`]; alarms from events named `"alarm"` in the
-    /// `"monitor"` stage.
+    /// stream of a run. Alarms come from events named `"alarm"` in the
+    /// `"monitor"` stage; the stage table stays empty until
+    /// [`RunReport::with_profile`] attaches a span profile.
     pub fn assemble(label: impl Into<String>, metrics: &Snapshot, events: &[Event]) -> RunReport {
-        let stages = metrics
-            .histograms
-            .iter()
-            .filter(|h| h.name == crate::WALL_MS && h.session.is_none())
-            .map(|h| StageReport {
-                stage: h.stage.clone(),
-                calls: h.stats.count,
-                wall_ms_total: h.stats.sum,
-                wall_ms_mean: h.stats.mean,
-                wall_ms_p95: h.stats.p95,
-                wall_ms_max: h.stats.max,
-            })
-            .collect();
         let alarms = events
             .iter()
             .filter(|e| e.stage == "monitor" && e.name == "alarm")
@@ -235,7 +267,7 @@ impl RunReport {
         RunReport {
             version: REPORT_VERSION,
             label: label.into(),
-            stages,
+            stages: Vec::new(),
             metrics: metrics.clone(),
             alarms,
             supervisor: SupervisorSection::from_snapshot(metrics),
@@ -243,10 +275,14 @@ impl RunReport {
         }
     }
 
-    /// Attach a span-profiler capture (builder style), omitting empty
-    /// profiles so unprofiled runs keep the section absent.
-    pub fn with_profile(mut self, profile: &crate::prof::Profile) -> RunReport {
+    /// Attach a span-profiler capture (builder style) and derive the
+    /// stage table from it: a stage's `wall_ms_total` is the self time
+    /// of all its spans, its calls, p95 and max come from its
+    /// outermost spans (see [`StageReport`]). Empty profiles attach
+    /// nothing, so unprofiled runs keep both absent.
+    pub fn with_profile(mut self, profile: &Profile) -> RunReport {
         if !profile.is_empty() {
+            self.stages = stage_table(profile);
             self.profile = Some(ProfileSection::from(profile));
         }
         self
@@ -258,8 +294,8 @@ impl RunReport {
     }
 
     /// Schema validation. Batch reports: every
-    /// [required stage](REQUIRED_STAGES) must have at least one timed
-    /// span *and* a non-empty metric snapshot. Fleet reports (a
+    /// [required stage](REQUIRED_STAGES) must have at least one span in
+    /// the stage table *and* a non-empty metric snapshot. Fleet reports (a
     /// `supervisor` section is present): the per-cell stage metrics
     /// live in the cells' private registries, so the six-stage rule
     /// does not apply; instead the supervisor accounting must be
@@ -286,19 +322,29 @@ impl RunReport {
                     sup.degraded, sup.completed
                 ));
             }
-            if !self.metrics.has_stage_metrics("supervisor") {
+            if !self.metrics.stages().contains(&"supervisor") {
                 problems.push("supervisor: section present but no stage metrics".to_string());
             }
         } else {
+            // A stage's spans publish `_span_us` histograms into the
+            // registry; those must not stand in for its own metrics.
+            let has_metrics = |stage: &str| {
+                let m = &self.metrics;
+                m.counters.iter().any(|c| c.stage == stage)
+                    || m.gauges.iter().any(|g| g.stage == stage)
+                    || m.histograms
+                        .iter()
+                        .any(|h| h.stage == stage && !h.name.ends_with("_span_us"))
+            };
             for stage in REQUIRED_STAGES {
                 match self.stage(stage) {
-                    None => problems.push(format!("stage '{stage}': no wall-time profile")),
+                    None => problems.push(format!("stage '{stage}': no spans in the profile")),
                     Some(s) if s.calls == 0 => {
-                        problems.push(format!("stage '{stage}': zero timed calls"))
+                        problems.push(format!("stage '{stage}': zero span calls"))
                     }
                     Some(_) => {}
                 }
-                if !self.metrics.has_stage_metrics(stage) {
+                if !has_metrics(stage) {
                     problems.push(format!("stage '{stage}': empty metric snapshot"));
                 }
             }
@@ -375,9 +421,6 @@ impl RunReport {
             }
         }
         for h in &self.metrics.histograms {
-            if h.name == crate::WALL_MS {
-                continue; // already shown in the stage table
-            }
             let _ = writeln!(
                 out,
                 "  {}.{}: n={} mean={:.3} p50={:.3} p90={:.3} p99={:.3} max={:.3}",
@@ -394,9 +437,8 @@ impl RunReport {
         if let Some(profile) = &self.profile {
             let _ = writeln!(
                 out,
-                "\nspan profile: {} paths, sample 1/{}, {} dropped",
+                "\nspan profile: {} paths, {} dropped",
                 profile.spans.len(),
-                profile.sample_every,
                 profile.dropped
             );
             let _ = writeln!(
@@ -455,40 +497,30 @@ impl RunReport {
     /// an interrupted-then-resumed run of the same scenario, and
     /// between runs at any `--jobs` width.
     ///
-    /// What goes: everything wall-clock (per-stage `wall_ms` totals in
-    /// the stage table and the histogram snapshot, the `replay_rate`
-    /// gauge), and everything describing the recovery and supervision
-    /// machinery itself (`recover`- and `supervisor`-stage metrics — an
+    /// What goes: everything wall-clock (the stage table and the span
+    /// profile it is derived from, the `replay_rate` gauge), and
+    /// everything describing the recovery and supervision machinery
+    /// itself (`recover`- and `supervisor`-stage metrics — an
     /// uninterrupted baseline has none by definition). What stays:
-    /// stage call counts, every other counter and gauge, and the alarm
-    /// timeline.
+    /// every other counter and gauge, and the alarm timeline.
     pub fn normalized(&self) -> RunReport {
         let mut out = self.clone();
-        for s in &mut out.stages {
-            s.wall_ms_total = 0.0;
-            s.wall_ms_mean = 0.0;
-            s.wall_ms_p95 = 0.0;
-            s.wall_ms_max = 0.0;
-        }
         let engine = |stage: &str| stage == "recover" || stage == "supervisor";
-        out.stages.retain(|s| !engine(&s.stage));
         out.metrics.counters.retain(|c| !engine(&c.stage));
         out.metrics
             .gauges
             .retain(|g| !engine(&g.stage) && g.name != "replay_rate");
+        // Span profiles are wall-clock through and through; the stage
+        // table derived from them and the `_span_us` histograms they
+        // publish into the registry follow them out.
         out.metrics
             .histograms
-            .retain(|h| !engine(&h.stage) && h.name != crate::WALL_MS);
+            .retain(|h| !engine(&h.stage) && !h.name.ends_with("_span_us"));
+        out.stages.clear();
+        out.profile = None;
         // Watchdog trips and restarts are wall-clock-dependent, so the
         // whole supervisor story is execution-engine content too.
         out.supervisor = None;
-        // Span profiles are wall-clock through and through, and the
-        // `_span_us` histograms they publish into the registry follow
-        // them out.
-        out.profile = None;
-        out.metrics
-            .histograms
-            .retain(|h| !h.name.ends_with("_span_us"));
         out
     }
 
@@ -651,11 +683,45 @@ mod tests {
     use super::*;
     use crate::event::Level;
     use crate::metrics::{Key, Registry};
+    use crate::prof::ProfileEntry;
+
+    /// A profile entry for `path` whose `count` activations all took
+    /// `total_ns / count`, `self_ns` of it outside child spans.
+    fn entry(path: &str, count: u64, self_ns: u64, total_ns: u64) -> ProfileEntry {
+        let leaf = path.rsplit(';').next().unwrap();
+        let (stage, name) = leaf.split_once('.').unwrap();
+        let each_ns = total_ns / count;
+        let mut buckets = vec![0; crate::span::SPAN_LATENCY_BUCKETS];
+        buckets[LOG2_US_BOUNDS.partition_point(|&b| b < each_ns as f64 / 1e3)] = count;
+        ProfileEntry {
+            path: path.to_string(),
+            stage: stage.to_string(),
+            name: name.to_string(),
+            count,
+            self_ns,
+            total_ns,
+            self_allocs: 0,
+            total_allocs: 0,
+            min_ns: each_ns,
+            max_ns: each_ns,
+            buckets,
+        }
+    }
+
+    /// One 5 ms root span per required stage.
+    fn full_profile() -> Profile {
+        Profile {
+            dropped: 0,
+            entries: REQUIRED_STAGES
+                .iter()
+                .map(|stage| entry(&format!("{stage}.run"), 1, 5_000_000, 5_000_000))
+                .collect(),
+        }
+    }
 
     fn full_registry() -> Registry {
         let r = Registry::new();
         for stage in REQUIRED_STAGES {
-            r.observe(Key::stage(stage, crate::WALL_MS), 5.0);
             r.incr(
                 Key {
                     stage,
@@ -681,6 +747,8 @@ mod tests {
             Event::new(Level::Warn, "monitor", "stale", "not an alarm"),
         ];
         let rep = RunReport::assemble("test", &r.snapshot(), &events);
+        assert!(rep.stages.is_empty());
+        let rep = rep.with_profile(&full_profile());
         assert_eq!(rep.stages.len(), 6);
         assert_eq!(rep.alarms.len(), 1);
         assert_eq!(rep.alarms[0].prefix, "10.0.0.0/8");
@@ -691,20 +759,115 @@ mod tests {
     #[test]
     fn validate_reports_every_missing_stage() {
         let r = Registry::new();
-        r.observe(Key::stage("topology", crate::WALL_MS), 1.0);
         r.incr(Key::stage("topology", "nodes"), 10);
-        let rep = RunReport::assemble("partial", &r.snapshot(), &[]);
+        let profile = Profile {
+            dropped: 0,
+            entries: vec![entry("topology.build", 1, 1_000_000, 1_000_000)],
+        };
+        let rep = RunReport::assemble("partial", &r.snapshot(), &[]).with_profile(&profile);
         let errs = rep.validate().unwrap_err();
-        // Five stages missing wall time, five missing metrics.
+        // Five stages missing spans, five missing metrics.
         assert_eq!(errs.len(), 10);
         assert!(errs.iter().any(|e| e.contains("'churn'")));
         assert!(!errs.iter().any(|e| e.contains("'topology'")));
     }
 
     #[test]
+    fn stage_table_is_self_time_over_outermost_calls() {
+        // Roots: detect.a (10 ms over 2 calls) and churn.replay (50 ms).
+        let profile = Profile {
+            dropped: 0,
+            entries: vec![
+                entry("churn.replay", 1, 20_000_000, 50_000_000),
+                entry("churn.replay;collector.refresh", 10, 30_000_000, 30_000_000),
+                entry("detect.a", 2, 3_000_000, 10_000_000),
+                entry("detect.a;detect.b", 4, 7_000_000, 7_000_000),
+            ],
+        };
+        let rep =
+            RunReport::assemble("derived", &full_registry().snapshot(), &[]).with_profile(&profile);
+        let stages: Vec<&str> = rep.stages.iter().map(|s| s.stage.as_str()).collect();
+        assert_eq!(stages, ["churn", "collector", "detect"]);
+        // Self times add up to the roots' total time: nothing counted
+        // twice, nothing lost.
+        let total: f64 = rep.stages.iter().map(|s| s.wall_ms_total).sum();
+        assert!((total - 60.0).abs() < 1e-9, "stage totals sum to {total}");
+        let detect = rep.stage("detect").unwrap();
+        assert!((detect.wall_ms_total - 10.0).abs() < 1e-9);
+        // Each outermost span counts one call; detect.b nests inside
+        // detect.a and adds none.
+        assert_eq!(detect.calls, 2);
+        assert!((detect.wall_ms_mean - 5.0).abs() < 1e-9);
+        assert!((detect.wall_ms_max - 5.0).abs() < 1e-9);
+        assert!(detect.wall_ms_p95 > 0.0 && detect.wall_ms_p95 <= detect.wall_ms_max);
+        assert_eq!(rep.stage("churn").unwrap().calls, 1);
+        assert_eq!(rep.stage("collector").unwrap().calls, 10);
+        assert!((rep.stage("collector").unwrap().wall_ms_total - 30.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn validate_fails_a_profile_missing_a_required_stage() {
+        let mut profile = full_profile();
+        profile.entries.retain(|e| e.stage != "correlate");
+        let rep = RunReport::assemble("no-correlate", &full_registry().snapshot(), &[])
+            .with_profile(&profile);
+        let errs = rep.validate().unwrap_err();
+        assert_eq!(errs, ["stage 'correlate': no spans in the profile"]);
+        // Without any profile, every required stage is missing.
+        let bare = RunReport::assemble("bare", &full_registry().snapshot(), &[]);
+        assert_eq!(bare.validate().unwrap_err().len(), REQUIRED_STAGES.len());
+        // A stage's published span histograms are not metrics of its own.
+        let r = Registry::new();
+        for stage in REQUIRED_STAGES.iter().filter(|s| **s != "detect") {
+            r.incr(Key::stage(stage, "calls"), 1);
+        }
+        full_profile().publish(&r);
+        let rep =
+            RunReport::assemble("spans-only", &r.snapshot(), &[]).with_profile(&full_profile());
+        assert_eq!(
+            rep.validate().unwrap_err(),
+            ["stage 'detect': empty metric snapshot"]
+        );
+    }
+
+    #[test]
+    fn reports_with_wall_ms_histograms_and_sampling_still_parse() {
+        // The shape written before stage tables came from the span
+        // profile: `wall_ms` histograms and a `sample_every` field.
+        let old = r#"{
+          "version": 1,
+          "label": "repro table1 --scale=small",
+          "stages": [
+            {"stage": "topology", "calls": 1, "wall_ms_total": 12.5,
+             "wall_ms_mean": 12.5, "wall_ms_p95": 12.5, "wall_ms_max": 12.5}
+          ],
+          "metrics": {
+            "counters": [{"stage": "churn", "name": "events", "session": null, "value": 40}],
+            "gauges": [],
+            "histograms": [
+              {"stage": "topology", "name": "wall_ms", "session": null,
+               "stats": {"count": 1, "sum": 12.5, "mean": 12.5, "min": 12.5, "p50": 12.5,
+                         "p90": 12.5, "p95": 12.5, "p99": 12.5, "max": 12.5}}
+            ]
+          },
+          "alarms": [],
+          "profile": {
+            "sample_every": 1,
+            "dropped": 0,
+            "spans": [{"path": "churn.replay", "count": 1, "self_us": 10.0,
+                       "total_us": 10.0, "self_allocs": 0, "total_allocs": 0}]
+          }
+        }"#;
+        let rep: RunReport = serde_json::from_str(old).expect("old report parses");
+        assert_eq!(rep.stage("topology").unwrap().calls, 1);
+        assert_eq!(rep.profile.as_ref().unwrap().spans.len(), 1);
+        assert!(rep.render().contains("topology"));
+    }
+
+    #[test]
     fn report_roundtrips_and_renders() {
         let r = full_registry();
-        let rep = RunReport::assemble("round", &r.snapshot(), &[]);
+        let rep = RunReport::assemble("round", &r.snapshot(), &[]).with_profile(&full_profile());
         let json = serde_json::to_string_pretty(&rep).unwrap();
         let back: RunReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, rep);
@@ -719,15 +882,11 @@ mod tests {
         r.incr(Key::stage("recover", "saves"), 2);
         r.gauge(Key::stage("churn", "replay_rate"), 1234.5);
         r.gauge(Key::stage("topology", "ases"), 500.0);
-        let rep = RunReport::assemble("x", &r.snapshot(), &[]);
+        let rep = RunReport::assemble("x", &r.snapshot(), &[]).with_profile(&full_profile());
         let norm = rep.normalized();
-        assert!(norm.stages.iter().all(|s| s.wall_ms_total == 0.0
-            && s.wall_ms_mean == 0.0
-            && s.wall_ms_p95 == 0.0
-            && s.wall_ms_max == 0.0));
-        // Call counts survive; wall histograms and recover metrics go.
-        assert!(norm.stages.iter().all(|s| s.calls > 0));
-        assert!(norm.metrics.histograms.is_empty());
+        // The stage table and its profile go, as do recover metrics.
+        assert!(norm.stages.is_empty());
+        assert!(norm.profile.is_none());
         assert!(!norm.metrics.counters.iter().any(|c| c.stage == "recover"));
         assert!(!norm.metrics.gauges.iter().any(|g| g.name == "replay_rate"));
         assert!(norm.metrics.gauges.iter().any(|g| g.name == "ases"));
@@ -739,13 +898,14 @@ mod tests {
         // are deterministically equal.
         let r1 = full_registry();
         r1.gauge(Key::stage("churn", "replay_rate"), 100.0);
-        let a = RunReport::assemble("full", &r1.snapshot(), &[]);
+        let a = RunReport::assemble("full", &r1.snapshot(), &[]).with_profile(&full_profile());
         let r2 = full_registry();
-        r2.observe(Key::stage("churn", crate::WALL_MS), 900.0);
         r2.incr(Key::stage("recover", "saves"), 3);
         r2.incr(Key::stage("recover", "resumes"), 1);
         r2.gauge(Key::stage("churn", "replay_rate"), 6400.0);
-        let b = RunReport::assemble("resumed", &r2.snapshot(), &[]);
+        let mut slow = full_profile();
+        slow.entries[1] = entry("churn.run", 1, 900_000_000, 900_000_000);
+        let b = RunReport::assemble("resumed", &r2.snapshot(), &[]).with_profile(&slow);
         assert_eq!(a.deterministic_deltas(&b), Vec::<String>::new());
 
         // A real pipeline-counter divergence is caught.
@@ -829,7 +989,6 @@ mod tests {
                 },
                 1,
             );
-            r.observe(Key::stage(stage, crate::WALL_MS), 5.0);
         }
         let fleet = RunReport::assemble("fleet", &r.snapshot(), &[]);
         let norm = fleet.normalized();
@@ -839,24 +998,12 @@ mod tests {
         assert_eq!(batch.deterministic_deltas(&fleet), Vec::<String>::new());
     }
 
-    fn sample_profile() -> crate::prof::Profile {
-        crate::prof::Profile {
-            sample_every: 1,
-            dropped: 0,
-            entries: vec![crate::prof::ProfileEntry {
-                path: "churn.replay;churn.apply".to_string(),
-                stage: "churn".to_string(),
-                name: "apply".to_string(),
-                count: 10,
-                self_ns: 5_000_000,
-                total_ns: 9_000_000,
-                self_allocs: 0,
-                total_allocs: 0,
-                min_ns: 100,
-                max_ns: 2_000_000,
-                buckets: vec![0; crate::span::SPAN_LATENCY_BUCKETS],
-            }],
-        }
+    fn sample_profile() -> Profile {
+        let mut profile = full_profile();
+        profile
+            .entries
+            .push(entry("churn.run;churn.apply", 10, 5_000_000, 9_000_000));
+        profile
     }
 
     #[test]
@@ -865,11 +1012,11 @@ mod tests {
         assert!(batch.profile.is_none());
         let profiled = batch.clone().with_profile(&sample_profile());
         let section = profiled.profile.as_ref().expect("profile attached");
-        assert_eq!(section.spans.len(), 1);
-        assert!((section.spans[0].self_us - 5_000.0).abs() < 1e-9);
+        assert_eq!(section.spans.len(), 7);
+        assert!((section.spans[6].self_us - 5_000.0).abs() < 1e-9);
         assert!(profiled.validate().is_ok());
         // Renders a span table and survives a JSON round trip.
-        assert!(profiled.render().contains("span profile: 1 paths"));
+        assert!(profiled.render().contains("span profile: 7 paths"));
         let json = serde_json::to_string(&profiled).unwrap();
         let back: RunReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, profiled);
@@ -885,7 +1032,7 @@ mod tests {
         // An empty capture attaches nothing.
         assert!(batch
             .clone()
-            .with_profile(&crate::prof::Profile::default())
+            .with_profile(&Profile::default())
             .profile
             .is_none());
         // Published `_span_us` histograms normalize away with the
@@ -923,14 +1070,16 @@ mod tests {
 
     #[test]
     fn diff_surfaces_counter_and_time_changes() {
-        let a = RunReport::assemble("a", &full_registry().snapshot(), &[]);
+        let a = RunReport::assemble("a", &full_registry().snapshot(), &[])
+            .with_profile(&full_profile());
         let r2 = full_registry();
         r2.incr(Key::stage("collector", "reconnects"), 3);
-        r2.observe(Key::stage("churn", crate::WALL_MS), 100.0);
-        let b = RunReport::assemble("b", &r2.snapshot(), &[]);
+        let mut slow = full_profile();
+        slow.entries[1] = entry("churn.run", 1, 100_000_000, 100_000_000);
+        let b = RunReport::assemble("b", &r2.snapshot(), &[]).with_profile(&slow);
         let d = a.diff(&b);
         assert!(d.contains("collector.reconnects: 0 -> 3 (+3)"));
-        assert!(d.contains("churn"));
+        assert!(d.contains("5.00 ->       100.00  (+1900.0%)"));
         assert!(d.contains("alarms: 0 -> 0"));
     }
 }

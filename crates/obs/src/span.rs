@@ -11,12 +11,12 @@
 //! (DESIGN.md §11) survives profiling.
 //!
 //! Trees are registered with [`crate::prof`], which owns the global
-//! on/off gate, sampling, the alloc probe, and aggregation into a
+//! on/off gate, the alloc probe, and aggregation into a
 //! [`crate::prof::Profile`].
 
 use crate::metrics::LOG2_US_BOUNDS;
 use crate::prof;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -272,10 +272,6 @@ struct Frame {
 thread_local! {
     static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
     static TREE: RefCell<Option<Arc<SpanTree>>> = const { RefCell::new(None) };
-    /// Non-zero while an unsampled top-level activation is in flight:
-    /// nested spans must stay inert without consulting the stack.
-    static SKIP: Cell<u32> = const { Cell::new(0) };
-    static SAMPLE_TICK: Cell<u64> = const { Cell::new(0) };
 }
 
 enum GuardKind {
@@ -283,8 +279,6 @@ enum GuardKind {
     Disabled,
     /// Depth/node-table overflow: already counted as dropped.
     Inert,
-    /// Unsampled activation: decrement the skip depth on drop.
-    Skipped,
     /// A live frame was pushed: pop and record on drop.
     Recorded,
 }
@@ -339,38 +333,7 @@ pub fn with_tree<R>(tree: &Arc<SpanTree>, f: impl FnOnce() -> R) -> R {
 }
 
 pub(crate) fn enter(stage: &'static str, name: &'static str) -> SpanGuard {
-    if SKIP.with(|s| {
-        let depth = s.get();
-        if depth > 0 {
-            s.set(depth + 1);
-            true
-        } else {
-            false
-        }
-    }) {
-        return SpanGuard {
-            kind: GuardKind::Skipped,
-            _not_send: PhantomData,
-        };
-    }
     let depth = STACK.with(|s| s.borrow().len());
-    if depth == 0 {
-        let every = prof::sample_every();
-        if every > 1 {
-            let sampled = SAMPLE_TICK.with(|t| {
-                let tick = t.get();
-                t.set(tick.wrapping_add(1));
-                tick % every == 0
-            });
-            if !sampled {
-                SKIP.with(|s| s.set(1));
-                return SpanGuard {
-                    kind: GuardKind::Skipped,
-                    _not_send: PhantomData,
-                };
-            }
-        }
-    }
     let tree = current_tree();
     if depth >= MAX_SPAN_DEPTH {
         tree.note_dropped();
@@ -431,7 +394,6 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         match self.kind {
             GuardKind::Disabled | GuardKind::Inert => {}
-            GuardKind::Skipped => SKIP.with(|s| s.set(s.get().saturating_sub(1))),
             GuardKind::Recorded => exit(),
         }
     }

@@ -39,11 +39,6 @@ pub trait Subscriber: Send + Sync {
     /// Consume one event.
     fn event(&self, event: &Event);
 
-    /// A profiled span finished: `stage` ran for `wall_ms`.
-    fn span_end(&self, stage: &'static str, wall_ms: f64) {
-        let _ = (stage, wall_ms);
-    }
-
     /// Flush any buffered output (end of run).
     fn flush(&self) {}
 }
@@ -69,7 +64,6 @@ fn lock_ignoring_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 #[derive(Debug, Default)]
 pub struct MemorySubscriber {
     events: Mutex<Vec<Event>>,
-    spans: Mutex<Vec<(&'static str, f64)>>,
 }
 
 impl MemorySubscriber {
@@ -81,11 +75,6 @@ impl MemorySubscriber {
     /// A clone of every buffered event, in emission order.
     pub fn events(&self) -> Vec<Event> {
         lock_ignoring_poison(&self.events).clone()
-    }
-
-    /// Every `(stage, wall_ms)` span completion, in order.
-    pub fn spans(&self) -> Vec<(&'static str, f64)> {
-        lock_ignoring_poison(&self.spans).clone()
     }
 
     /// Number of buffered events.
@@ -103,13 +92,9 @@ impl Subscriber for MemorySubscriber {
     fn event(&self, event: &Event) {
         lock_ignoring_poison(&self.events).push(event.clone());
     }
-
-    fn span_end(&self, stage: &'static str, wall_ms: f64) {
-        lock_ignoring_poison(&self.spans).push((stage, wall_ms));
-    }
 }
 
-/// Appends one JSON object per event (and per span completion) to a
+/// Appends one JSON object per event to a
 /// writer — the run-log format consumed by external tooling.
 pub struct JsonlSubscriber<W: Write + Send> {
     out: Mutex<BufWriter<W>>,
@@ -144,16 +129,6 @@ impl<W: Write + Send> Subscriber for JsonlSubscriber<W> {
         if let Ok(line) = serde_json::to_string(&event.to_value()) {
             self.write_line(&line);
         }
-    }
-
-    fn span_end(&self, stage: &'static str, wall_ms: f64) {
-        let stage_json = serde_json::to_string(&serde::Value::Str(stage.to_string()))
-            .unwrap_or_else(|_| "\"?\"".to_string());
-        let line = format!(
-            "{{\"span\":{stage_json},\"wall_ms\":{}}}",
-            if wall_ms.is_finite() { wall_ms } else { 0.0 }
-        );
-        self.write_line(&line);
     }
 
     fn flush(&self) {
@@ -276,12 +251,6 @@ impl Subscriber for ConsoleSubscriber {
             eprintln!("{}", event.render());
         }
     }
-
-    fn span_end(&self, stage: &'static str, wall_ms: f64) {
-        if self.enabled_for(Level::Debug, stage) {
-            eprintln!("[{stage}] span: done wall_ms={wall_ms:.1}");
-        }
-    }
 }
 
 /// Broadcasts every call to a set of inner subscribers (e.g. console +
@@ -312,12 +281,6 @@ impl Subscriber for FanoutSubscriber {
         }
     }
 
-    fn span_end(&self, stage: &'static str, wall_ms: f64) {
-        for s in &self.inner {
-            s.span_end(stage, wall_ms);
-        }
-    }
-
     fn flush(&self) {
         for s in &self.inner {
             s.flush();
@@ -342,26 +305,24 @@ mod tests {
         let s = MemorySubscriber::new();
         s.event(&Event::new(Level::Info, "churn", "start", "a"));
         s.event(&Event::new(Level::Warn, "collector", "stale", "b"));
-        s.span_end("churn", 12.0);
         let ev = s.events();
         assert_eq!(ev.len(), 2);
         assert_eq!(ev[0].name, "start");
         assert_eq!(ev[1].stage, "collector");
-        assert_eq!(s.spans(), vec![("churn", 12.0)]);
     }
 
     #[test]
     fn jsonl_writes_one_object_per_line() {
         let s = JsonlSubscriber::new(Vec::new());
         s.event(&Event::new(Level::Info, "monitor", "alarm", "x").with("at_s", 3.0));
-        s.span_end("monitor", 1.5);
+        s.event(&Event::new(Level::Warn, "monitor", "stale", "y"));
         s.flush();
         let buf = s.out.into_inner().unwrap().into_inner().unwrap();
         let text = String::from_utf8(buf).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"name\":\"alarm\""));
-        assert!(lines[1].contains("\"span\":\"monitor\""));
+        assert!(lines[1].contains("\"name\":\"stale\""));
         // Every line parses as standalone JSON.
         for l in &lines {
             assert!(serde_json::from_str::<serde::Value>(l).is_ok());

@@ -154,7 +154,6 @@ fn profiled_serial_replay_stays_within_five_pct_of_alloc_budget() {
     assert!(baseline > 0, "the replay allocates something");
 
     obs::prof::reset();
-    obs::prof::set_sample_every(1);
     obs::prof::set_enabled(true);
     let profiled = replay_allocs(&scenario);
     obs::prof::set_enabled(false);

@@ -435,8 +435,8 @@ fn obs_report_counts_every_injected_flap_as_reconnect() {
 }
 
 /// Under a fixed fault seed the metric snapshot is deterministic:
-/// counters, gauges, and every simulation-derived histogram repeat
-/// exactly run to run (only wall-clock `wall_ms` timings may differ).
+/// counters, gauges, and every histogram repeat exactly run to run
+/// (wall time lives in the span profile, not the registry).
 #[test]
 fn obs_snapshot_is_deterministic_under_fixed_seed() {
     use quicksand_obs::{self as obs, Registry, Snapshot};
@@ -449,19 +449,12 @@ fn obs_snapshot_is_deterministic_under_fixed_seed() {
         });
         reg.snapshot()
     };
-    let sim_histograms = |s: &Snapshot| -> Vec<_> {
-        s.histograms
-            .iter()
-            .filter(|h| h.name != quicksand_obs::WALL_MS)
-            .cloned()
-            .collect()
-    };
     for &seed in &env_seeds(&[42]) {
         let a = snap(seed);
         let b = snap(seed);
         assert_eq!(a.counters, b.counters);
         assert_eq!(a.gauges, b.gauges);
-        assert_eq!(sim_histograms(&a), sim_histograms(&b));
+        assert_eq!(a.histograms, b.histograms);
     }
 }
 
@@ -471,19 +464,20 @@ fn obs_snapshot_is_deterministic_under_fixed_seed() {
 #[test]
 fn scenario_month_survives_fault_profile() {
     let scenario = Scenario::build(ScenarioConfig::small(3));
-    let (month, report) = scenario
-        .run_month_faulted(FaultProfile::with_intensity(0.3, 7))
-        .expect("valid configs");
-    assert!(!month.raw.is_empty());
-    assert!(month.cleaned.len() <= month.raw.len());
+    let injector = FaultInjector::new(FaultProfile::with_intensity(0.3, 7)).expect("valid profile");
+    let pristine = scenario.run_month().expect("valid configs");
+    let (raw, report) = injector.apply(&pristine.raw);
+    let (cleaned, _, _) = clean_session_resets(&raw, &CleaningConfig::default());
+    assert!(!raw.is_empty());
+    assert!(cleaned.len() <= raw.len());
     assert!(report.total_lost() > 0, "a 0.3-intensity profile lost nothing");
     assert!(report.dropped > 0);
     // The degraded log is still analyzable: session health over the
     // horizon reports sane coverage for every session.
     let health = metrics::session_health(
-        &month.cleaned,
+        &cleaned,
         SimTime::ZERO,
-        month.horizon_end,
+        pristine.horizon_end,
         SimDuration::from_hours(6),
     );
     assert!(!health.is_empty());
