@@ -542,10 +542,7 @@ fn report_command(args: &[String]) -> i32 {
             print!("{}", rep.render());
             match rep.validate() {
                 Ok(()) => {
-                    println!(
-                        "\nvalidation: ok ({} required stages profiled)",
-                        obs::REQUIRED_STAGES.len()
-                    );
+                    println!("\n{}", rep.validated_line());
                     exitcode::OK
                 }
                 Err(problems) => {

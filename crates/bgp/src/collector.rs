@@ -18,7 +18,7 @@
 
 use crate::metrics::SessionPrefixRuns;
 use crate::msg::{Route, UpdateMessage};
-use crate::paths::{ExportCache, PathArena, PathId};
+use crate::paths::{ExportCache, PathArena, PathId, Watch};
 use quicksand_net::{AsPath, Asn, Ipv4Prefix, QsResult, QuicksandError, SimDuration, SimTime};
 use quicksand_obs as obs;
 use quicksand_topology::{AsGraph, RouteClass, RoutingTree};
@@ -27,6 +27,7 @@ use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifies one eBGP session at one collector.
 #[derive(
@@ -240,6 +241,9 @@ fn diff_run(
 /// removes.
 #[derive(Debug)]
 pub struct Collector {
+    /// Process-unique id, never 0: an [`ExportCache`]'s watch rows
+    /// belong to the one collector whose roster they were built over.
+    id: u64,
     sessions: Vec<SessionInfo>,
     /// Last announced path per prefix, interned, one sorted table per
     /// session (parallel to `sessions`). Per-session tables keep the
@@ -264,6 +268,8 @@ pub struct Collector {
     /// Reusable `(prefix, op seq, entry)` buffer for sorting a batch of
     /// table deltas in [`Collector::apply_ops`].
     delta_scratch: Vec<(Ipv4Prefix, u32, Option<PathId>)>,
+    /// Reusable list of the sessions a per-peer refresh walks.
+    touched_scratch: Vec<usize>,
     /// Reusable rebuild target for the merge in
     /// [`Collector::apply_ops`]; swapped with the live table, so the
     /// two buffers ping-pong with no steady-state allocation.
@@ -351,7 +357,9 @@ impl Collector {
         }
         resets.sort();
         let state = vec![FlatTable::default(); sessions.len()];
+        static NEXT_ID: AtomicU64 = AtomicU64::new(1);
         Ok(Collector {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             sessions,
             state,
             arena: PathArena::new(),
@@ -360,6 +368,7 @@ impl Collector {
             next_reset: 0,
             ops_scratch: Vec::new(),
             delta_scratch: Vec::new(),
+            touched_scratch: Vec::new(),
             merge_scratch: Vec::new(),
         })
     }
@@ -408,11 +417,12 @@ impl Collector {
     /// The refresh loop: refresh `tree`'s export at every session peer,
     /// calling `changed(si)` for each session whose export value moved.
     /// The whole origin is skipped when its watch row proves no export
-    /// moved; otherwise every session is walked and the row rebuilt
-    /// (DESIGN.md §20). Peer graph indices are resolved once, on the
-    /// first call — node indices are stable for a graph's lifetime
-    /// (link churn never renumbers nodes), so one resolution serves the
-    /// whole replay.
+    /// moved; when the trusted trace hits the row, only the sessions
+    /// whose post-event path holds a trace node are walked; otherwise
+    /// every session is walked and the row rebuilt (DESIGN.md §20). Peer
+    /// graph indices are resolved once, on the first call — node indices
+    /// are stable for a graph's lifetime (link churn never renumbers
+    /// nodes), so one resolution serves the whole replay.
     fn refresh_sessions(
         &mut self,
         graph: &AsGraph,
@@ -427,16 +437,30 @@ impl Collector {
                 .map(|s| graph.index_of(s.peer))
                 .collect();
         }
-        if cache.exports_unchanged(tree, &self.peer_idx) {
-            return;
-        }
-        for si in 0..self.sessions.len() {
+        let mut walk = |si: usize, cache: &mut ExportCache| {
             let peer = self.sessions[si].peer;
             if cache.refresh_at(graph, tree, peer, self.peer_idx[si], &mut self.arena) {
                 changed(si);
             }
+        };
+        match cache.watch_check(tree, self.id) {
+            Watch::Unchanged => {}
+            Watch::PerPeer => {
+                let mut touched = std::mem::take(&mut self.touched_scratch);
+                touched.clear();
+                cache.watch_peers(tree, &self.peer_idx, |si| touched.push(si));
+                for &si in &touched {
+                    walk(si, cache);
+                }
+                self.touched_scratch = touched;
+            }
+            Watch::Rebuild => {
+                for si in 0..self.sessions.len() {
+                    walk(si, cache);
+                }
+                cache.rewatch(graph, tree, &self.peer_idx);
+            }
         }
-        cache.rewatch(graph, tree, &self.peer_idx);
     }
 
     /// Capture the collector's mutable mid-run state (recorded tables,

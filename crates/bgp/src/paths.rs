@@ -20,8 +20,9 @@
 //! * Next to that memo, one *watch row* per origin marks the graph
 //!   nodes every session export of the origin depends on. When the
 //!   tree's routing trace misses the row, no export of the origin can
-//!   have changed and the collector skips all of its walks (DESIGN.md
-//!   §20).
+//!   have changed and the collector skips all of its walks; when it
+//!   hits, only the sessions whose paths a trace node lies on are
+//!   walked (DESIGN.md §20).
 //!
 //! Determinism note: both maps are `HashMap`s but are never iterated —
 //! all iteration-order-sensitive state lives in sorted structures — and
@@ -152,8 +153,9 @@ struct CachedExport {
     export: Option<(PathId, RouteClass)>,
 }
 
-/// The graph nodes one origin's session exports depend on: each
-/// session peer and every node on its current path (DESIGN.md §20).
+/// The graph nodes one origin's session exports depend on: a superset
+/// of each session peer and every node on its current path (DESIGN.md
+/// §20).
 #[derive(Clone, Debug)]
 struct WatchRow {
     /// [`RoutingTree::epoch`] at which every session peer's cached
@@ -168,13 +170,22 @@ impl WatchRow {
         self.bits[v / 64] & (1 << (v % 64)) != 0
     }
 
-    /// Mark `v`; returns `false` when it was already marked.
-    fn mark(&mut self, v: usize) -> bool {
-        let (word, bit) = (&mut self.bits[v / 64], 1 << (v % 64));
-        let fresh = *word & bit == 0;
-        *word |= bit;
-        fresh
+    fn mark(&mut self, v: usize) {
+        self.bits[v / 64] |= 1 << (v % 64);
     }
+}
+
+/// What an origin's watch row proves about its session exports after a
+/// tree change (see [`ExportCache::watch_check`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Watch {
+    /// No export can have changed: skip every walk.
+    Unchanged,
+    /// The trace is trusted but hits the row: walk only the peers
+    /// [`ExportCache::watch_peers`] reports touched.
+    PerPeer,
+    /// Nothing is proven: walk every peer, then [`ExportCache::rewatch`].
+    Rebuild,
 }
 
 /// Per-`(origin, peer)` memo of what a collector session would record,
@@ -192,11 +203,38 @@ pub struct ExportCache {
     /// Reusable hop buffer for [`RoutingTree::path_from_into`].
     scratch: Vec<Asn>,
     /// One watch row per origin, keyed by origin ASN, each built over
-    /// the session peers in `roster`.
+    /// the session peers of collector `owner`.
     watch: FxMap<WatchRow>,
-    /// The peer node indices the watch rows cover; a refresh for any
-    /// other roster drops every row.
-    roster: Vec<Option<usize>>,
+    /// The id of the collector the watch rows were built for (see
+    /// `Collector::new`); 0 before any row. A refresh for another owner
+    /// drops every row. A collector's roster never changes, so the id
+    /// stands for the roster.
+    owner: u64,
+    /// Per graph node, the last generation's state of the node relative
+    /// to `stamp_gen` (see [`Stamp`]); any other value means "not seen
+    /// this generation", so no clearing is needed between origins.
+    stamps: Vec<u32>,
+    stamp_gen: u32,
+    /// Reusable node stack of one per-peer marking walk.
+    walk: Vec<usize>,
+}
+
+/// A node's state in the per-peer marking walk, as an offset from the
+/// generation `ExportCache::stamp_gen`.
+#[derive(Clone, Copy)]
+#[repr(u32)]
+enum Stamp {
+    /// In the trace, not yet walked.
+    Traced = 0,
+    /// Walked; its post-event path holds a trace node.
+    Touched = 1,
+    /// Walked; its post-event path holds no trace node.
+    Clean = 2,
+}
+
+impl Stamp {
+    /// Generations per [`ExportCache::stamp_gen`] step.
+    const STATES: u32 = 3;
 }
 
 /// One-word key for an `(origin, peer)` pair; ASNs are 32-bit so the
@@ -278,48 +316,119 @@ impl ExportCache {
         first || entry.export != prev
     }
 
-    /// Whether the watch row of `tree`'s origin proves that no export
-    /// at `peers` changed since the row's epoch; if so the row moves to
-    /// the tree's epoch. True when the tree has not moved since the
-    /// row, or when the tree is traced, its trace covers every
-    /// transition since the row's epoch, and no trace node is in the
-    /// row. A trace listing extra nodes only costs a walk; a trace that
-    /// starts after the row's epoch could miss a change, so it never
-    /// proves anything (DESIGN.md §20).
-    pub(crate) fn exports_unchanged(
+    /// What the watch row of `tree`'s origin proves about its exports
+    /// at the session peers of collector `owner` since the row's epoch.
+    ///
+    /// [`Watch::Unchanged`] when the tree has not moved since the row,
+    /// or when the trace is trusted — the tree is traced and its trace
+    /// covers every transition since the row's epoch — and no trace
+    /// node is in the row. [`Watch::PerPeer`] when the trace is trusted
+    /// but hits the row: the trace's nodes are stamped for
+    /// [`ExportCache::watch_peers`]. Either way the row moves to the
+    /// tree's epoch, so a `PerPeer` caller must check every peer. A
+    /// trace listing extra nodes only costs a walk; a trace that starts
+    /// after the row's epoch could miss a change, so it never proves
+    /// anything and the answer is [`Watch::Rebuild`] (DESIGN.md §20).
+    pub(crate) fn watch_check(&mut self, tree: &RoutingTree, owner: u64) -> Watch {
+        if self.owner != owner {
+            self.watch.clear();
+            self.owner = owner;
+            return Watch::Rebuild;
+        }
+        let Some(row) = self.watch.get_mut(&u64::from(tree.dest().0)) else {
+            return Watch::Rebuild;
+        };
+        if row.epoch == tree.epoch() {
+            return Watch::Unchanged;
+        }
+        if !(tree.tracing() && tree.trace_epoch() <= row.epoch && row.epoch < tree.epoch()) {
+            return Watch::Rebuild;
+        }
+        row.epoch = tree.epoch();
+        if tree
+            .trace()
+            .iter()
+            .all(|&(v, _, _)| !row.contains(v as usize))
+        {
+            return Watch::Unchanged;
+        }
+        self.next_stamp_gen();
+        for &(v, _, _) in tree.trace() {
+            self.stamps[v as usize] = self.stamp_gen + Stamp::Traced as u32;
+        }
+        Watch::PerPeer
+    }
+
+    /// Start a stamp generation in which no node has been seen.
+    fn next_stamp_gen(&mut self) {
+        self.stamp_gen = match self.stamp_gen.checked_add(Stamp::STATES) {
+            Some(gen) if gen <= u32::MAX - Stamp::STATES => gen,
+            _ => {
+                self.stamps.fill(0);
+                Stamp::STATES
+            }
+        };
+    }
+
+    /// The per-peer marking walk over every peer in `peers` (the roster
+    /// of the preceding [`ExportCache::watch_check`]): follow the
+    /// post-event next hops from each peer to the origin (or to an
+    /// unrouted node), marking every node in the row of `tree`'s
+    /// origin, and call `touched(i)` for each `peers[i]` whose path holds
+    /// a node stamped into the current generation's trace. When none
+    /// does, no node on the path changed its next hop, so the pre-event
+    /// path from the peer was the same chain and its export is
+    /// unchanged (DESIGN.md §20.6). A walk stops early only at a node
+    /// walked earlier in the same generation, whose path is marked and
+    /// whose verdict is known; it never stops at a merely marked node,
+    /// since a row may keep stale bits whose current paths are unmarked.
+    pub(crate) fn watch_peers(
         &mut self,
         tree: &RoutingTree,
         peers: &[Option<usize>],
-    ) -> bool {
-        if self.roster != peers {
-            self.watch.clear();
-            self.roster.clear();
-            self.roster.extend_from_slice(peers);
-            return false;
+        mut touched: impl FnMut(usize),
+    ) {
+        let Self {
+            watch,
+            stamps,
+            stamp_gen,
+            walk,
+            ..
+        } = self;
+        let row = watch
+            .get_mut(&u64::from(tree.dest().0))
+            .expect("watch_peers follows a watch_check or rewatch that made the row");
+        let stamp = |s: Stamp| *stamp_gen + s as u32;
+        for (i, &peer) in peers.iter().enumerate() {
+            let Some(mut v) = peer else { continue };
+            walk.clear();
+            let mut hit = loop {
+                match stamps[v] {
+                    s if s == stamp(Stamp::Touched) => break true,
+                    s if s == stamp(Stamp::Clean) => break false,
+                    _ => {}
+                }
+                walk.push(v);
+                row.mark(v);
+                match tree.route_at_idx(v) {
+                    Some((_, _, next)) if next != v => v = next,
+                    _ => break false,
+                }
+            };
+            for &u in walk.iter().rev() {
+                hit |= stamps[u] == stamp(Stamp::Traced);
+                stamps[u] = stamp(if hit { Stamp::Touched } else { Stamp::Clean });
+            }
+            if hit {
+                touched(i);
+            }
         }
-        let Some(row) = self.watch.get_mut(&u64::from(tree.dest().0)) else {
-            return false;
-        };
-        let unchanged = row.epoch == tree.epoch()
-            || (tree.tracing()
-                && tree.trace_epoch() <= row.epoch
-                && row.epoch < tree.epoch()
-                && tree
-                    .trace()
-                    .iter()
-                    .all(|&(v, _, _)| !row.contains(v as usize)));
-        if unchanged {
-            row.epoch = tree.epoch();
-        }
-        unchanged
     }
 
     /// Rebuild the watch row of `tree`'s origin at the tree's epoch:
-    /// mark every peer in `peers` (routed or not) and each node on its
-    /// path. A walk stops at the first node already marked, whose path
-    /// to the origin is marked too. Call after refreshing the origin's
-    /// export at every one of `peers` (the roster of the preceding
-    /// [`ExportCache::exports_unchanged`]).
+    /// clear it, then run the per-peer marking walk from every peer in
+    /// `peers` with no node stamped. Call after refreshing the origin's
+    /// export at every one of `peers`.
     pub(crate) fn rewatch(&mut self, graph: &AsGraph, tree: &RoutingTree, peers: &[Option<usize>]) {
         let words = graph.len().div_ceil(64);
         let row = self
@@ -332,15 +441,18 @@ impl ExportCache {
         row.epoch = tree.epoch();
         row.bits.clear();
         row.bits.resize(words, 0);
-        for &peer in peers.iter().flatten() {
-            let mut v = peer;
-            while row.mark(v) {
-                match tree.route_at_idx(v) {
-                    Some((_, _, next)) if next != v => v = next,
-                    _ => break,
-                }
-            }
-        }
+        self.stamps.resize(words * 64, 0);
+        self.next_stamp_gen();
+        self.watch_peers(tree, peers, |_| {});
+    }
+
+    /// Whether the watch row of `origin` marks graph node `node`; `None`
+    /// when the origin has no row. A row marks at least every session
+    /// peer and every node on its current path (DESIGN.md §20.6).
+    pub fn watched(&self, origin: Asn, node: usize) -> Option<bool> {
+        self.watch
+            .get(&u64::from(origin.0))
+            .map(|row| row.contains(node))
     }
 
     /// The memoized export for `(origin, peer)`.
@@ -502,6 +614,96 @@ mod tests {
         assert_eq!(tree.trace(), &[(4, 2, TRACE_UNROUTED)]);
         assert_eq!(refresh(&mut collector, &g, &tree, &mut cache), vec![Asn(1)]);
         assert_eq!(recorded(&collector, &cache), path(&[4, 3, 1]));
+    }
+
+    #[test]
+    fn a_hit_row_walks_only_the_touched_peers() {
+        // Tier-1s 1 and 6 peer; 2 buys from 1 and 6, 3 from 1; stub 4
+        // buys from 2, stub 5 from 3. Destination 1, sessions at 4 and
+        // 5: paths 4 2 1 and 5 3 1, so the row is {1, 2, 3, 4, 5}.
+        let topology = || {
+            let mut g = AsGraph::new();
+            for (a, t) in [
+                (1, Tier::Tier1),
+                (2, Tier::Tier2),
+                (3, Tier::Tier2),
+                (4, Tier::Stub),
+                (5, Tier::Stub),
+                (6, Tier::Tier1),
+            ] {
+                g.add_as(Asn(a), t).unwrap();
+            }
+            g.add_peering(Asn(1), Asn(6)).unwrap();
+            for (c, p) in [(2, 1), (2, 6), (3, 1), (4, 2), (5, 3)] {
+                g.add_customer_provider(Asn(c), Asn(p)).unwrap();
+            }
+            g
+        };
+        let config = CollectorConfig::default();
+        let refresh = |collector: &mut Collector,
+                       g: &AsGraph,
+                       tree: &RoutingTree,
+                       cache: &mut ExportCache| {
+            let mut dirty = vec![Vec::new(); 2];
+            collector.refresh_exports_dirty(g, tree, cache, &mut dirty);
+            dirty
+        };
+        let entry_epoch =
+            |cache: &ExportCache, peer| cache.entries[&pair_key(Asn(1), Asn(peer))].epoch;
+        let idx = |g: &AsGraph, a| g.index_of(Asn(a)).unwrap();
+
+        // Cut 2–1: 2 moves to 6 while 4 keeps its next hop, so only 2 is
+        // traced. It lies on 4's path, not on 5's: session 0 is walked
+        // and reported, session 1 is not walked at all, and the row
+        // gains 4's new path node 6.
+        let mut g = topology();
+        let mut tree = RoutingTree::compute(&g, Asn(1)).unwrap();
+        tree.set_tracing(true);
+        let mut collector = Collector::new(&[Asn(4), Asn(5)], &config).unwrap();
+        let mut cache = ExportCache::new();
+        refresh(&mut collector, &g, &tree, &mut cache);
+        assert_eq!(cache.watched(Asn(1), idx(&g, 6)), Some(false));
+        g.remove_link(Asn(2), Asn(1)).unwrap();
+        assert!(tree.reconverge_after_link_event(&g, Asn(2), Asn(1)));
+        assert_eq!(tree.trace().len(), 1);
+        assert_eq!(tree.trace()[0].0 as usize, idx(&g, 2));
+        assert_eq!(
+            refresh(&mut collector, &g, &tree, &mut cache),
+            [vec![Asn(1)], vec![]]
+        );
+        assert_eq!((entry_epoch(&cache, 4), entry_epoch(&cache, 5)), (1, 0));
+        let (id, _) = cache.get(Asn(1), Asn(4)).unwrap();
+        assert_eq!(collector.arena().resolve(id), &path(&[4, 2, 6, 1]));
+        assert_eq!(cache.watched(Asn(1), idx(&g, 6)), Some(true));
+        assert_eq!(cache.watch[&1].epoch, 1);
+
+        // Two reconvergences with a clear in between: the first (2–1
+        // cut) moves 4's path, the second (5–3 cut) leaves 5 unrouted.
+        // The trace holds only the second one and hits the row at 5; it
+        // starts after the row, so it proves nothing about 4 and both
+        // sessions are walked.
+        let mut g = topology();
+        let mut tree = RoutingTree::compute(&g, Asn(1)).unwrap();
+        tree.set_tracing(true);
+        let mut collector = Collector::new(&[Asn(4), Asn(5)], &config).unwrap();
+        let mut cache = ExportCache::new();
+        refresh(&mut collector, &g, &tree, &mut cache);
+        g.remove_link(Asn(2), Asn(1)).unwrap();
+        assert!(tree.reconverge_after_link_event(&g, Asn(2), Asn(1)));
+        tree.clear_trace();
+        g.remove_link(Asn(5), Asn(3)).unwrap();
+        assert!(tree.reconverge_after_link_event(&g, Asn(5), Asn(3)));
+        assert_eq!(
+            tree.trace(),
+            &[(idx(&g, 5) as u32, idx(&g, 3) as u32, TRACE_UNROUTED)]
+        );
+        assert_eq!(
+            refresh(&mut collector, &g, &tree, &mut cache),
+            [vec![Asn(1)], vec![Asn(1)]]
+        );
+        let (id, _) = cache.get(Asn(1), Asn(4)).unwrap();
+        assert_eq!(collector.arena().resolve(id), &path(&[4, 2, 6, 1]));
+        assert_eq!(cache.get(Asn(1), Asn(5)), None);
     }
 
     #[test]

@@ -6,17 +6,46 @@
 //!    post-event tree appears in that tree's trace — the premise the
 //!    collector's watch-row test stands on;
 //! 2. the filtered refresh (`Collector::refresh_exports_dirty`, which
-//!    skips origins whose watch row misses the trace) reports exactly
-//!    the per-session dirty sets of a brute-force walk of every
-//!    (affected origin, session peer) pair;
+//!    skips origins whose watch row misses the trace and, on a hit,
+//!    walks only the peers whose post-event path holds a trace node)
+//!    reports exactly the per-session dirty sets of a brute-force walk
+//!    of every (affected origin, session peer) pair;
 //! 3. every cached export equals a fresh `export_into_idx` walk, so a
-//!    skipped entry can never hold a stale value.
+//!    skipped entry can never hold a stale value;
+//! 4. every origin's watch row marks every session peer and every node
+//!    on its current path — rows may keep stale bits, never miss one.
+//!
+//! The proptest draws short churn runs; the generated-topology sweep
+//! replays 240 events on one `FastConverge` per topology, so rows
+//! collect stale bits over many per-peer refreshes.
+//! `QUICKSAND_TEST_SEEDS` (comma-separated, decimal or `0x`-hex)
+//! replaces the sweep's default seeds.
 
 use proptest::prelude::*;
+use proptest::TestRng;
 use quicksand_bgp::{Collector, CollectorConfig, ExportCache, FastConverge, LinkChange};
 use quicksand_net::Asn;
 use quicksand_topology::{AsGraph, RouteClass, RoutingTree, TopologyConfig, TopologyGenerator};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Seeds for the generated-topology sweep; `QUICKSAND_TEST_SEEDS`
+/// overrides.
+fn env_seeds(default: &[u64]) -> Vec<u64> {
+    match std::env::var("QUICKSAND_TEST_SEEDS") {
+        Ok(s) if !s.trim().is_empty() => s
+            .split(',')
+            .map(|tok| {
+                let tok = tok.trim();
+                let parsed = match tok.strip_prefix("0x") {
+                    Some(hex) => u64::from_str_radix(hex, 16),
+                    None => tok.parse(),
+                };
+                parsed.unwrap_or_else(|_| panic!("QUICKSAND_TEST_SEEDS: bad seed {tok:?}"))
+            })
+            .collect(),
+        _ => default.to_vec(),
+    }
+}
 
 fn links_of(g: &AsGraph) -> Vec<(Asn, Asn)> {
     let mut links = Vec::new();
@@ -51,6 +80,131 @@ fn walk(g: &AsGraph, tree: &RoutingTree, peer: Asn) -> Export {
     Some((path, class))
 }
 
+/// One replay under test: the filtered refresh beside its brute-force
+/// reference.
+struct Replay {
+    fc: FastConverge,
+    origins: Vec<Asn>,
+    peers: Vec<Asn>,
+    collector: Collector,
+    cache: ExportCache,
+    dirty: Vec<Vec<Asn>>,
+    /// Every (origin, peer) export, walked.
+    reference: BTreeMap<(Asn, Asn), Export>,
+}
+
+impl Replay {
+    /// Track `origins` over `g` with one session per peer, and refresh
+    /// every origin once (building every watch row).
+    fn new(g: AsGraph, origins: Vec<Asn>, peers: Vec<Asn>) -> Self {
+        let fc = FastConverge::new(g, origins.iter().copied());
+        let mut collector =
+            Collector::new(&peers, &CollectorConfig::default()).expect("valid collector config");
+        let mut cache = ExportCache::new();
+        let mut reference = BTreeMap::new();
+        for &o in &origins {
+            let tree = fc.tree(o).expect("tracked");
+            collector.refresh_exports(fc.graph(), tree, &mut cache);
+            for &p in &peers {
+                reference.insert((o, p), walk(fc.graph(), tree, p));
+            }
+        }
+        let dirty = vec![Vec::new(); peers.len()];
+        Replay {
+            fc,
+            origins,
+            peers,
+            collector,
+            cache,
+            dirty,
+            reference,
+        }
+    }
+
+    /// Apply `change`, refresh the affected origins as the replay loops
+    /// do, and check the four properties of the module doc.
+    fn apply_and_check(&mut self, change: LinkChange, what: &str) {
+        let n = self.fc.graph().len();
+        let before: Vec<Vec<Option<usize>>> = self
+            .origins
+            .iter()
+            .map(|&o| next_hops(self.fc.tree(o).expect("tracked"), n))
+            .collect();
+        let affected = self.fc.apply(change);
+        let (fc, g) = (&self.fc, self.fc.graph());
+
+        // (1) The trace names every node whose next hop moved.
+        for (&o, before) in self.origins.iter().zip(&before) {
+            let tree = fc.tree(o).expect("tracked");
+            let traced: BTreeSet<usize> =
+                tree.trace().iter().map(|&(v, _, _)| v as usize).collect();
+            for (v, (old, new)) in before.iter().zip(next_hops(tree, n)).enumerate() {
+                assert!(
+                    *old == new || traced.contains(&v),
+                    "{what}: origin {o} node {v} moved {old:?} -> {new:?} untraced"
+                );
+            }
+        }
+
+        // (2) The filtered refresh reports the brute-force dirty sets.
+        self.dirty.iter_mut().for_each(Vec::clear);
+        for &o in &affected {
+            let tree = fc.tree(o).expect("tracked");
+            self.collector
+                .refresh_exports_dirty(g, tree, &mut self.cache, &mut self.dirty);
+        }
+        let mut expected: Vec<Vec<Asn>> = vec![Vec::new(); self.peers.len()];
+        for &o in &affected {
+            let tree = fc.tree(o).expect("tracked");
+            for (si, &p) in self.peers.iter().enumerate() {
+                let now = walk(g, tree, p);
+                if self.reference.insert((o, p), now.clone()) != Some(now) {
+                    expected[si].push(o);
+                }
+            }
+        }
+        assert_eq!(self.dirty, expected, "{what}: dirty sets diverged");
+
+        for &o in &self.origins {
+            let tree = fc.tree(o).expect("tracked");
+            for &p in &self.peers {
+                // (3) Every cached export, skipped or walked, is current.
+                let cached = self
+                    .cache
+                    .get(o, p)
+                    .map(|(id, class)| (self.collector.arena().resolve(id).asns().to_vec(), class));
+                assert_eq!(
+                    cached,
+                    walk(g, tree, p),
+                    "{what}: stale export for origin {o} at peer {p}"
+                );
+                // (4) The row marks the peer and its whole current path.
+                let Some(mut v) = g.index_of(p) else { continue };
+                loop {
+                    assert_eq!(
+                        self.cache.watched(o, v),
+                        Some(true),
+                        "{what}: origin {o}'s row misses node {} on peer {p}'s path",
+                        g.asn_of(v)
+                    );
+                    match tree.route_at_idx(v) {
+                        Some((_, _, next)) if next != v => v = next,
+                        _ => break,
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The topology a generator config yields, compacted as the scenario
+/// pipeline hands it to `FastConverge`.
+fn generated(config: TopologyConfig) -> AsGraph {
+    let mut g = TopologyGenerator::new(config).generate().graph;
+    g.compact();
+    g
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -64,47 +218,28 @@ proptest! {
             20..80,
         ),
     ) {
-        let config = if large {
+        let g = generated(if large {
             TopologyConfig::internet(800, seed)
         } else {
             TopologyConfig::small(seed)
-        };
-        let mut g = TopologyGenerator::new(config).generate().graph;
-        g.compact();
+        });
         let n = g.len();
         let links = links_of(&g);
         let asns: Vec<Asn> = g.asns().collect();
         // 32 tracked origins and 16 session peers, drawn with repeats
         // (duplicates collapse), so origins and peers overlap at times.
-        let origins: Vec<Asn> = picks[..32]
-            .iter()
-            .map(|ix| asns[ix.index(n)])
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        let peers: Vec<Asn> = picks[32..]
-            .iter()
-            .map(|ix| asns[ix.index(n)])
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        let mut fc = FastConverge::new(g, origins.iter().copied());
-        let mut collector = Collector::new(&peers, &CollectorConfig::default())
-            .expect("valid collector config");
-        let mut cache = ExportCache::new();
-        let mut dirty: Vec<Vec<Asn>> = vec![Vec::new(); peers.len()];
-        // The brute-force reference: every (origin, peer) export, walked.
-        let mut reference: BTreeMap<(Asn, Asn), Export> = BTreeMap::new();
-        for &o in &origins {
-            let tree = fc.tree(o).expect("tracked");
-            collector.refresh_exports(fc.graph(), tree, &mut cache);
-            for &p in &peers {
-                reference.insert((o, p), walk(fc.graph(), tree, p));
-            }
-        }
+        let draw = |picks: &[proptest::sample::Index]| -> Vec<Asn> {
+            picks
+                .iter()
+                .map(|ix| asns[ix.index(n)])
+                .collect::<BTreeSet<_>>()
+                .into_iter()
+                .collect()
+        };
+        let mut replay = Replay::new(g, draw(&picks[..32]), draw(&picks[32..]));
 
         let mut down: Vec<(Asn, Asn)> = Vec::new();
-        for (ix, up) in churn {
+        for (event, (ix, up)) in churn.into_iter().enumerate() {
             let change = if up && !down.is_empty() {
                 let (a, b) = down.swap_remove(ix.index(down.len()));
                 LinkChange::up(a, b)
@@ -115,58 +250,38 @@ proptest! {
                 }
                 LinkChange::down(a, b)
             };
-            let before: Vec<Vec<Option<usize>>> = origins
-                .iter()
-                .map(|&o| next_hops(fc.tree(o).expect("tracked"), n))
-                .collect();
-            let affected = fc.apply(change);
+            replay.apply_and_check(change, &format!("seed {seed:#x} event {event} {change:?}"));
+        }
+    }
+}
 
-            // (1) The trace names every node whose next hop moved.
-            for (&o, before) in origins.iter().zip(&before) {
-                let tree = fc.tree(o).expect("tracked");
-                let traced: BTreeSet<usize> =
-                    tree.trace().iter().map(|&(v, _, _)| v as usize).collect();
-                for (v, (old, new)) in before.iter().zip(next_hops(tree, n)).enumerate() {
-                    prop_assert!(
-                        *old == new || traced.contains(&v),
-                        "origin {} node {} moved {:?} -> {:?} untraced after {:?}",
-                        o, v, old, new, change
-                    );
-                }
-            }
-
-            // (2) The filtered refresh reports the brute-force dirty sets.
-            dirty.iter_mut().for_each(Vec::clear);
-            for &o in &affected {
-                let tree = fc.tree(o).expect("tracked");
-                collector.refresh_exports_dirty(fc.graph(), tree, &mut cache, &mut dirty);
-            }
-            let mut expected: Vec<Vec<Asn>> = vec![Vec::new(); peers.len()];
-            for &o in &affected {
-                let tree = fc.tree(o).expect("tracked");
-                for (si, &p) in peers.iter().enumerate() {
-                    let now = walk(fc.graph(), tree, p);
-                    if reference.insert((o, p), now.clone()) != Some(now) {
-                        expected[si].push(o);
-                    }
-                }
-            }
-            prop_assert_eq!(&dirty, &expected, "dirty sets diverged after {:?}", change);
-
-            // (3) Every cached export, skipped or walked, is current.
-            for &o in &origins {
-                let tree = fc.tree(o).expect("tracked");
-                for &p in &peers {
-                    let cached = cache
-                        .get(o, p)
-                        .map(|(id, class)| (collector.arena().resolve(id).asns().to_vec(), class));
-                    prop_assert_eq!(
-                        cached,
-                        walk(fc.graph(), tree, p),
-                        "stale export for origin {} at peer {} after {:?}",
-                        o, p, change
-                    );
-                }
+#[test]
+fn watch_rows_stay_exact_over_long_generated_replays() {
+    for seed in env_seeds(&[1, 2, 3]) {
+        for (name, config) in [
+            ("small", TopologyConfig::small(seed)),
+            ("regional-800", TopologyConfig::internet(800, seed)),
+        ] {
+            let g = generated(config);
+            let links = links_of(&g);
+            let asns: Vec<Asn> = g.asns().collect();
+            let mut rng = TestRng::from_seed(seed ^ 0xE1C4);
+            let mut draw = |k: usize| -> Vec<Asn> {
+                (0..k)
+                    .map(|_| asns[rng.below(asns.len())])
+                    .collect::<BTreeSet<_>>()
+                    .into_iter()
+                    .collect()
+            };
+            let (origins, peers) = (draw(32), draw(16));
+            let mut replay = Replay::new(g, origins, peers);
+            // Each event toggles a drawn link: it fails if up and is
+            // restored if down, so both kinds of event move trees.
+            for event in 0..240 {
+                let (a, b) = links[rng.below(links.len())];
+                let up = replay.fc.graph().relationship(a, b).is_none();
+                let what = format!("{name}/seed={seed:#x}: event {event} ({a}-{b} up={up})");
+                replay.apply_and_check(LinkChange { a, b, up }, &what);
             }
         }
     }

@@ -40,7 +40,8 @@ pub struct StageReport {
     /// Self time of every span of the stage, milliseconds. The column
     /// sums to the profiled wall time, with nothing counted twice.
     pub wall_ms_total: f64,
-    /// `wall_ms_total / calls`, milliseconds.
+    /// Mean outermost-span duration (inclusive of nested spans),
+    /// milliseconds: the same spans as `wall_ms_p95` and `wall_ms_max`.
     pub wall_ms_mean: f64,
     /// Estimated p95 outermost-span duration (log₂ buckets),
     /// milliseconds.
@@ -83,7 +84,7 @@ fn stage_table(profile: &Profile) -> Vec<StageReport> {
                 wall_ms_mean: if calls == 0 {
                     0.0
                 } else {
-                    total / calls as f64
+                    outermost.sum() / calls as f64 / 1e3
                 },
                 wall_ms_p95: outermost.quantile(0.95).unwrap_or(0.0) / 1e3,
                 wall_ms_max: outermost.max().unwrap_or(0.0) / 1e3,
@@ -372,6 +373,24 @@ impl RunReport {
             Ok(())
         } else {
             Err(problems)
+        }
+    }
+
+    /// The line `repro report` prints when [`RunReport::validate`]
+    /// passes, naming what was checked: the required stages for a batch
+    /// report; for a fleet report, the supervisor accounting alone,
+    /// since its stage table is not checked.
+    pub fn validated_line(&self) -> String {
+        match &self.supervisor {
+            None => format!(
+                "validation: ok ({} required stages profiled)",
+                REQUIRED_STAGES.len()
+            ),
+            Some(sup) => format!(
+                "validation: ok (supervisor accounting: {} cells = {} completed + {} \
+                 quarantined, {} degraded; stage table not checked)",
+                sup.cells, sup.completed, sup.quarantined, sup.degraded
+            ),
         }
     }
 
@@ -800,7 +819,15 @@ mod tests {
         assert!((detect.wall_ms_mean - 5.0).abs() < 1e-9);
         assert!((detect.wall_ms_max - 5.0).abs() < 1e-9);
         assert!(detect.wall_ms_p95 > 0.0 && detect.wall_ms_p95 <= detect.wall_ms_max);
-        assert_eq!(rep.stage("churn").unwrap().calls, 1);
+        // A row's mean, p95 and max all describe its outermost spans,
+        // nested time included: churn.replay ran 50 ms, of which 20 ms
+        // were its own.
+        let churn = rep.stage("churn").unwrap();
+        assert_eq!(churn.calls, 1);
+        assert!((churn.wall_ms_total - 20.0).abs() < 1e-9);
+        assert!((churn.wall_ms_mean - 50.0).abs() < 1e-9);
+        assert!((churn.wall_ms_max - 50.0).abs() < 1e-9);
+        assert!(churn.wall_ms_p95 <= churn.wall_ms_max);
         assert_eq!(rep.stage("collector").unwrap().calls, 10);
         assert!((rep.stage("collector").unwrap().wall_ms_total - 30.0).abs() < 1e-9);
     }
@@ -950,8 +977,14 @@ mod tests {
         assert_eq!(sup.quarantined, 1);
         assert_eq!(sup.restarts, 5);
         assert_eq!(sup.degraded, 2);
-        // Fleet reports skip the six-stage rule but check consistency.
+        // Fleet reports skip the six-stage rule but check consistency,
+        // and say so.
         assert!(rep.validate().is_ok());
+        assert_eq!(
+            rep.validated_line(),
+            "validation: ok (supervisor accounting: 8 cells = 7 completed + 1 quarantined, \
+             2 degraded; stage table not checked)"
+        );
         assert!(rep.render().contains("supervisor: 8 cells"));
         // Inconsistent accounting fails validation.
         let mut bad = rep.clone();
@@ -973,6 +1006,12 @@ mod tests {
         // pre-section JSON still deserializes.
         let batch = RunReport::assemble("batch", &full_registry().snapshot(), &[]);
         assert!(batch.supervisor.is_none());
+        let profiled = batch.clone().with_profile(&full_profile());
+        assert!(profiled.validate().is_ok());
+        assert_eq!(
+            profiled.validated_line(),
+            "validation: ok (6 required stages profiled)"
+        );
         let json = serde_json::to_string(&batch).unwrap();
         assert!(!json.contains("supervisor"));
         let back: RunReport = serde_json::from_str(&json).unwrap();
