@@ -60,8 +60,8 @@ pub struct UpdateRecord {
 /// any state is applied: for each prefix whose recorded entry changes,
 /// the new entry — `Some(id)` to insert or replace (an announcement),
 /// `None` to remove (a withdrawal) — in diff order. Produced by
-/// [`diff_run`] against pre-observe state and consumed by
-/// [`Collector::apply_ops`].
+/// [`diff_run`] against the session's pre-observe table and consumed by
+/// [`Collector::apply_session_ops`].
 type SessionOps = Vec<(Ipv4Prefix, Option<PathId>)>;
 
 /// A time-ordered log of updates across all sessions of all collectors.
@@ -196,7 +196,8 @@ fn gallop(table: &[(Ipv4Prefix, PathId)], p: Ipv4Prefix) -> usize {
 /// `cursor` is the gallop position in `table`, carried across the runs
 /// of one session so consecutive ascending runs merge in one lockstep
 /// walk; a run that starts at or below the cursor restarts from the
-/// front. Reads only `table`, so distinct sessions diff concurrently.
+/// front. Reads only `table`, so applying one session's ops cannot
+/// change another session's diff.
 fn diff_run(
     kind: FeedKind,
     table: &[(Ipv4Prefix, PathId)],
@@ -252,7 +253,8 @@ pub struct Collector {
     /// ascending (session, prefix) order the log format relies on.
     state: Vec<FlatTable>,
     /// Arena of every distinct recorded path; `state` and [`SessionOps`]
-    /// refer into it, and records resolve through it on append.
+    /// refer into it by id, and every record, reset re-dump and exported
+    /// checkpoint route shares its one copy of the path.
     arena: PathArena,
     /// Per-session peer graph indices, memoized on the first refresh
     /// (parallel to `sessions`; empty until then).
@@ -260,18 +262,17 @@ pub struct Collector {
     /// Reset schedule: sorted (time, session index).
     resets: Vec<(SimTime, usize)>,
     next_reset: usize,
-    /// One reusable [`SessionOps`] slot per session (slot `si` holds
-    /// session `si`'s ops), taken by the observe driver for each
-    /// observation so per-event diffs reuse warm op buffers instead of
-    /// allocating.
-    ops_scratch: Vec<SessionOps>,
+    /// The one reusable [`SessionOps`] buffer: the observe driver diffs
+    /// into it and applies it one session at a time, so it holds at
+    /// most one session's ops and per-event diffs allocate nothing.
+    ops_scratch: SessionOps,
     /// Reusable `(prefix, op seq, entry)` buffer for sorting a batch of
-    /// table deltas in [`Collector::apply_ops`].
+    /// table deltas in [`Collector::apply_table_ops`].
     delta_scratch: Vec<(Ipv4Prefix, u32, Option<PathId>)>,
     /// Reusable list of the sessions a per-peer refresh walks.
     touched_scratch: Vec<usize>,
     /// Reusable rebuild target for the merge in
-    /// [`Collector::apply_ops`]; swapped with the live table, so the
+    /// [`Collector::apply_table_ops`]; swapped with the live table, so the
     /// two buffers ping-pong with no steady-state allocation.
     merge_scratch: Vec<(Ipv4Prefix, PathId)>,
 }
@@ -669,10 +670,12 @@ impl Collector {
         });
     }
 
-    /// The one observe path: emit due resets, diff every session with
-    /// `diff(si, info, table, ops)` against pre-observe state, then
-    /// apply the ops in ascending session order and count the
-    /// observation.
+    /// The one observe path: emit due resets, then, in ascending session
+    /// order, diff each session with `diff(si, info, table, ops)` against
+    /// its table and apply the ops before the next session diffs; count
+    /// the observation. A session's diff reads only its own table, so
+    /// this yields the records of diffing every session first and
+    /// applying after, in the same order, through one op buffer.
     fn observe_with<D>(&mut self, at: SimTime, log: &mut UpdateLog, diff: D)
     where
         D: Fn(usize, &SessionInfo, &[(Ipv4Prefix, PathId)], &mut SessionOps),
@@ -681,12 +684,13 @@ impl Collector {
         let recorded_before = log.records.len();
         self.emit_due_resets(at, log);
         let mut ops = std::mem::take(&mut self.ops_scratch);
-        ops.resize_with(self.sessions.len(), Vec::new);
-        for (si, out) in ops.iter_mut().enumerate() {
-            let _span = obs::prof::span("collector", "diff");
-            diff(si, &self.sessions[si], &self.state[si].entries, out);
+        for si in 0..self.sessions.len() {
+            {
+                let _span = obs::prof::span("collector", "diff");
+                diff(si, &self.sessions[si], &self.state[si].entries, &mut ops);
+            }
+            self.apply_session_ops(at, si, &mut ops, log);
         }
-        self.apply_ops(at, &mut ops, log);
         self.ops_scratch = ops;
         obs::incr("collector", "observe_calls", 1);
         obs::incr(
@@ -720,34 +724,38 @@ impl Collector {
         }
     }
 
-    /// Apply the per-session diffs (`ops[si]` for session `si`) in
-    /// ascending session order, appending one record per op at `at` and
-    /// merging the ops into the session tables. Leaves every slot empty
-    /// with its capacity kept for the next observation.
-    fn apply_ops(&mut self, at: SimTime, ops: &mut [SessionOps], log: &mut UpdateLog) {
-        for (si, so) in ops.iter_mut().enumerate() {
-            if so.is_empty() {
-                continue;
-            }
-            let sid = self.sessions[si].id;
-            for &(prefix, entry) in so.iter() {
-                let msg = match entry {
-                    None => UpdateMessage::Withdraw(prefix),
-                    Some(id) => UpdateMessage::Announce(Route {
-                        prefix,
-                        as_path: self.arena.resolve(id).clone(),
-                        communities: Default::default(),
-                    }),
-                };
-                log.records.push(UpdateRecord {
-                    at,
-                    session: sid,
-                    msg,
-                });
-            }
-            self.apply_table_ops(si, so);
-            so.clear();
+    /// Apply session `si`'s diff: append one record per op at `at`, each
+    /// announcement sharing the arena's copy of its path, and merge the
+    /// ops into the session's table. Leaves `ops` empty with its
+    /// capacity kept for the next session.
+    fn apply_session_ops(
+        &mut self,
+        at: SimTime,
+        si: usize,
+        ops: &mut SessionOps,
+        log: &mut UpdateLog,
+    ) {
+        if ops.is_empty() {
+            return;
         }
+        let sid = self.sessions[si].id;
+        for &(prefix, entry) in ops.iter() {
+            let msg = match entry {
+                None => UpdateMessage::Withdraw(prefix),
+                Some(id) => UpdateMessage::Announce(Route {
+                    prefix,
+                    as_path: self.arena.resolve(id).clone(),
+                    communities: Default::default(),
+                }),
+            };
+            log.records.push(UpdateRecord {
+                at,
+                session: sid,
+                msg,
+            });
+        }
+        self.apply_table_ops(si, ops);
+        ops.clear();
     }
 
     /// Apply one session's ops to its flat table as a batch merge.
@@ -1143,5 +1151,55 @@ mod tests {
         assert_eq!(cleaned.len(), 3);
         assert_eq!(removed, log.len() - 3);
         assert!(bursts >= 1);
+    }
+
+    #[test]
+    fn records_share_the_arena_copy_of_each_path() {
+        // Two sessions with the same peer record the same interned path;
+        // the resets in between re-dump it.
+        let config = CollectorConfig {
+            frac_full: 1.0,
+            resets_per_session: 3.0,
+            horizon: SimDuration::from_days(1),
+            seed: 42,
+        };
+        let mut coll = Collector::new(&[Asn(10), Asn(10)], &config).unwrap();
+        let prefixes = [p("10.0.0.0/8"), p("11.0.0.0/8")];
+        let exported = |_, _| Some((path(&[2, 3]), RouteClass::Customer));
+        let mut log = UpdateLog::default();
+        coll.observe(SimTime::ZERO, &prefixes, exported, &mut log);
+        assert_eq!(log.len(), 4);
+        let end = SimTime::ZERO + SimDuration::from_days(1);
+        coll.observe(end, &prefixes, exported, &mut log);
+        assert!(log.records.iter().any(|r| r.at != SimTime::ZERO && r.at != end));
+        assert_eq!(log.sessions(), vec![SessionId(0), SessionId(1)]);
+
+        assert_eq!(coll.arena().len(), 1);
+        let shared = coll.arena().resolve(coll.state[0].entries[0].1);
+        assert_eq!(*shared, path(&[10, 2, 3]));
+        let shares = |as_path: &AsPath| as_path.asns().as_ptr() == shared.asns().as_ptr();
+        for r in &log.records {
+            match &r.msg {
+                UpdateMessage::Announce(route) => assert!(shares(&route.as_path), "{r:?}"),
+                UpdateMessage::Withdraw(_) => panic!("no withdrawal expected: {r:?}"),
+            }
+        }
+        let (cleaned, _, _) = clean_session_resets(&log, &CleaningConfig::default());
+        assert_eq!(cleaned.len(), 4);
+        assert!(cleaned.records.iter().all(|r| match &r.msg {
+            UpdateMessage::Announce(route) => shares(&route.as_path),
+            UpdateMessage::Withdraw(_) => false,
+        }));
+        let state = coll.export_state();
+        assert_eq!(state.routes.len(), 4);
+        assert!(state.routes.iter().all(|(_, _, as_path)| shares(as_path)));
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn update_record_is_64_bytes() {
+        // An `AsPath` is a 16-byte shared-slice pointer (DESIGN.md §25);
+        // the 24-byte `Vec` it replaced made a record 72 bytes.
+        assert_eq!(std::mem::size_of::<UpdateRecord>(), 64);
     }
 }

@@ -151,7 +151,8 @@ pub fn read_log(r: &mut impl Read) -> Result<UpdateLog, MrtError> {
         return Err(MrtError::BadMagic);
     };
     let mut records = Vec::new();
-    while let Some((rec, consumed)) = decode_record(rest)? {
+    let mut asns = Vec::new();
+    while let Some((rec, consumed)) = decode_record(rest, &mut asns)? {
         records.push(rec);
         rest = &rest[consumed..];
     }
@@ -159,10 +160,15 @@ pub fn read_log(r: &mut impl Read) -> Result<UpdateLog, MrtError> {
 }
 
 /// Parse one record from `buf`, returning it and the bytes consumed.
+/// An announcement's hops are read into the reused `asns` scratch and
+/// the path is built from that slice, one allocation per path.
 ///
 /// `Ok(None)` means `buf` is empty (clean end of stream). `Err` means
 /// the bytes are malformed or a record was cut off mid-field.
-fn decode_record(buf: &[u8]) -> Result<Option<(UpdateRecord, usize)>, MrtError> {
+fn decode_record(
+    buf: &[u8],
+    asns: &mut Vec<Asn>,
+) -> Result<Option<(UpdateRecord, usize)>, MrtError> {
     if buf.is_empty() {
         return Ok(None);
     }
@@ -182,7 +188,7 @@ fn decode_record(buf: &[u8]) -> Result<Option<(UpdateRecord, usize)>, MrtError> 
     let msg = match kind {
         1 => {
             let path_len = get_u16(&mut r)? as usize;
-            let mut asns = Vec::with_capacity(path_len.min(64));
+            asns.clear();
             for _ in 0..path_len {
                 asns.push(Asn(get_u32(&mut r)?));
             }
@@ -200,7 +206,7 @@ fn decode_record(buf: &[u8]) -> Result<Option<(UpdateRecord, usize)>, MrtError> 
             }
             UpdateMessage::Announce(Route {
                 prefix,
-                as_path: AsPath::from_asns(asns),
+                as_path: AsPath::from_asns(asns.iter().copied()),
                 communities,
             })
         }

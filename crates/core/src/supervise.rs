@@ -4,7 +4,7 @@
 //! process multiplexing many concurrent scenarios. A resident process
 //! is only useful if one wedged or panicking scenario cannot take the
 //! fleet down, so this module supervises: each submitted scenario runs
-//! in its own **fault domain** — a [`ScenarioCell`] on a scoped thread
+//! in its own **fault domain** — a `ScenarioCell` on a scoped thread
 //! that wraps the checkpointed month replay in `catch_unwind`, beats a
 //! heartbeat at every checkpoint boundary, and persists snapshots into
 //! its own [`CheckpointStore`]. Around the cells sit:
@@ -787,7 +787,7 @@ impl ScenarioCell<'_> {
 }
 
 /// The supervisor: a bounded admission queue in front of a
-/// width-limited fleet of [`ScenarioCell`]s, plus the watchdog.
+/// width-limited fleet of `ScenarioCell`s, plus the watchdog.
 ///
 /// Usage: [`Supervisor::new`], [`Supervisor::submit`] each job
 /// (checking for [`Admission::Shed`]), then [`Supervisor::run`] to

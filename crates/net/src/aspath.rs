@@ -1,9 +1,10 @@
 //! BGP AS-level paths.
 
 use crate::Asn;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// A BGP AS path: the sequence of ASes a route announcement has traversed,
 /// most-recent (nearest) AS first, origin AS last — the order AS_PATH
@@ -13,6 +14,13 @@ use std::fmt;
 /// (for detecting path changes) and the *set of distinct ASes crossed*
 /// (for surveillance exposure). Both are provided here.
 ///
+/// A path is immutable and shared: the hops live in one reference-counted
+/// slice, so a clone is a refcount bump, never a copy. A collector's
+/// arena holds the one allocation of each distinct recorded path, and
+/// every log record, reset re-dump and checkpoint route that carries it
+/// points at that allocation (DESIGN.md §25). Equality, ordering and
+/// hashing are those of the hop slice.
+///
 /// ```
 /// use quicksand_net::{AsPath, Asn};
 /// let p = AsPath::from_asns([Asn(3), Asn(2), Asn(1)]);
@@ -21,33 +29,31 @@ use std::fmt;
 /// assert_eq!(p.len(), 3);
 /// assert!(!p.has_loop());
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default)]
-#[serde(transparent)]
-pub struct AsPath(Vec<Asn>);
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct AsPath(Arc<[Asn]>);
 
 impl AsPath {
     /// The empty path (a route originated locally, not yet prepended).
     pub fn empty() -> Self {
-        AsPath(Vec::new())
+        AsPath(Arc::from([]))
     }
 
-    /// Build a path from nearest-first ASNs.
+    /// Build a path from nearest-first ASNs. One allocation when the
+    /// iterator knows its exact length (a slice or `Vec` iterator, a
+    /// chain of them).
     pub fn from_asns(asns: impl IntoIterator<Item = Asn>) -> Self {
         AsPath(asns.into_iter().collect())
     }
 
     /// Originate a path at `origin`: the one-element path `[origin]`.
     pub fn originate(origin: Asn) -> Self {
-        AsPath(vec![origin])
+        AsPath(Arc::from([origin]))
     }
 
     /// A copy of this path with `asn` prepended (as done when an AS
     /// propagates the route to a neighbor).
     pub fn prepended(&self, asn: Asn) -> Self {
-        let mut v = Vec::with_capacity(self.0.len() + 1);
-        v.push(asn);
-        v.extend_from_slice(&self.0);
-        AsPath(v)
+        AsPath(std::iter::once(asn).chain(self.0.iter().copied()).collect())
     }
 
     /// Number of AS hops (counting duplicates from prepending).
@@ -118,7 +124,7 @@ impl AsPath {
 impl fmt::Display for AsPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
-        for a in &self.0 {
+        for a in self.0.iter() {
             if !first {
                 write!(f, " ")?;
             }
@@ -135,9 +141,29 @@ impl fmt::Debug for AsPath {
     }
 }
 
+impl Default for AsPath {
+    fn default() -> Self {
+        AsPath::empty()
+    }
+}
+
 impl FromIterator<Asn> for AsPath {
     fn from_iter<T: IntoIterator<Item = Asn>>(iter: T) -> Self {
         AsPath(iter.into_iter().collect())
+    }
+}
+
+// Hand-written because the shared slice has no serde impls: a path
+// serializes as the plain array of its hops, as the `Vec` it replaced did.
+impl Serialize for AsPath {
+    fn to_value(&self) -> Value {
+        self.asns().to_value()
+    }
+}
+
+impl Deserialize for AsPath {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Vec::<Asn>::from_value(v).map(|asns| AsPath(asns.into()))
     }
 }
 
@@ -200,6 +226,22 @@ mod tests {
         let rev: Vec<u32> = (0..100).rev().collect();
         assert!(path(&long).same_as_set(&path(&rev)));
         assert!(!path(&long).same_as_set(&path(&rev[1..])));
+    }
+
+    #[test]
+    fn serializes_as_a_plain_number_array() {
+        for (p, text) in [(path(&[3356, 24940]), "[3356,24940]"), (AsPath::empty(), "[]")] {
+            assert_eq!(serde_json::to_string(&p).unwrap(), text);
+            assert_eq!(serde_json::from_str::<AsPath>(text).unwrap(), p);
+        }
+    }
+
+    #[test]
+    fn clones_share_one_allocation() {
+        let p = path(&[1, 2, 3]);
+        let q = p.clone();
+        assert_eq!(p.asns().as_ptr(), q.asns().as_ptr());
+        assert_eq!(AsPath::default(), AsPath::empty());
     }
 
     #[test]

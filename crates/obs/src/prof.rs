@@ -2,7 +2,7 @@
 //! probe, tree registration, and aggregation.
 //!
 //! The hot-path contract: when the profiler is **off**,
-//! [`span`] costs one relaxed atomic load and returns an inert guard —
+//! [`span()`] costs one relaxed atomic load and returns an inert guard —
 //! no thread-local access, no clock read, no allocation. When **on**,
 //! each span costs two monotonic clock reads, two alloc-probe reads,
 //! and one short mutex hold on a preallocated [`SpanTree`]; the only
@@ -48,7 +48,7 @@ static ALLOC_PROBE: OnceLock<fn() -> u64> = OnceLock::new();
 static TREES: Mutex<Vec<Arc<SpanTree>>> = Mutex::new(Vec::new());
 
 /// Turn the profiler on or off process-wide. Off is the default and
-/// costs one atomic load per [`span`] call.
+/// costs one atomic load per [`span()`] call.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }

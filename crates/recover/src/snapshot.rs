@@ -306,13 +306,15 @@ fn encode_path(e: &mut Enc, path: &AsPath) {
     }
 }
 
-fn decode_path(d: &mut Dec<'_>) -> Result<AsPath, CheckpointError> {
+/// Decode one path, reading its hops into the reused `asns` scratch so
+/// the path itself is the only allocation.
+fn decode_path(d: &mut Dec<'_>, asns: &mut Vec<Asn>) -> Result<AsPath, CheckpointError> {
     let n = d.u16("path length")? as usize;
-    let mut asns = Vec::with_capacity(n.min(64));
+    asns.clear();
     for _ in 0..n {
         asns.push(Asn(d.u32("path asn")?));
     }
-    Ok(AsPath::from_asns(asns))
+    Ok(AsPath::from_asns(asns.iter().copied()))
 }
 
 fn encode_collector(e: &mut Enc, c: &CollectorState) {
@@ -335,10 +337,11 @@ fn encode_collector(e: &mut Enc, c: &CollectorState) {
 fn decode_collector(d: &mut Dec<'_>) -> Result<CollectorState, CheckpointError> {
     let n = d.count(11, "routes")?;
     let mut routes = Vec::with_capacity(n);
+    let mut asns = Vec::new();
     for _ in 0..n {
         let sess = d.u32("route session")?;
         let prefix = decode_prefix(d, "route prefix")?;
-        let path = decode_path(d)?;
+        let path = decode_path(d, &mut asns)?;
         routes.push((sess, prefix, path));
     }
     let resets_done = d.u64("resets_done")?;

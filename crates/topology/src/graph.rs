@@ -97,7 +97,7 @@ struct Span {
 /// and therefore every downstream simulation — is deterministic.
 ///
 /// Adjacency is CSR-style: one shared `edges` arena addressed by
-/// per-node [`Span`]s, so walking a neighbor list is a single contiguous
+/// per-node `Span`s, so walking a neighbor list is a single contiguous
 /// slice scan with no per-node `Vec` indirection (DESIGN.md §11).
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct AsGraph {

@@ -87,16 +87,6 @@ impl Consensus {
     pub fn guards_or_exits(&self) -> impl Iterator<Item = &Relay> {
         self.relays.iter().filter(|r| r.flags.guard || r.flags.exit)
     }
-
-    /// Serialize to a JSON string.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("consensus serializes")
-    }
-
-    /// Parse from a JSON string.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
-    }
 }
 
 #[cfg(test)]
@@ -130,15 +120,5 @@ mod tests {
         assert_eq!(c.guard_and_exit().count(), 1);
         assert_eq!(c.guards_or_exits().count(), 3);
         assert_eq!(c.relay(RelayId(2)).nickname, "relay2");
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let c = Consensus {
-            relays: vec![relay(0, true, false)],
-        };
-        let j = c.to_json();
-        let back = Consensus::from_json(&j).unwrap();
-        assert_eq!(back, c);
     }
 }
