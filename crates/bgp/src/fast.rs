@@ -17,12 +17,17 @@
 //! * **link up** — the other endpoint's route may be exported over the
 //!   new link and beats the endpoint's current one under the decision
 //!   process.
+//!
+//! [`FastConverge::with_vantages`] builds trees that store routes only
+//! for ASes with customers and the caller's vantages (DESIGN.md §26): a
+//! link of any other AS can move only that AS's own tree.
 
 use crate::churn::LinkChange;
 use quicksand_net::Asn;
 use quicksand_obs as obs;
-use quicksand_topology::{AsGraph, ReconvergeScratch, Relationship, RoutingTree};
+use quicksand_topology::{AsGraph, ReconvergeScratch, Relationship, RoutingTree, StoredSet};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Incrementally maintained routing trees for tracked origins.
 pub struct FastConverge {
@@ -30,6 +35,8 @@ pub struct FastConverge {
     /// Tracked trees, ascending by origin ASN. Slot order (ascending
     /// origin) is the order `apply` reconverges candidates in.
     trees: Vec<(Asn, RoutingTree)>,
+    /// The nodes every tree stores; `None` when they store every node.
+    stored: Option<Arc<StoredSet>>,
     /// Currently-down links with the relationship to restore, sorted by
     /// `(lo, hi)` ASN key; value is the relationship of `hi` from
     /// `lo`'s point of view. `down_keys` mirrors the keys so checkpoint
@@ -61,12 +68,18 @@ fn chunk_ranges(n: usize, jobs: usize) -> impl Iterator<Item = Range<usize>> {
     (0..chunks).map(move |k| k * n / chunks..(k + 1) * n / chunks)
 }
 
-/// The traced routing trees toward `origins` (ascending), built in
+/// The traced routing trees toward `origins` (ascending), storing the
+/// nodes of `stored` (every node when `None`), built in
 /// [`chunk_ranges`] chunks: chunk 0 on the caller thread, every other
 /// chunk on its own scoped thread, concatenated in chunk order.
-fn build_trees(graph: &AsGraph, origins: &[Asn], jobs: usize) -> Vec<(Asn, RoutingTree)> {
+fn build_trees(
+    graph: &AsGraph,
+    origins: &[Asn],
+    stored: Option<&Arc<StoredSet>>,
+    jobs: usize,
+) -> Vec<(Asn, RoutingTree)> {
     let build = |chunk: &[Asn]| -> Vec<(Asn, RoutingTree)> {
-        RoutingTree::compute_many(graph, chunk.iter().copied())
+        RoutingTree::compute_many_stored(graph, stored, chunk.iter().copied())
             .map(|t| {
                 let mut t = t.expect("tracked origin not in graph");
                 t.set_tracing(true);
@@ -113,16 +126,47 @@ impl FastConverge {
         origins: impl IntoIterator<Item = Asn>,
         jobs: usize,
     ) -> Self {
+        Self::build(graph, origins, None, jobs)
+    }
+
+    /// [`FastConverge::with_jobs`] with trees that store routes only for
+    /// the ASes with customers in `graph`, each tree's destination and
+    /// `vantages` (DESIGN.md §26). Every other AS's route is decided
+    /// when read. `apply` reports a tree as changed, and its trace and
+    /// epoch move, only when a stored route changes, so a caller that
+    /// reads routes at `vantages` sees every change it can observe.
+    /// Churn must only remove and restore `graph`'s links, which is all
+    /// [`FastConverge::apply`] does.
+    ///
+    /// # Panics
+    /// Panics if an origin is not present in the graph.
+    pub fn with_vantages(
+        graph: AsGraph,
+        origins: impl IntoIterator<Item = Asn>,
+        vantages: impl IntoIterator<Item = Asn>,
+        jobs: usize,
+    ) -> Self {
+        let stored = StoredSet::new(&graph, vantages);
+        Self::build(graph, origins, Some(stored), jobs)
+    }
+
+    fn build(
+        graph: AsGraph,
+        origins: impl IntoIterator<Item = Asn>,
+        stored: Option<Arc<StoredSet>>,
+        jobs: usize,
+    ) -> Self {
         let mut os: Vec<Asn> = origins.into_iter().collect();
         os.sort_unstable();
         os.dedup();
         let trees = {
             let _span = obs::prof::span("routing", "build");
-            build_trees(&graph, &os, jobs)
+            build_trees(&graph, &os, stored.as_ref(), jobs)
         };
         FastConverge {
             graph,
             trees,
+            stored,
             down: Vec::new(),
             down_keys: Vec::new(),
             recomputes: 0,
@@ -136,7 +180,10 @@ impl FastConverge {
         &self.graph
     }
 
-    /// The current routing tree toward `origin`.
+    /// The current routing tree toward `origin`. Under
+    /// [`FastConverge::with_vantages`], read an AS the trees do not
+    /// store with a read that takes [`FastConverge::graph`], such as
+    /// [`RoutingTree::route_at`] or [`RoutingTree::path_from`].
     pub fn tree(&self, origin: Asn) -> Option<&RoutingTree> {
         let i = self
             .trees
@@ -249,11 +296,30 @@ impl FastConverge {
         // other one", i.e. the failed link carried traffic in the tree.
         // Slots are pushed ascending, which is ascending origin.
         let (rel_of_lo, rel_of_hi) = (rel.map(Relationship::reversed), rel);
-        for (slot, (_, tree)) in self.trees.iter().enumerate() {
-            if tree.must_redecide(&self.graph, ilo, ihi, rel_of_lo)
-                || tree.must_redecide(&self.graph, ihi, ilo, rel_of_hi)
-            {
-                self.cand_scratch.push(slot);
+        let graph = &self.graph;
+        let moves = |tree: &RoutingTree| {
+            tree.must_redecide(graph, ilo, ihi, rel_of_lo)
+                || tree.must_redecide(graph, ihi, ilo, rel_of_hi)
+        };
+        let elided = |i: usize| self.stored.as_ref().is_some_and(|s| !s.contains(i));
+        if elided(ilo) || elided(ihi) {
+            // An elided endpoint has nothing to re-decide, and it offers
+            // its route to no one unless it is the tree's destination
+            // (§26): only its own tree can move. `k.0 < k.1`, so the
+            // slots still ascend.
+            for (i, o) in [(ilo, k.0), (ihi, k.1)] {
+                let Ok(slot) = self.trees.binary_search_by(|(t, _)| t.cmp(&o)) else {
+                    continue;
+                };
+                if elided(i) && moves(&self.trees[slot].1) {
+                    self.cand_scratch.push(slot);
+                }
+            }
+        } else {
+            for (slot, (_, tree)) in self.trees.iter().enumerate() {
+                if moves(tree) {
+                    self.cand_scratch.push(slot);
+                }
             }
         }
         Some(if a == k.0 {
@@ -381,6 +447,44 @@ mod tests {
             }
         }
         assert!(fc.recomputes > 0);
+    }
+
+    #[test]
+    fn customer_less_vantage_is_stored_and_other_stubs_are_decided_on_read() {
+        // 7, 8 and 9 have no customers; only 9 is a vantage.
+        let origins: Vec<Asn> = diamond().asns().collect();
+        let mut fc = FastConverge::with_vantages(diamond(), origins.clone(), [Asn(9)], 1);
+        let mut blind = FastConverge::with_vantages(diamond(), origins.clone(), [], 1);
+        // Losing its one provider unroutes 9 in every tree: each moves
+        // a stored route when 9 is a vantage, and only 9's own tree
+        // moves one when it is not.
+        assert_eq!(fc.apply(LinkChange::down(Asn(9), Asn(6))), origins);
+        assert_eq!(blind.apply(LinkChange::down(Asn(9), Asn(6))), vec![Asn(9)]);
+        assert_eq!(blind.recomputes, 1);
+        // A link of the customer-less non-vantage 7 reconverges only
+        // 7's tree, in both.
+        for f in [&mut fc, &mut blind] {
+            let r = f.recomputes;
+            assert_eq!(f.apply(LinkChange::down(Asn(7), Asn(3))), vec![Asn(7)]);
+            assert_eq!(f.recomputes - r, 1);
+            assert_eq!(f.apply(LinkChange::up(Asn(7), Asn(3))), vec![Asn(7)]);
+        }
+        // Every route, stored or decided on read, is a fresh compute's.
+        for f in [&fc, &blind] {
+            for &o in &origins {
+                let fresh = RoutingTree::compute(f.graph(), o).unwrap();
+                for &src in &origins {
+                    assert_eq!(
+                        path(f, o.0, src.0),
+                        fresh
+                            .path_from(f.graph(), src)
+                            .map(|p| p.into_iter().map(|a| a.0).collect())
+                    );
+                }
+            }
+        }
+        assert_eq!(path(&fc, 8, 7), Some(vec![7, 3, 1, 4, 8]));
+        assert_eq!(path(&fc, 8, 9), None);
     }
 
     #[test]

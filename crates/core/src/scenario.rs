@@ -643,10 +643,14 @@ impl Scenario {
         };
         drop(prep_span);
 
+        // The collector reads routes only at its session peers, so the
+        // trees store routes only where a route can pass and at those
+        // peers (DESIGN.md §26).
         let init_span = obs::prof::span("fast", "init");
-        let mut fc = FastConverge::with_jobs(
+        let mut fc = FastConverge::with_vantages(
             self.topo.graph.clone(),
             origins.iter().copied(),
+            self.session_peers.iter().copied(),
             self.config.parallelism.jobs(),
         );
         drop(init_span);
@@ -739,18 +743,14 @@ impl Scenario {
         // blocks in index order), so the records come out exactly as a
         // prefix-ordered full scan would emit them.
         let mut dirty: Vec<Vec<Asn>> = vec![Vec::new(); self.session_peers.len()];
-        let mark_all_dirty = |dirty: &mut [Vec<Asn>]| {
-            for d in dirty.iter_mut() {
-                d.clear();
-                d.extend_from_slice(&all_origins);
-            }
-        };
 
         // Initial table dump at t = 0 (already in the log on resume).
         if resume.is_none() {
             let _span = obs::prof::span("collector", "dump");
             refresh(&fc, &mut collector, &mut cache, &all_origins);
-            mark_all_dirty(&mut dirty);
+            for d in dirty.iter_mut() {
+                d.extend_from_slice(&all_origins);
+            }
             observe(&mut collector, &mut log, SimTime::ZERO, &dirty, &cache);
         }
 
@@ -862,20 +862,25 @@ impl Scenario {
             obs::gauge("churn", "replay_rate", n_events as f64 / replay_s);
         }
 
-        // Final observation flushes trailing session resets; it diffs
-        // every origin, so every origin must be fresh (on resume this
-        // is also the first full-table refresh).
+        // Final observation flushes trailing session resets. It diffs
+        // nothing: after every observation each session's table equals
+        // its peer's visible exports, and an event that changes no
+        // export value records nothing, so a full diff here would
+        // append no record (`tests/dirty_observe.rs` checks this).
         {
             let _span = obs::prof::span("collector", "dump");
-            refresh(&fc, &mut collector, &mut cache, &all_origins);
-            mark_all_dirty(&mut dirty);
+            for d in dirty.iter_mut() {
+                d.clear();
+            }
             observe(&mut collector, &mut log, horizon_end, &dirty, &cache);
         }
 
         // The replay state — routing trees, collector sessions, export
         // cache — is dead once the final dump is in the log; free it
-        // before cleaning allocates (DESIGN.md §19).
+        // before cleaning allocates (DESIGN.md §19), and give back the
+        // log's unused capacity, a growth step's worth of records.
         drop((fc, collector, cache, dirty));
+        log.records.shrink_to_fit();
         let (cleaned, removed_duplicates, reset_bursts) =
             clean_session_resets(&log, &CleaningConfig::default());
         Ok(MonthResult {
@@ -911,7 +916,12 @@ impl Scenario {
         churn_seed: u64,
     ) -> BTreeMap<(Asn, Asn), PathTimeline> {
         let origin_set: BTreeSet<Asn> = origins.iter().copied().collect();
-        let mut fc = FastConverge::new(self.topo.graph.clone(), origin_set.iter().copied());
+        let mut fc = FastConverge::with_vantages(
+            self.topo.graph.clone(),
+            origin_set.iter().copied(),
+            vantages.iter().copied(),
+            1,
+        );
         let mut out: BTreeMap<(Asn, Asn), PathTimeline> = BTreeMap::new();
 
         let record = |fc: &FastConverge,

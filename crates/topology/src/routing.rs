@@ -16,12 +16,17 @@
 //!
 //! The message-level simulator in `quicksand-bgp` converges to exactly
 //! these routes; integration tests cross-validate the two.
+//!
+//! A tree built over a [`StoredSet`] stores routes only where a route
+//! can pass, and decides every other AS's route when it is read
+//! (DESIGN.md §26).
 
 use crate::graph::{AsGraph, Relationship};
 use quicksand_net::Asn;
 use quicksand_obs as obs;
 use std::collections::VecDeque;
 use std::num::NonZeroU32;
+use std::sync::Arc;
 
 /// Reusable worklist state for [`RoutingTree::reconverge_with`]: the
 /// pending-node queue plus a generation-stamped "queued" mark per node.
@@ -156,23 +161,22 @@ impl Entry {
     }
 }
 
-/// Offer `via`'s route to node `to` as a `class` route of length `dist`
-/// during tree construction. An unrouted `to` takes it (returns true:
-/// newly routed); a route of the same class is replaced when the offer
-/// is shorter, or as short from a lower next-hop ASN; a route of any
-/// other class stays.
+/// Offer `via`'s route, as a `class` route of length `dist`, to the
+/// node holding `entry` during tree construction. An unrouted node
+/// takes it (returns true: newly routed); a route of the same class is
+/// replaced when the offer is shorter, or as short from a lower
+/// next-hop ASN; a route of any other class stays.
 fn offer(
-    entries: &mut [Option<Entry>],
+    entry: &mut Option<Entry>,
     graph: &AsGraph,
-    to: u32,
     via: u32,
     class: RouteClass,
     dist: u32,
 ) -> bool {
     let p = pref(class, dist);
-    match &mut entries[to as usize] {
-        slot @ None => {
-            *slot = Some(Entry::new(p, via));
+    match entry {
+        None => {
+            *entry = Some(Entry::new(p, via));
             true
         }
         Some(e) => {
@@ -207,16 +211,102 @@ fn offered_pref(e: Entry, rel_of_holder: Relationship) -> Option<u32> {
 /// the node had (or ends up with) no next hop at all.
 pub const TRACE_UNROUTED: u32 = u32::MAX;
 
+/// The nodes whose routes a tree built over this set stores: every AS
+/// with a customer, plus the caller's vantages (DESIGN.md §26).
+///
+/// A customer-less AS other than the destination passes no route on:
+/// valley-free export sends peer and provider routes only to
+/// customers, and such an AS holds no customer route. So no other
+/// node's route depends on its route, and a tree decides it when read,
+/// over its neighbors' stored routes. A tree's own destination is
+/// always routed, stored here or not. Vantages are stored so that
+/// their routes move the tree's epoch and appear in its trace.
+///
+/// The set is fixed at construction: churn over the graph must only
+/// remove and restore its links, so no elided AS ever gains a customer.
+#[derive(Debug)]
+pub struct StoredSet {
+    /// Per graph node, its slot in a tree's route table, or
+    /// [`StoredSet::ELIDED`].
+    slot: Vec<u32>,
+    /// Number of stored nodes.
+    len: usize,
+}
+
+impl StoredSet {
+    const ELIDED: u32 = u32::MAX;
+
+    /// The stored set over `graph`: every node with a customer, plus
+    /// each of `vantages` in the graph (others are ignored).
+    pub fn new(graph: &AsGraph, vantages: impl IntoIterator<Item = Asn>) -> Arc<StoredSet> {
+        let mut keep: Vec<bool> = (0..graph.len())
+            .map(|v| {
+                graph
+                    .neighbors_idx(v)
+                    .iter()
+                    .any(|&(_, rel)| rel == Relationship::Customer)
+            })
+            .collect();
+        for v in vantages.into_iter().filter_map(|a| graph.index_of(a)) {
+            keep[v] = true;
+        }
+        let mut len = 0u32;
+        let slot = keep
+            .into_iter()
+            .map(|k| {
+                if !k {
+                    return Self::ELIDED;
+                }
+                len += 1;
+                len - 1
+            })
+            .collect();
+        Arc::new(StoredSet {
+            slot,
+            len: len as usize,
+        })
+    }
+
+    /// Whether node `v` is stored.
+    pub fn contains(&self, v: usize) -> bool {
+        self.slot[v] != Self::ELIDED
+    }
+
+    /// The number of stored nodes.
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn slot(&self, v: usize) -> Option<usize> {
+        let s = self.slot[v];
+        (s != Self::ELIDED).then_some(s as usize)
+    }
+}
+
+/// Node `v`'s slot in a route table over `stored`, where `None` stores
+/// every node at its own index.
+#[inline]
+fn slot_in(stored: Option<&StoredSet>, v: usize) -> Option<usize> {
+    match stored {
+        None => Some(v),
+        Some(s) => s.slot(v),
+    }
+}
+
 /// The best policy-compliant route from every AS to one destination AS.
 #[derive(Clone, Debug)]
 pub struct RoutingTree {
     dest: Asn,
     dest_idx: usize,
+    /// The nodes `entries` holds routes for; `None` holds every node,
+    /// at its own index.
+    stored: Option<Arc<StoredSet>>,
+    /// One route per stored node, by slot.
     entries: Vec<Option<Entry>>,
     /// State version: 0 at [`RoutingTree::compute`], bumped whenever a
-    /// reconvergence changes any entry. Same tree + same epoch ⟹ same
-    /// paths — what the collector's per-(origin, peer) export cache
-    /// keys on.
+    /// reconvergence changes any stored entry. Same tree + same epoch
+    /// ⟹ same paths from every stored node — what the collector's
+    /// per-(origin, peer) export cache keys on.
     epoch: u64,
     /// When set, every next-hop change made by a reconvergence is
     /// appended to `trace` (see [`RoutingTree::set_tracing`]).
@@ -296,6 +386,8 @@ impl SplitAdjacency {
 struct TreeBuilder<'g> {
     graph: &'g AsGraph,
     adj: SplitAdjacency,
+    /// The nodes each tree stores (`None`: every node).
+    stored: Option<Arc<StoredSet>>,
     /// Nodes routed by phases 1–2, in the order they were routed.
     routed: Vec<u32>,
     /// Phase-3 sources routed by phases 1–2, as `(dist, node)`.
@@ -305,15 +397,19 @@ struct TreeBuilder<'g> {
 }
 
 impl<'g> TreeBuilder<'g> {
-    fn new(graph: &'g AsGraph) -> Self {
+    fn new(graph: &'g AsGraph, stored: Option<Arc<StoredSet>>) -> Self {
         assert!(
             graph.len() <= MAX_NODES,
             "a routing tree spans at most {MAX_NODES} nodes, the graph has {}",
             graph.len()
         );
+        debug_assert!(stored
+            .as_ref()
+            .map_or(true, |s| s.slot.len() == graph.len()));
         TreeBuilder {
             graph,
             adj: SplitAdjacency::new(graph),
+            stored,
             routed: Vec::new(),
             seeds: Vec::new(),
             queue: Vec::new(),
@@ -324,16 +420,35 @@ impl<'g> TreeBuilder<'g> {
     /// graph.
     fn build(&mut self, dest: Asn) -> Option<RoutingTree> {
         let (graph, adj) = (self.graph, &self.adj);
+        let stored = self.stored.as_deref();
+        let slot = |v: u32| slot_in(stored, v as usize);
         let d = graph.index_of(dest)?;
         let d32 = u32::try_from(d).expect("graph size fits u32");
-        let mut entries: Vec<Option<Entry>> = vec![None; graph.len()];
-        entries[d] = Some(Entry::new(pref(RouteClass::Origin, 0), d32));
+        let mut entries: Vec<Option<Entry>> =
+            vec![None; stored.map_or(graph.len(), StoredSet::len)];
+        if let Some(s) = slot(d32) {
+            entries[s] = Some(Entry::new(pref(RouteClass::Origin, 0), d32));
+        }
+        // The length of a routed node's route; the destination's is 0
+        // whether or not it is stored.
+        let dist_of = |entries: &[Option<Entry>], x: u32| {
+            if x == d32 {
+                return 0;
+            }
+            let s = slot(x).expect("only stored nodes are routed");
+            entries[s].expect("routed").dist()
+        };
 
         // Every phase routes through `offer`: the first offer claims an
         // unrouted node, and a later offer of the same class replaces
         // the incumbent only if it is shorter, or as short from a lower
         // next-hop ASN. Offers of another class never displace a route:
-        // the phases run in class-preference order (DESIGN.md §17).
+        // the phases run in class-preference order (DESIGN.md §17). An
+        // offer to an elided node is dropped: it could route nothing
+        // through it (§26).
+        let offer_to = |entries: &mut [Option<Entry>], to: u32, via: u32, class, dist| {
+            slot(to).is_some_and(|s| offer(&mut entries[s], graph, via, class, dist))
+        };
 
         // Phase 1: customer routes — level-synchronous BFS from d up
         // provider links. `routed[lo..hi]` is level k; every offer made
@@ -350,7 +465,7 @@ impl<'g> TreeBuilder<'g> {
             for i in lo..hi {
                 let x = routed[i];
                 for &p in adj.providers(x) {
-                    if offer(&mut entries, graph, p, x, RouteClass::Customer, dist) {
+                    if offer_to(&mut entries, p, x, RouteClass::Customer, dist) {
                         routed.push(p);
                     }
                 }
@@ -365,9 +480,9 @@ impl<'g> TreeBuilder<'g> {
         let phase1 = routed.len();
         for i in 0..phase1 {
             let x = routed[i];
-            let dist = entries[x as usize].expect("phase 1 routed it").dist() + 1;
+            let dist = dist_of(&entries, x) + 1;
             for &q in adj.peers(x) {
-                if offer(&mut entries, graph, q, x, RouteClass::Peer, dist) {
+                if offer_to(&mut entries, q, x, RouteClass::Peer, dist) {
                     routed.push(q);
                 }
             }
@@ -391,12 +506,9 @@ impl<'g> TreeBuilder<'g> {
             routed
                 .iter()
                 .filter(|&&x| !adj.customers(x).is_empty())
-                .map(|&x| (entries[x as usize].expect("routed").dist(), x)),
+                .map(|&x| (dist_of(&entries, x), x)),
         );
         seeds.sort_unstable();
-        let dist_of = |entries: &[Option<Entry>], x: u32| {
-            entries[x as usize].expect("queued nodes are routed").dist()
-        };
         let queue = &mut self.queue;
         queue.clear();
         let (mut s, mut q) = (0, 0);
@@ -418,7 +530,7 @@ impl<'g> TreeBuilder<'g> {
             };
             let dist = dist_of(&entries, x) + 1;
             for &c in adj.customers(x) {
-                if offer(&mut entries, graph, c, x, RouteClass::Provider, dist)
+                if offer_to(&mut entries, c, x, RouteClass::Provider, dist)
                     && !adj.customers(c).is_empty()
                 {
                     queue.push(c);
@@ -429,6 +541,7 @@ impl<'g> TreeBuilder<'g> {
         Some(RoutingTree {
             dest,
             dest_idx: d,
+            stored: self.stored.clone(),
             entries,
             epoch: 0,
             tracing: false,
@@ -457,7 +570,19 @@ impl RoutingTree {
         graph: &'g AsGraph,
         dests: impl IntoIterator<Item = Asn> + 'g,
     ) -> impl Iterator<Item = Option<RoutingTree>> + 'g {
-        let mut builder = TreeBuilder::new(graph);
+        Self::compute_many_stored(graph, None, dests)
+    }
+
+    /// [`RoutingTree::compute_many`] with trees that store routes only
+    /// for the nodes of `stored` and their own destination, and decide
+    /// every other node's route when it is read (DESIGN.md §26). `None`
+    /// stores every node, as `compute_many` does.
+    pub fn compute_many_stored<'g>(
+        graph: &'g AsGraph,
+        stored: Option<&Arc<StoredSet>>,
+        dests: impl IntoIterator<Item = Asn> + 'g,
+    ) -> impl Iterator<Item = Option<RoutingTree>> + 'g {
+        let mut builder = TreeBuilder::new(graph, stored.cloned());
         dests.into_iter().map(move |d| builder.build(d))
     }
 
@@ -493,14 +618,17 @@ impl RoutingTree {
     /// Next-hop transitions recorded since the last
     /// [`RoutingTree::clear_trace`] (empty unless tracing is enabled).
     ///
-    /// The contract, while [`RoutingTree::tracing`] holds: every node
-    /// whose next hop (or lack of one, [`TRACE_UNROUTED`]) differs
+    /// The contract, while [`RoutingTree::tracing`] holds: every stored
+    /// node whose next hop (or lack of one, [`TRACE_UNROUTED`]) differs
     /// between the tree at [`RoutingTree::trace_epoch`] and the tree
     /// now appears in the trace as a node id. The trace may list more
     /// nodes than that (a node that moved and moved back), never fewer.
     /// A node's class and distance follow from the next hops along its
-    /// path, so a node none of whose path nodes is in the trace routes
-    /// exactly as it did at `trace_epoch` (DESIGN.md §20).
+    /// path, so a stored node none of whose path nodes is in the trace
+    /// routes exactly as it did at `trace_epoch` (DESIGN.md §20). A
+    /// tree built over a [`StoredSet`] traces only its stored nodes: an
+    /// elided node's route is decided when read, and no stored node's
+    /// path passes through one (§26).
     pub fn trace(&self) -> &[(u32, u32, u32)] {
         &self.trace
     }
@@ -523,9 +651,65 @@ impl RoutingTree {
     /// The route at dense node index `i` as `(class, dist, next_idx)`,
     /// or `None` when unrouted. Index-addressed twin of
     /// [`RoutingTree::class_of`]/[`RoutingTree::next_hop`] for hot
-    /// paths that already resolved the node index.
+    /// paths that already resolved the node index. It reads the stored
+    /// route, so `i` must be stored or the destination; every node of a
+    /// tree built without a [`StoredSet`] is.
+    ///
+    /// # Panics
+    /// When the tree elides node `i`; read it with
+    /// [`RoutingTree::route_at`].
     pub fn route_at_idx(&self, i: usize) -> Option<(RouteClass, u32, usize)> {
-        self.entries[i].map(|e| (e.class(), e.dist(), e.next as usize))
+        let e = match self.slot(i) {
+            Some(s) => self.entries[s],
+            None => {
+                assert_eq!(
+                    i, self.dest_idx,
+                    "node {i} is elided: read it with `route_at`"
+                );
+                Some(self.origin())
+            }
+        };
+        e.map(|e| (e.class(), e.dist(), e.next as usize))
+    }
+
+    /// [`RoutingTree::route_at_idx`] for any node: an elided node's
+    /// route is decided now, over its neighbors' stored routes in
+    /// `graph` (DESIGN.md §26). O(degree) for an elided node.
+    pub fn route_at(&self, graph: &AsGraph, i: usize) -> Option<(RouteClass, u32, usize)> {
+        self.route(graph, i)
+            .map(|e| (e.class(), e.dist(), e.next as usize))
+    }
+
+    /// The origin route, held by the destination.
+    fn origin(&self) -> Entry {
+        Entry::new(pref(RouteClass::Origin, 0), self.dest_idx as u32)
+    }
+
+    /// Node `v`'s slot in `entries`, `None` when the tree elides it.
+    #[inline]
+    fn slot(&self, v: usize) -> Option<usize> {
+        slot_in(self.stored.as_deref(), v)
+    }
+
+    /// The route node `v` passes on: its stored entry, the origin route
+    /// at the destination, and `None` at any other elided node, which
+    /// offers its route to no one (DESIGN.md §26).
+    #[inline]
+    fn stored_route(&self, v: usize) -> Option<Entry> {
+        match self.slot(v) {
+            Some(s) => self.entries[s],
+            None => (v == self.dest_idx).then(|| self.origin()),
+        }
+    }
+
+    /// Node `v`'s route in the current state: its stored entry, or for
+    /// a node the tree elides the decision over its neighbors' stored
+    /// routes (the origin route at the destination).
+    fn route(&self, graph: &AsGraph, v: usize) -> Option<Entry> {
+        match self.slot(v) {
+            Some(s) => self.entries[s],
+            None => self.decide(graph, v),
+        }
     }
 
     #[inline]
@@ -578,7 +762,13 @@ impl RoutingTree {
         scratch: &mut ReconvergeScratch,
     ) -> bool {
         let n = graph.len();
-        debug_assert_eq!(n, self.entries.len(), "graph node set changed");
+        debug_assert_eq!(
+            n,
+            self.stored
+                .as_ref()
+                .map_or(self.entries.len(), |s| s.slot.len()),
+            "graph node set changed"
+        );
         scratch.begin(n);
         // After a failure (`rel_of_b` is `None`) only an endpoint that
         // routed over the link has to move.
@@ -602,19 +792,18 @@ impl RoutingTree {
                 // agrees, via a full recompute — and make the silent
                 // O(n) cost visible in run reports.
                 obs::incr("routing", "budget_fallback", 1);
-                let fresh = RoutingTree::compute(graph, self.dest)
+                let fresh = TreeBuilder::new(graph, self.stored.clone())
+                    .build(self.dest)
                     .expect("destination still in graph");
-                let changed = !fresh
-                    .entries
-                    .iter()
-                    .zip(self.entries.iter())
-                    .all(|(x, y)| x == y);
+                let changed = fresh.entries != self.entries;
                 if self.tracing {
                     // The worklist already traced its partial updates;
                     // diff current (partially updated) vs fresh so the
                     // composed trace still walks pre → post event.
-                    for v in 0..self.entries.len() {
-                        self.record_trace(v, self.entries[v], fresh.entries[v]);
+                    for v in 0..n {
+                        if let Some(s) = self.slot(v) {
+                            self.record_trace(v, self.entries[s], fresh.entries[s]);
+                        }
                     }
                 }
                 self.entries = fresh.entries;
@@ -626,11 +815,12 @@ impl RoutingTree {
             }
             budget -= 1;
             let new = self.decide(graph, v);
-            if new != self.entries[v] {
+            let s = self.slot(v).expect("only stored nodes are queued");
+            if new != self.entries[s] {
                 if self.tracing {
-                    self.record_trace(v, self.entries[v], new);
+                    self.record_trace(v, self.entries[s], new);
                 }
-                self.entries[v] = new;
+                self.entries[s] = new;
                 changed_any = true;
                 for &(w, rel) in graph.neighbors_idx(v) {
                     if self.must_redecide(graph, w, v, Some(rel)) {
@@ -660,7 +850,9 @@ impl RoutingTree {
     ///
     /// The decision process takes the best legal offer of `at`'s
     /// neighbors and only `via`'s offer moved, so in a consistent tree
-    /// nothing else can move `at` (DESIGN.md §21).
+    /// nothing else can move `at` (DESIGN.md §21). A node the tree
+    /// elides stores nothing to re-decide, and one offers nothing as
+    /// `via` unless it is the destination (§26).
     pub fn must_redecide(
         &self,
         graph: &AsGraph,
@@ -668,7 +860,10 @@ impl RoutingTree {
         via: usize,
         rel: Option<Relationship>,
     ) -> bool {
-        let cur = self.entries[at];
+        let Some(s) = self.slot(at) else {
+            return false;
+        };
+        let cur = self.entries[s];
         if cur.is_some_and(|e| e.next as usize == via) {
             return true;
         }
@@ -677,7 +872,7 @@ impl RoutingTree {
         let Some(rel) = rel else {
             return false;
         };
-        let Some(offer) = self.entries[via] else {
+        let Some(offer) = self.stored_route(via) else {
             return false;
         };
         let Some(p) = offered_pref(offer, rel.reversed()) else {
@@ -701,12 +896,14 @@ impl RoutingTree {
     /// lowest neighbor ASN.
     fn decide(&self, graph: &AsGraph, v: usize) -> Option<Entry> {
         if v == self.dest_idx {
-            return Some(Entry::new(pref(RouteClass::Origin, 0), v as u32));
+            return Some(self.origin());
         }
         // The best loop-free offer so far as (preference word, ASN, node).
         let mut best: Option<(u32, Asn, usize)> = None;
         for &(nb, rel_of_nb) in graph.neighbors_idx(v) {
-            let Some(e) = self.entries[nb] else { continue };
+            let Some(e) = self.stored_route(nb) else {
+                continue;
+            };
             let Some(p) = offered_pref(e, rel_of_nb) else {
                 continue;
             };
@@ -738,7 +935,7 @@ impl RoutingTree {
             if cur == target {
                 return true;
             }
-            match self.entries[cur] {
+            match self.stored_route(cur) {
                 Some(e) if e.next as usize != cur => cur = e.next as usize,
                 _ => return false,
             }
@@ -749,20 +946,20 @@ impl RoutingTree {
     /// The class of `src`'s best route, if it has one.
     pub fn class_of(&self, graph: &AsGraph, src: Asn) -> Option<RouteClass> {
         let i = graph.index_of(src)?;
-        self.entries[i].map(|e| e.class())
+        self.route(graph, i).map(|e| e.class())
     }
 
     /// AS-hop distance from `src` to the destination, if routed.
     pub fn distance(&self, graph: &AsGraph, src: Asn) -> Option<u32> {
         let i = graph.index_of(src)?;
-        self.entries[i].map(|e| e.dist())
+        self.route(graph, i).map(|e| e.dist())
     }
 
     /// The next hop on `src`'s path to the destination (the destination
     /// itself maps to itself), if routed.
     pub fn next_hop(&self, graph: &AsGraph, src: Asn) -> Option<Asn> {
         let i = graph.index_of(src)?;
-        self.entries[i].map(|e| graph.asn_of(e.next as usize))
+        self.route(graph, i).map(|e| graph.asn_of(e.next as usize))
     }
 
     /// Is the undirected link `a`–`b` carrying traffic in this tree, i.e.
@@ -784,22 +981,9 @@ impl RoutingTree {
     /// hot path reuses one buffer across every session and event.
     pub fn path_from_into(&self, graph: &AsGraph, src: Asn, out: &mut Vec<Asn>) -> bool {
         out.clear();
-        let Some(mut i) = graph.index_of(src) else {
-            return false;
-        };
-        if self.entries[i].is_none() {
-            return false;
-        }
-        out.push(graph.asn_of(i));
-        while i != self.dest_idx {
-            let e = self.entries[i].expect("intermediate hops are routed");
-            i = e.next as usize;
-            out.push(graph.asn_of(i));
-            if out.len() > self.entries.len() {
-                unreachable!("routing tree contains a loop");
-            }
-        }
-        true
+        graph
+            .index_of(src)
+            .is_some_and(|i| self.export_into_idx(graph, i, out).is_some())
     }
 
     /// [`RoutingTree::path_from_into`] plus the route class in one
@@ -809,7 +993,8 @@ impl RoutingTree {
     /// calls this once per walked (changed tree, peer) — folding the class
     /// read into the walk and taking a precomputed index spares the
     /// two `index_of` map lookups a `path_from_into` + `class_of` pair
-    /// would pay.
+    /// would pay. Only the first hop can be elided (DESIGN.md §26):
+    /// every later one is a stored node or the destination.
     pub fn export_into_idx(
         &self,
         graph: &AsGraph,
@@ -817,16 +1002,19 @@ impl RoutingTree {
         out: &mut Vec<Asn>,
     ) -> Option<RouteClass> {
         out.clear();
-        let class = self.entries[i]?.class();
+        let mut e = self.route(graph, i)?;
+        let class = e.class();
         out.push(graph.asn_of(i));
         let mut cur = i;
         while cur != self.dest_idx {
-            let e = self.entries[cur].expect("intermediate hops are routed");
             cur = e.next as usize;
             out.push(graph.asn_of(cur));
-            if out.len() > self.entries.len() {
+            if out.len() > graph.len() {
                 unreachable!("routing tree contains a loop");
             }
+            e = self
+                .stored_route(cur)
+                .expect("intermediate hops are routed");
         }
         Some(class)
     }
@@ -848,10 +1036,10 @@ impl RoutingTree {
         &'a self,
         graph: &'a AsGraph,
     ) -> impl Iterator<Item = (Asn, RouteClass, u32)> + 'a {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, e)| e.map(|e| (graph.asn_of(i), e.class(), e.dist())))
+        (0..graph.len()).filter_map(move |i| {
+            self.route(graph, i)
+                .map(|e| (graph.asn_of(i), e.class(), e.dist()))
+        })
     }
 }
 
@@ -1224,6 +1412,7 @@ mod oracle_tests {
         Some(RoutingTree {
             dest,
             dest_idx: d,
+            stored: None,
             entries,
             epoch: 0,
             tracing: false,

@@ -122,17 +122,19 @@ fn month_peak_bytes(scenario: &Scenario) -> u64 {
     peak - start
 }
 
-/// Peak-heap budgets: the measured peak plus a declared ~7–9% margin.
-/// Medium seed 275 peaks at 7.65 MB and large seed 28 at 364.84 MB
-/// with log records sharing the collector arena's copy of each AS path
-/// (DESIGN.md §25). With a private path copy per record they peaked at
-/// 8.32 MB and 430.11 MB, which these budgets reject. (Before the
+/// Peak-heap budgets: the measured peak plus a declared ~7–8% margin.
+/// Medium seed 275 peaks at 5.60 MB and large seed 28 at 255.58 MB with
+/// routing trees that store routes only for ASes with customers, the
+/// session peers and their destination (DESIGN.md §26). With a route
+/// for every AS in every tree they peaked at 7.65 MB and 364.84 MB,
+/// which these budgets reject. (With a private path copy per log
+/// record, §25, they peaked at 8.32 MB and 430.11 MB; before the
 /// link→trees index was deleted, §24, the large month peaked at
 /// 440.35 MB; before 8-byte routing-tree entries, §22, at 9.16 MB and
 /// 502.35 MB.) The allocation sequence of a serial month is
 /// deterministic, so the margin only absorbs deliberate changes.
-const MEDIUM_PEAK_BUDGET_MB: f64 = 8.2;
-const LARGE_PEAK_BUDGET_MB: f64 = 395.0;
+const MEDIUM_PEAK_BUDGET_MB: f64 = 6.0;
+const LARGE_PEAK_BUDGET_MB: f64 = 275.0;
 
 /// Assert `scenario`'s month peak against `budget_mb`, printing both.
 fn assert_month_peak_within(scenario: &Scenario, budget_mb: f64, what: &str) {

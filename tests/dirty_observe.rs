@@ -7,7 +7,9 @@
 //! events skipped) — and require byte-identical `UpdateLog`s. A diff op is
 //! emitted iff a recorded entry changes iff that (session, origin)
 //! export value changed, so the dirty subset must reproduce the full
-//! scan record for record, reset deferral included.
+//! scan record for record, reset deferral included. The pipeline's
+//! final observation diffs nothing and only flushes resets; a full
+//! diff after it must append nothing.
 
 use quicksand_bgp::{Collector, ExportCache, FastConverge, UpdateLog};
 use quicksand_core::scenario::{Scenario, ScenarioConfig};
@@ -143,12 +145,30 @@ fn replay(s: &Scenario, full: bool) -> UpdateLog {
         }
     }
 
-    // Final observation flushes trailing session resets.
+    // Final observation flushes trailing session resets. The engine's
+    // diffs nothing (`run_month`): each session's table already equals
+    // its peer's exports, so a full diff after it appends nothing.
     let end = SimTime::ZERO + s.config.churn.horizon;
     if full {
         observe_walked(&fc, &mut collector, &mut log, end);
     } else {
+        for d in dirty.iter_mut() {
+            d.clear();
+        }
+        collector.observe_dirty(
+            end,
+            &dirty,
+            &prefixes_of,
+            &|peer, origin| cache.get(origin, peer),
+            &mut log,
+        );
+        let flushed = log.len();
         dump_cached(&fc, &mut collector, &mut cache, &mut log, end);
+        assert_eq!(
+            log.len(),
+            flushed,
+            "a full diff after the month's last observation appended records"
+        );
     }
     log
 }
