@@ -20,12 +20,18 @@
 //!
 //! [`FastConverge::with_vantages`] builds trees that store routes only
 //! for ASes with customers and the caller's vantages (DESIGN.md §26): a
-//! link of any other AS can move only that AS's own tree.
+//! link of any other AS can move only that AS's own tree. Construction
+//! and reconvergence scan a [`CoreView`], the links between stored ASes
+//! (§27); an event on such a link flips it in the view, and any other
+//! event leaves the view as it is. [`FastConverge::new`] stores every
+//! AS, and its view holds every link.
 
 use crate::churn::LinkChange;
 use quicksand_net::Asn;
 use quicksand_obs as obs;
-use quicksand_topology::{AsGraph, ReconvergeScratch, Relationship, RoutingTree, StoredSet};
+use quicksand_topology::{
+    AsGraph, CoreView, ReconvergeScratch, Relationship, RoutingTree, StoredSet,
+};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -35,8 +41,10 @@ pub struct FastConverge {
     /// Tracked trees, ascending by origin ASN. Slot order (ascending
     /// origin) is the order `apply` reconverges candidates in.
     trees: Vec<(Asn, RoutingTree)>,
-    /// The nodes every tree stores; `None` when they store every node.
-    stored: Option<Arc<StoredSet>>,
+    /// The links between the nodes every tree stores (every link when
+    /// they store every node), flipped as events fail and restore them:
+    /// what construction and reconvergence scan (DESIGN.md §27).
+    view: CoreView,
     /// Currently-down links with the relationship to restore, sorted by
     /// `(lo, hi)` ASN key; value is the relationship of `hi` from
     /// `lo`'s point of view. `down_keys` mirrors the keys so checkpoint
@@ -48,8 +56,9 @@ pub struct FastConverge {
     /// Worklist scratch reused across every event and candidate tree,
     /// so [`FastConverge::apply`] allocates nothing per event.
     scratch: ReconvergeScratch,
-    /// Candidate slot list reused across events.
-    cand_scratch: Vec<usize>,
+    /// Candidate slot list reused across events, as u32 to keep the
+    /// replay's heap flat beside the core view (DESIGN.md §27).
+    cand_scratch: Vec<u32>,
 }
 
 fn key(a: Asn, b: Asn) -> (Asn, Asn) {
@@ -68,18 +77,18 @@ fn chunk_ranges(n: usize, jobs: usize) -> impl Iterator<Item = Range<usize>> {
     (0..chunks).map(move |k| k * n / chunks..(k + 1) * n / chunks)
 }
 
-/// The traced routing trees toward `origins` (ascending), storing the
-/// nodes of `stored` (every node when `None`), built in
-/// [`chunk_ranges`] chunks: chunk 0 on the caller thread, every other
-/// chunk on its own scoped thread, concatenated in chunk order.
+/// The traced routing trees toward `origins` (ascending) over `view`,
+/// storing its stored nodes, built in [`chunk_ranges`] chunks: chunk 0
+/// on the caller thread, every other chunk on its own scoped thread,
+/// concatenated in chunk order.
 fn build_trees(
     graph: &AsGraph,
+    view: &CoreView,
     origins: &[Asn],
-    stored: Option<&Arc<StoredSet>>,
     jobs: usize,
 ) -> Vec<(Asn, RoutingTree)> {
     let build = |chunk: &[Asn]| -> Vec<(Asn, RoutingTree)> {
-        RoutingTree::compute_many_stored(graph, stored, chunk.iter().copied())
+        RoutingTree::compute_many_in(graph, view, chunk.iter().copied())
             .map(|t| {
                 let mut t = t.expect("tracked origin not in graph");
                 t.set_tracing(true);
@@ -138,6 +147,13 @@ impl FastConverge {
     /// Churn must only remove and restore `graph`'s links, which is all
     /// [`FastConverge::apply`] does.
     ///
+    /// The trees are built, and reconverge, over a [`CoreView`] that
+    /// holds only the links between stored ASes; a tree toward an
+    /// elided origin reads that origin's own links from the graph
+    /// (DESIGN.md §27). The view is the one structure this keeps beside
+    /// the graph and the trees; the construction's relationship split
+    /// is dropped once the trees are built.
+    ///
     /// # Panics
     /// Panics if an origin is not present in the graph.
     pub fn with_vantages(
@@ -159,14 +175,15 @@ impl FastConverge {
         let mut os: Vec<Asn> = origins.into_iter().collect();
         os.sort_unstable();
         os.dedup();
+        let view = CoreView::new(&graph, stored);
         let trees = {
             let _span = obs::prof::span("routing", "build");
-            build_trees(&graph, &os, stored.as_ref(), jobs)
+            build_trees(&graph, &view, &os, jobs)
         };
         FastConverge {
             graph,
             trees,
-            stored,
+            view,
             down: Vec::new(),
             down_keys: Vec::new(),
             recomputes: 0,
@@ -234,9 +251,10 @@ impl FastConverge {
         {
             let _span = obs::prof::span("routing", "reconverge");
             for &slot in &self.cand_scratch {
-                let (o, tree) = &mut self.trees[slot];
+                let (o, tree) = &mut self.trees[slot as usize];
                 tree.clear_trace();
-                if tree.reconverge_with(&self.graph, ia, ib, rel_of_b, &mut self.scratch) {
+                let (graph, view) = (&self.graph, &self.view);
+                if tree.reconverge_with(graph, view, ia, ib, rel_of_b, &mut self.scratch) {
                     changed.push(*o);
                 }
             }
@@ -287,6 +305,14 @@ impl FastConverge {
         let (Some(ilo), Some(ihi)) = (self.graph.index_of(k.0), self.graph.index_of(k.1)) else {
             unreachable!("link endpoints are in the graph");
         };
+        // A link between two stored nodes flips in the view; the view
+        // holds no other link (DESIGN.md §27).
+        let in_view = self.view.set_link(&self.graph, ilo, ihi, up);
+        debug_assert_eq!(
+            in_view,
+            self.view.has_row(ilo) && self.view.has_row(ihi),
+            "a base link between stored nodes is in the view"
+        );
         // One filter for both kinds of event (DESIGN.md §24): a tree can
         // change only if `must_redecide` holds at an endpoint, given the
         // link's state after the event. After a recovery the link was
@@ -301,8 +327,8 @@ impl FastConverge {
             tree.must_redecide(graph, ilo, ihi, rel_of_lo)
                 || tree.must_redecide(graph, ihi, ilo, rel_of_hi)
         };
-        let elided = |i: usize| self.stored.as_ref().is_some_and(|s| !s.contains(i));
-        if elided(ilo) || elided(ihi) {
+        let elided = |i: usize| !self.view.has_row(i);
+        if !in_view {
             // An elided endpoint has nothing to re-decide, and it offers
             // its route to no one unless it is the tree's destination
             // (§26): only its own tree can move. `k.0 < k.1`, so the
@@ -312,13 +338,13 @@ impl FastConverge {
                     continue;
                 };
                 if elided(i) && moves(&self.trees[slot].1) {
-                    self.cand_scratch.push(slot);
+                    self.cand_scratch.push(slot as u32);
                 }
             }
         } else {
             for (slot, (_, tree)) in self.trees.iter().enumerate() {
                 if moves(tree) {
-                    self.cand_scratch.push(slot);
+                    self.cand_scratch.push(slot as u32);
                 }
             }
         }
@@ -485,6 +511,54 @@ mod tests {
         }
         assert_eq!(path(&fc, 8, 7), Some(vec![7, 3, 1, 4, 8]));
         assert_eq!(path(&fc, 8, 9), None);
+    }
+
+    #[test]
+    fn view_edits_flip_core_links_only() {
+        // The diamond plus a peering of the stubs 7 and 9. With no
+        // vantages, 7, 8 and 9 are elided; 7 and 9 are not origins.
+        let mut g = diamond();
+        g.add_peering(Asn(7), Asn(9)).unwrap();
+        let origins = [1, 2, 3, 4, 5, 6, 8].map(Asn);
+        let mut fc = FastConverge::with_vantages(g, origins, [], 1);
+        let base = fc.view.clone();
+        // A link of two elided non-origins is not in the view and can
+        // move no tree.
+        for up in [false, true] {
+            let stubs = LinkChange {
+                a: Asn(7),
+                b: Asn(9),
+                up,
+            };
+            assert_eq!(fc.apply(stubs), vec![]);
+            assert_eq!(fc.view, base);
+            assert_eq!(fc.recomputes, 0);
+        }
+        // A core link carrying traffic leaves its endpoints' rows while
+        // it is down and returns to its place when it is restored.
+        let g = fc.graph();
+        let (i1, i3) = (g.index_of(Asn(1)).unwrap(), g.index_of(Asn(3)).unwrap());
+        let row = |v: &CoreView, i: usize| v.links(i).map(|(w, _)| w).collect::<Vec<_>>();
+        assert!(!fc.apply(LinkChange::down(Asn(3), Asn(1))).is_empty());
+        assert!(!row(&fc.view, i1).contains(&i3) && !row(&fc.view, i3).contains(&i1));
+        assert_ne!(fc.view, base);
+        assert!(!fc.apply(LinkChange::up(Asn(3), Asn(1))).is_empty());
+        assert_eq!(fc.view, base);
+        assert_eq!(row(&fc.view, i1), row(&base, i1));
+        // Every tree is a fresh build's over the restored graph.
+        let fresh = FastConverge::with_vantages(fc.graph().clone(), origins, [], 1);
+        assert_eq!(fresh.view, fc.view);
+        let g = fc.graph();
+        for o in origins {
+            for i in 0..g.len() {
+                assert_eq!(
+                    fc.tree(o).unwrap().route_at(g, i),
+                    fresh.tree(o).unwrap().route_at(g, i),
+                    "tree toward {o} at {}",
+                    g.asn_of(i)
+                );
+            }
+        }
     }
 
     #[test]

@@ -13,10 +13,14 @@
 //! 3. the replica's `apply` returns exactly the origins whose routes at
 //!    those nodes changed, read off the twin.
 //!
-//! The topologies are random layered graphs and the generated 200-AS
-//! and 800-AS topologies. `QUICKSAND_TEST_SEEDS` (comma-separated,
-//! decimal or `0x`-hex) replaces the generated topologies' default
-//! seeds.
+//! The topologies are random layered graphs, with customer-less ASes
+//! that have two or more providers and peering links, and the generated
+//! 200-AS and 800-AS topologies. A share of the events fails and then
+//! restores a link between a customer-less origin that is not a vantage
+//! and a node that must be stored: the tree toward that origin reads
+//! the link from the graph, not from the core view (DESIGN.md §27).
+//! `QUICKSAND_TEST_SEEDS` (comma-separated, decimal or `0x`-hex)
+//! replaces the generated topologies' default seeds.
 
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -98,6 +102,29 @@ impl Pair {
         }
     }
 
+    /// The base links between an elided origin (one with no customer
+    /// that is not a vantage) and a node that must be stored, as
+    /// `(origin, neighbor)`.
+    fn elided_origin_links(&self, links: &[(Asn, Asn)]) -> Vec<(Asn, Asn)> {
+        let g = self.replica.graph();
+        let elided_origin =
+            |a: Asn| !self.must_store[g.index_of(a).unwrap()] && self.origins.contains(&a);
+        let stored = |a: Asn| self.must_store[g.index_of(a).unwrap()];
+        links
+            .iter()
+            .flat_map(|&(a, b)| [(a, b), (b, a)])
+            .filter(|&(o, w)| elided_origin(o) && stored(w))
+            .collect()
+    }
+
+    /// Fail and then restore `o`–`w`, checking after each.
+    fn cycle_and_check(&mut self, (o, w): (Asn, Asn), what: &str) {
+        for up in [false, true] {
+            let what = format!("{what}: elided origin link {o}-{w} up={up}");
+            self.apply_and_check(LinkChange { a: o, b: w, up }, &what);
+        }
+    }
+
     /// The twin's routes toward `o` at the must-store nodes (`None`
     /// elsewhere).
     fn stored_routes(&self, o: Asn) -> Vec<Route> {
@@ -174,13 +201,24 @@ impl Pair {
 /// A compact description of a random layered topology: node `i`'s
 /// providers are drawn among nodes `< i`, so the hierarchy is acyclic,
 /// and the ASN order disagrees with node order, so every tie-break is
-/// decided by ASN.
+/// decided by ASN. The stubs come last, so no one buys transit from
+/// them.
 #[derive(Debug, Clone)]
 struct RandomTopo {
     /// For each node after the first two, its providers.
     attach: Vec<Vec<proptest::sample::Index>>,
     peerings: Vec<(proptest::sample::Index, proptest::sample::Index)>,
+    /// Per stub: two distinct providers, any further ones, and its peers
+    /// among the nodes before it.
+    stubs: Vec<Stub>,
     vantages: Vec<proptest::sample::Index>,
+}
+
+#[derive(Debug, Clone)]
+struct Stub {
+    providers: (proptest::sample::Index, proptest::sample::Index),
+    more_providers: Vec<proptest::sample::Index>,
+    peers: Vec<proptest::sample::Index>,
 }
 
 fn arb_topo() -> impl Strategy<Value = RandomTopo> {
@@ -196,11 +234,28 @@ fn arb_topo() -> impl Strategy<Value = RandomTopo> {
             ),
             0..6,
         ),
+        proptest::collection::vec(
+            (
+                (
+                    any::<proptest::sample::Index>(),
+                    any::<proptest::sample::Index>(),
+                ),
+                proptest::collection::vec(any::<proptest::sample::Index>(), 0..2),
+                proptest::collection::vec(any::<proptest::sample::Index>(), 1..3),
+            )
+                .prop_map(|(providers, more_providers, peers)| Stub {
+                    providers,
+                    more_providers,
+                    peers,
+                }),
+            1..5,
+        ),
         proptest::collection::vec(any::<proptest::sample::Index>(), 0..4),
     )
-        .prop_map(|(attach, peerings, vantages)| RandomTopo {
+        .prop_map(|(attach, peerings, stubs, vantages)| RandomTopo {
             attach,
             peerings,
+            stubs,
             vantages,
         })
 }
@@ -210,11 +265,16 @@ fn asn(i: usize) -> Asn {
 }
 
 fn build(t: &RandomTopo) -> (AsGraph, Vec<Asn>) {
-    let n = t.attach.len() + 2;
+    let layered = t.attach.len() + 2;
+    let n = layered + t.stubs.len();
     let mut g = AsGraph::new();
     for i in 0..n {
-        g.add_as(asn(i), if i < 2 { Tier::Tier1 } else { Tier::Tier2 })
-            .unwrap();
+        let tier = match i {
+            0 | 1 => Tier::Tier1,
+            i if i < layered => Tier::Tier2,
+            _ => Tier::Stub,
+        };
+        g.add_as(asn(i), tier).unwrap();
     }
     g.add_peering(asn(0), asn(1)).unwrap();
     for (k, provs) in t.attach.iter().enumerate() {
@@ -227,9 +287,26 @@ fn build(t: &RandomTopo) -> (AsGraph, Vec<Asn>) {
         }
     }
     for (a, b) in &t.peerings {
-        let (a, b) = (a.index(n), b.index(n));
+        let (a, b) = (a.index(layered), b.index(layered));
         if a != b && g.relationship(asn(a), asn(b)).is_none() {
             g.add_peering(asn(a), asn(b)).unwrap();
+        }
+    }
+    for (k, stub) in t.stubs.iter().enumerate() {
+        let me = layered + k;
+        let p0 = stub.providers.0.index(layered);
+        let p1 = (p0 + 1 + stub.providers.1.index(layered - 1)) % layered;
+        let more = stub.more_providers.iter().map(|p| p.index(layered));
+        for p in [p0, p1].into_iter().chain(more) {
+            if g.relationship(asn(me), asn(p)).is_none() {
+                g.add_customer_provider(asn(me), asn(p)).unwrap();
+            }
+        }
+        for q in &stub.peers {
+            let q = q.index(me);
+            if g.relationship(asn(me), asn(q)).is_none() {
+                g.add_peering(asn(me), asn(q)).unwrap();
+            }
         }
     }
     g.compact();
@@ -241,12 +318,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random down/up churn over every origin's tree: a draw may repeat
-    /// a failure or raise an up link, which must move nothing.
+    /// a failure or raise an up link, which must move nothing. About a
+    /// third of the draws instead fail and restore a link of an elided
+    /// origin.
     #[test]
     fn vantage_trees_are_exact_on_random_topologies(
         t in arb_topo(),
         churn in proptest::collection::vec(
-            (any::<proptest::sample::Index>(), any::<bool>()),
+            (any::<proptest::sample::Index>(), any::<bool>(), 0u8..3),
             1..40,
         ),
     ) {
@@ -254,9 +333,15 @@ proptest! {
         let links = links_of(&g);
         let origins: Vec<Asn> = g.asns().collect();
         let mut pair = Pair::new(g, origins, &vantages);
-        for (event, (link_ix, up)) in churn.into_iter().enumerate() {
+        let elided = pair.elided_origin_links(&links);
+        for (event, (link_ix, up, kind)) in churn.into_iter().enumerate() {
+            let what = format!("event {event} (vantages {vantages:?})");
+            if kind == 0 && !elided.is_empty() {
+                pair.cycle_and_check(elided[link_ix.index(elided.len())], &what);
+                continue;
+            }
             let (a, b) = links[link_ix.index(links.len())];
-            let what = format!("event {event} ({a}-{b} up={up}, vantages {vantages:?})");
+            let what = format!("{what}: {a}-{b} up={up}");
             pair.apply_and_check(LinkChange { a, b, up }, &what);
         }
     }
@@ -275,10 +360,22 @@ fn vantage_trees_are_exact_on_generated_topologies() {
             let vantages: Vec<Asn> = (0..8).map(|_| g.asn_of(rng.below(g.len()))).collect();
             let origins: Vec<Asn> = g.asns().step_by(stride).collect();
             let mut pair = Pair::new(g, origins, &vantages);
+            let elided = pair.elided_origin_links(&links);
+            assert!(
+                !elided.is_empty(),
+                "{name}/seed={seed:#x}: no elided origin"
+            );
             // Each event toggles a drawn link: it fails if up and is
             // restored if down. Every third draw is a vantage's link, so
-            // customer-less vantages see their own churn.
+            // customer-less vantages see their own churn, and every
+            // third after it fails and restores a link of an elided
+            // origin.
             for event in 0..60 {
+                if event % 3 == 1 {
+                    let what = format!("{name}/seed={seed:#x}: event {event}");
+                    pair.cycle_and_check(elided[rng.below(elided.len())], &what);
+                    continue;
+                }
                 let g = pair.replica.graph();
                 let (a, b) = if event % 3 == 0 {
                     let v = vantages[rng.below(vantages.len())];

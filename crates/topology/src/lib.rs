@@ -30,4 +30,6 @@ mod routing;
 
 pub use gen::{GeneratedTopology, TopologyConfig, TopologyGenerator};
 pub use graph::{AsGraph, AsGraphError, Relationship, Tier};
-pub use routing::{ReconvergeScratch, RouteClass, RoutingTree, StoredSet, TRACE_UNROUTED};
+pub use routing::{
+    CoreView, ReconvergeScratch, RouteClass, RoutingTree, StoredSet, TRACE_UNROUTED,
+};

@@ -29,32 +29,36 @@ use std::num::NonZeroU32;
 use std::sync::Arc;
 
 /// Reusable worklist state for [`RoutingTree::reconverge_with`]: the
-/// pending-node queue plus a generation-stamped "queued" mark per node.
+/// pending-node queue plus a generation-stamped "queued" mark per
+/// stored node, by slot (only stored nodes are queued, DESIGN.md §27).
 /// One scratch serves any number of trees and events — clearing between
 /// events is a generation bump (O(1) amortized), not an O(n) refill, so
 /// a month of churn touches no allocator after warmup (DESIGN.md §11).
 #[derive(Clone, Debug, Default)]
 pub struct ReconvergeScratch {
-    queue: VecDeque<usize>,
-    /// `stamp[v] == gen` means v is currently queued; any other value
-    /// (older generations, or 0 after an unmark) means it is not.
+    /// Queued nodes as `(node, slot)`.
+    queue: VecDeque<(u32, u32)>,
+    /// `stamp[s] == gen` means the node at slot s is currently queued;
+    /// any other value (older generations, or 0 after an unmark) means
+    /// it is not.
     stamp: Vec<u32>,
     gen: u32,
 }
 
 impl ReconvergeScratch {
-    /// An empty scratch; buffers grow to the graph size on first use.
+    /// An empty scratch; buffers grow to the stored-node count on first
+    /// use.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Start a new event over a graph of `n` nodes: empty the queue and
-    /// invalidate every stamp by bumping the generation. The u32
-    /// wraparound pays one O(n) reset every 2^32 - 1 events.
-    fn begin(&mut self, n: usize) {
+    /// Start a new event over a tree of `slots` stored nodes: empty the
+    /// queue and invalidate every stamp by bumping the generation. The
+    /// u32 wraparound pays one O(n) reset every 2^32 - 1 events.
+    fn begin(&mut self, slots: usize) {
         self.queue.clear();
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
+        if self.stamp.len() < slots {
+            self.stamp.resize(slots, 0);
         }
         self.gen = self.gen.wrapping_add(1);
         if self.gen == 0 {
@@ -63,20 +67,21 @@ impl ReconvergeScratch {
         }
     }
 
-    /// Enqueue `v` unless it is already queued.
-    fn push(&mut self, v: usize) {
-        if self.stamp[v] != self.gen {
-            self.stamp[v] = self.gen;
-            self.queue.push_back(v);
+    /// Enqueue node `v`, at slot `s`, unless it is already queued.
+    fn push(&mut self, v: usize, s: usize) {
+        if self.stamp[s] != self.gen {
+            self.stamp[s] = self.gen;
+            self.queue.push_back((v as u32, s as u32));
         }
     }
 
-    /// Dequeue and unmark the next node. (`begin` guarantees `gen != 0`,
-    /// so a 0 stamp always reads as "not queued".)
-    fn pop(&mut self) -> Option<usize> {
-        let v = self.queue.pop_front()?;
-        self.stamp[v] = 0;
-        Some(v)
+    /// Dequeue and unmark the next node as `(node, slot)`. (`begin`
+    /// guarantees `gen != 0`, so a 0 stamp always reads as "not
+    /// queued".)
+    fn pop(&mut self) -> Option<(usize, usize)> {
+        let (v, s) = self.queue.pop_front()?;
+        self.stamp[s as usize] = 0;
+        Some((v as usize, s as usize))
     }
 }
 
@@ -224,7 +229,7 @@ pub const TRACE_UNROUTED: u32 = u32::MAX;
 ///
 /// The set is fixed at construction: churn over the graph must only
 /// remove and restore its links, so no elided AS ever gains a customer.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct StoredSet {
     /// Per graph node, its slot in a tree's route table, or
     /// [`StoredSet::ELIDED`].
@@ -267,11 +272,6 @@ impl StoredSet {
         })
     }
 
-    /// Whether node `v` is stored.
-    pub fn contains(&self, v: usize) -> bool {
-        self.slot[v] != Self::ELIDED
-    }
-
     /// The number of stored nodes.
     fn len(&self) -> usize {
         self.len
@@ -291,6 +291,146 @@ fn slot_in(stored: Option<&StoredSet>, v: usize) -> Option<usize> {
         None => Some(v),
         Some(s) => s.slot(v),
     }
+}
+
+/// A [`CoreView`] link end packs the neighbor's node index into the low
+/// [`VIEW_NODE_BITS`] bits, the neighbor's relationship (as the row's
+/// node sees it) into the next two and the link's down flag on top.
+const VIEW_NODE_BITS: u32 = 29;
+const VIEW_NODE_MASK: u32 = (1 << VIEW_NODE_BITS) - 1;
+const VIEW_DOWN: u32 = 1 << 31;
+const _: () = assert!(MAX_NODES <= VIEW_NODE_MASK as usize);
+
+/// The links that construction and reconvergence scan: per stored node,
+/// its base-graph links to stored nodes, in the graph's ascending-ASN
+/// neighbor order, each flagged up or down (DESIGN.md §27).
+///
+/// No route passes through an elided node (§26.1), so these are the
+/// only links a stored route can arrive over — bar the links of the
+/// tree's own destination when it is elided, which the tree reads from
+/// the graph. A view over every node (`stored` is `None`) holds every
+/// link.
+///
+/// The view is fixed at construction, as its [`StoredSet`] is; churn
+/// only removes and restores links, and [`CoreView::set_link`] flips a
+/// link's flag in place, so a down/up cycle leaves every row in its
+/// original order.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CoreView {
+    /// The nodes with rows; `None`: every node.
+    stored: Option<Arc<StoredSet>>,
+    /// `slots + 1` offsets: the links of the node at slot `s` are
+    /// `link[off[s]..off[s + 1]]`.
+    off: Vec<u32>,
+    /// Packed link ends (see [`VIEW_NODE_BITS`]).
+    link: Vec<u32>,
+}
+
+impl CoreView {
+    /// The view of `graph`'s current links between nodes of `stored`
+    /// (every link when `None`).
+    ///
+    /// # Panics
+    /// When the graph has more nodes than a routing tree may span.
+    pub fn new(graph: &AsGraph, stored: Option<Arc<StoredSet>>) -> CoreView {
+        assert!(
+            graph.len() <= MAX_NODES,
+            "a routing tree spans at most {MAX_NODES} nodes, the graph has {}",
+            graph.len()
+        );
+        let set = stored.as_deref();
+        debug_assert!(set.map_or(true, |s| s.slot.len() == graph.len()));
+        let has_row = |v: usize| slot_in(set, v).is_some();
+        let rows = || (0..graph.len()).filter(|&v| has_row(v));
+        let core_links = |v: usize| {
+            graph
+                .neighbors_idx(v)
+                .iter()
+                .filter(|&&(w, _)| has_row(w))
+        };
+        // Sized exactly, so the view costs its own bytes and no growth.
+        let mut off = Vec::with_capacity(set.map_or(graph.len(), StoredSet::len) + 1);
+        let mut link = Vec::with_capacity(rows().map(|v| core_links(v).count()).sum());
+        for v in rows() {
+            off.push(as_u32(link.len()));
+            link.extend(core_links(v).map(|&(w, rel)| as_u32(w) | (rel as u32) << VIEW_NODE_BITS));
+        }
+        off.push(as_u32(link.len()));
+        CoreView { stored, off, link }
+    }
+
+    /// Whether node `v` has a row: it is stored, or every node is.
+    pub fn has_row(&self, v: usize) -> bool {
+        self.slot(v).is_some()
+    }
+
+    #[inline]
+    fn slot(&self, v: usize) -> Option<usize> {
+        slot_in(self.stored.as_deref(), v)
+    }
+
+    /// Node `v`'s packed row (empty for a node without one).
+    #[inline]
+    fn row(&self, v: usize) -> &[u32] {
+        match self.slot(v) {
+            Some(s) => &self.link[self.off[s] as usize..self.off[s + 1] as usize],
+            None => &[],
+        }
+    }
+
+    /// Node `v`'s up links to stored nodes as `(neighbor, relationship
+    /// of the neighbor w.r.t. v)`, ascending by neighbor ASN like
+    /// [`AsGraph::neighbors_idx`]. Empty for a node without a row.
+    #[inline]
+    pub fn links(&self, v: usize) -> impl Iterator<Item = (usize, Relationship)> + '_ {
+        const RELS: [Relationship; 3] = [
+            Relationship::Customer,
+            Relationship::Peer,
+            Relationship::Provider,
+        ];
+        self.row(v)
+            .iter()
+            .filter(|&&e| e & VIEW_DOWN == 0)
+            .map(|&e| {
+                let rel = RELS[((e & !VIEW_DOWN) >> VIEW_NODE_BITS) as usize];
+                ((e & VIEW_NODE_MASK) as usize, rel)
+            })
+    }
+
+    /// Record that the link `a`–`b` of `graph`, the graph the view was
+    /// made from, went up or down. Returns whether the view holds the
+    /// link: both ends have rows and the link was in the graph when the
+    /// view was made. Any other link is not in the view, which then
+    /// stays as it is.
+    pub fn set_link(&mut self, graph: &AsGraph, a: usize, b: usize, up: bool) -> bool {
+        let (Some(i), Some(j)) = (self.find(graph, a, b), self.find(graph, b, a)) else {
+            return false;
+        };
+        for k in [i, j] {
+            if up {
+                self.link[k] &= !VIEW_DOWN;
+            } else {
+                self.link[k] |= VIEW_DOWN;
+            }
+        }
+        true
+    }
+
+    /// The position of `w` in `v`'s row, by binary search over the
+    /// row's ascending neighbor ASNs.
+    fn find(&self, graph: &AsGraph, v: usize, w: usize) -> Option<usize> {
+        let s = self.slot(v)?;
+        let lo = self.off[s] as usize;
+        let row = &self.link[lo..self.off[s + 1] as usize];
+        let asn = |e: &u32| graph.asn_of((e & VIEW_NODE_MASK) as usize);
+        row.binary_search_by_key(&graph.asn_of(w), asn)
+            .ok()
+            .map(|k| lo + k)
+    }
+}
+
+fn as_u32(i: usize) -> u32 {
+    u32::try_from(i).expect("graph size fits u32")
 }
 
 /// The best policy-compliant route from every AS to one destination AS.
@@ -323,47 +463,73 @@ pub struct RoutingTree {
     trace: Vec<(u32, u32, u32)>,
 }
 
-/// A u32 CSR view of a graph's adjacency split by relationship: node
-/// `v`'s providers, peers and customers are three consecutive ranges
-/// of `nbr`, each ascending by ASN like the graph's own lists. Each
-/// construction phase walks only the relationship it exports over, and
-/// "has customers" is an O(1) range test (DESIGN.md §19).
+/// A u32 CSR view of a [`CoreView`]'s up links split by relationship:
+/// node `v`'s providers, peers and customers are three ranges of `nbr`,
+/// each ascending by ASN like the graph's own lists. Each construction
+/// phase walks only the relationship it exports over, and "has stored
+/// customers" is an O(1) range test (DESIGN.md §19, §27).
 struct SplitAdjacency {
-    /// `3n + 1` offsets: node `v`'s providers are `off[3v]..off[3v+1]`,
-    /// its peers `..off[3v+2]`, its customers `..off[3v+3]`.
+    /// `4n` offsets: node `v`'s providers are `off[4v]..off[4v+1]`, its
+    /// peers `..off[4v+2]`, its customers `..off[4v+3]`. A row is
+    /// addressed by its own four offsets, so [`SplitAdjacency::attach`]
+    /// can point a row at the end of `nbr`.
     off: Vec<u32>,
     /// Neighbor node indices.
     nbr: Vec<u32>,
 }
 
+/// The three relationships in range order.
+const SPLIT: [Relationship; 3] = [
+    Relationship::Provider,
+    Relationship::Peer,
+    Relationship::Customer,
+];
+
 impl SplitAdjacency {
-    fn new(graph: &AsGraph) -> Self {
-        let as_u32 = |i: usize| u32::try_from(i).expect("graph size fits u32");
-        let mut off = Vec::with_capacity(3 * graph.len() + 1);
-        let mut nbr = Vec::with_capacity(2 * graph.link_count());
+    fn new(graph: &AsGraph, view: &CoreView) -> Self {
+        let mut off = Vec::with_capacity(4 * graph.len());
+        let mut nbr = Vec::with_capacity(view.link.len());
         for v in 0..graph.len() {
-            for rel in [
-                Relationship::Provider,
-                Relationship::Peer,
-                Relationship::Customer,
-            ] {
+            for rel in SPLIT {
                 off.push(as_u32(nbr.len()));
                 nbr.extend(
-                    graph
-                        .neighbors_idx(v)
-                        .iter()
-                        .filter(|&&(_, r)| r == rel)
-                        .map(|&(w, _)| as_u32(w)),
+                    view.links(v)
+                        .filter(|&(_, r)| r == rel)
+                        .map(|(w, _)| as_u32(w)),
                 );
             }
+            off.push(as_u32(nbr.len()));
         }
-        off.push(as_u32(nbr.len()));
         SplitAdjacency { off, nbr }
+    }
+
+    /// Point node `v`'s (empty) row at `links`, its current links in
+    /// the graph, keeping those to nodes of `stored`; they are appended
+    /// to `nbr` until [`Self::detach`].
+    fn attach(&mut self, v: u32, links: &[(usize, Relationship)], stored: Option<&StoredSet>) {
+        let v = v as usize;
+        for (k, rel) in SPLIT.into_iter().enumerate() {
+            self.off[4 * v + k] = as_u32(self.nbr.len());
+            self.nbr.extend(
+                links
+                    .iter()
+                    .filter(|&&(w, r)| r == rel && slot_in(stored, w).is_some())
+                    .map(|&(w, _)| as_u32(w)),
+            );
+        }
+        self.off[4 * v + 3] = as_u32(self.nbr.len());
+    }
+
+    /// Undo [`Self::attach`]: node `v`'s row is empty again.
+    fn detach(&mut self, v: u32) {
+        let v = v as usize;
+        self.nbr.truncate(self.off[4 * v] as usize);
+        self.off[4 * v..4 * v + 4].fill(0);
     }
 
     /// Range `k` (0 providers, 1 peers, 2 customers) of node `v`.
     fn range(&self, v: u32, k: usize) -> &[u32] {
-        let i = 3 * v as usize + k;
+        let i = 4 * v as usize + k;
         &self.nbr[self.off[i] as usize..self.off[i + 1] as usize]
     }
 
@@ -380,9 +546,10 @@ impl SplitAdjacency {
     }
 }
 
-/// Builds routing trees over one graph: the [`SplitAdjacency`] is made
-/// once and the worklists are reused, so N destinations pay for one
-/// view and no per-tree scratch (DESIGN.md §19).
+/// Builds routing trees over one [`CoreView`]: the [`SplitAdjacency`]
+/// is made once and the worklists are reused, so N destinations pay for
+/// one split and no per-tree scratch (DESIGN.md §19). Every offer goes
+/// to a node with a row, which is a stored node (§27).
 struct TreeBuilder<'g> {
     graph: &'g AsGraph,
     adj: SplitAdjacency,
@@ -397,19 +564,12 @@ struct TreeBuilder<'g> {
 }
 
 impl<'g> TreeBuilder<'g> {
-    fn new(graph: &'g AsGraph, stored: Option<Arc<StoredSet>>) -> Self {
-        assert!(
-            graph.len() <= MAX_NODES,
-            "a routing tree spans at most {MAX_NODES} nodes, the graph has {}",
-            graph.len()
-        );
-        debug_assert!(stored
-            .as_ref()
-            .map_or(true, |s| s.slot.len() == graph.len()));
+    /// A builder over `view`, a view of `graph`'s current links.
+    fn new(graph: &'g AsGraph, view: &CoreView) -> Self {
         TreeBuilder {
             graph,
-            adj: SplitAdjacency::new(graph),
-            stored,
+            adj: SplitAdjacency::new(graph, view),
+            stored: view.stored.clone(),
             routed: Vec::new(),
             seeds: Vec::new(),
             queue: Vec::new(),
@@ -417,13 +577,19 @@ impl<'g> TreeBuilder<'g> {
     }
 
     /// The routing tree toward `dest`, `None` if `dest` is not in the
-    /// graph.
+    /// graph. An elided destination has no row in the view: its own
+    /// links are read from the graph for this tree (DESIGN.md §27).
     fn build(&mut self, dest: Asn) -> Option<RoutingTree> {
-        let (graph, adj) = (self.graph, &self.adj);
+        let graph = self.graph;
         let stored = self.stored.as_deref();
         let slot = |v: u32| slot_in(stored, v as usize);
         let d = graph.index_of(dest)?;
-        let d32 = u32::try_from(d).expect("graph size fits u32");
+        let d32 = as_u32(d);
+        let elided_dest = slot(d32).is_none();
+        if elided_dest {
+            self.adj.attach(d32, graph.neighbors_idx(d), stored);
+        }
+        let adj = &self.adj;
         let mut entries: Vec<Option<Entry>> =
             vec![None; stored.map_or(graph.len(), StoredSet::len)];
         if let Some(s) = slot(d32) {
@@ -443,11 +609,11 @@ impl<'g> TreeBuilder<'g> {
         // unrouted node, and a later offer of the same class replaces
         // the incumbent only if it is shorter, or as short from a lower
         // next-hop ASN. Offers of another class never displace a route:
-        // the phases run in class-preference order (DESIGN.md §17). An
-        // offer to an elided node is dropped: it could route nothing
-        // through it (§26).
+        // the phases run in class-preference order (DESIGN.md §17).
+        // Every target is a node with a row, so it is stored (§27).
         let offer_to = |entries: &mut [Option<Entry>], to: u32, via: u32, class, dist| {
-            slot(to).is_some_and(|s| offer(&mut entries[s], graph, via, class, dist))
+            let s = slot(to).expect("the view links stored nodes");
+            offer(&mut entries[s], graph, via, class, dist)
         };
 
         // Phase 1: customer routes — level-synchronous BFS from d up
@@ -537,6 +703,9 @@ impl<'g> TreeBuilder<'g> {
                 }
             }
         }
+        if elided_dest {
+            self.adj.detach(d32);
+        }
 
         Some(RoutingTree {
             dest,
@@ -561,28 +730,31 @@ impl RoutingTree {
     }
 
     /// The routing trees toward each of `dests` over `graph`, in order
-    /// (`None` for a destination not in the graph). The graph's
-    /// relationship-split adjacency is built once for all of them and
-    /// the construction worklists are reused across trees, so callers
-    /// that need many trees over one graph build them through here
-    /// (DESIGN.md §19).
+    /// (`None` for a destination not in the graph): the trees of
+    /// [`RoutingTree::compute_many_in`] over a view of every link, which
+    /// store every node.
     pub fn compute_many<'g>(
         graph: &'g AsGraph,
         dests: impl IntoIterator<Item = Asn> + 'g,
     ) -> impl Iterator<Item = Option<RoutingTree>> + 'g {
-        Self::compute_many_stored(graph, None, dests)
+        Self::compute_many_in(graph, &CoreView::new(graph, None), dests)
     }
 
-    /// [`RoutingTree::compute_many`] with trees that store routes only
-    /// for the nodes of `stored` and their own destination, and decide
-    /// every other node's route when it is read (DESIGN.md §26). `None`
-    /// stores every node, as `compute_many` does.
-    pub fn compute_many_stored<'g>(
+    /// The routing trees toward each of `dests` over `view`, a
+    /// [`CoreView`] of `graph`'s current links, in order (`None` for a
+    /// destination not in the graph). The trees store routes only for
+    /// the view's stored nodes and decide every other node's route when
+    /// it is read (DESIGN.md §26). The view's relationship split is
+    /// built once for all of them, the construction worklists are
+    /// reused across trees, and both are dropped with the iterator, so
+    /// callers that need many trees over one graph build them through
+    /// here (§19, §27).
+    pub fn compute_many_in<'g>(
         graph: &'g AsGraph,
-        stored: Option<&Arc<StoredSet>>,
+        view: &CoreView,
         dests: impl IntoIterator<Item = Asn> + 'g,
     ) -> impl Iterator<Item = Option<RoutingTree>> + 'g {
-        let mut builder = TreeBuilder::new(graph, stored.cloned());
+        let mut builder = TreeBuilder::new(graph, view);
         dests.into_iter().map(move |d| builder.build(d))
     }
 
@@ -708,7 +880,7 @@ impl RoutingTree {
     fn route(&self, graph: &AsGraph, v: usize) -> Option<Entry> {
         match self.slot(v) {
             Some(s) => self.entries[s],
-            None => self.decide(graph, v),
+            None => self.decide_over(graph, v, graph.neighbors_idx(v).iter().copied()),
         }
     }
 
@@ -736,30 +908,64 @@ impl RoutingTree {
     /// [`RoutingTree::compute`]; a work budget guards the theory and
     /// falls back to the full recomputation if ever exhausted.
     ///
-    /// Returns `true` if any node's route changed. Cost is proportional
-    /// to the region of the tree the change actually moves — O(1) for
-    /// a leaf access link, larger for core links.
+    /// Returns `true` if any node's route changed. The worklist costs in
+    /// proportion to the region of the tree the change moves, but this
+    /// one-off form first makes a [`CoreView`] of `graph`, O(links):
+    /// replay code keeps one view up to date and calls
+    /// [`RoutingTree::reconverge_with`].
     pub fn reconverge_after_link_event(&mut self, graph: &AsGraph, a: Asn, b: Asn) -> bool {
         let (Some(ia), Some(ib)) = (graph.index_of(a), graph.index_of(b)) else {
             return false;
         };
         let rel_of_b = graph.relationship(a, b);
-        self.reconverge_with(graph, ia, ib, rel_of_b, &mut ReconvergeScratch::new())
+        let view = CoreView::new(graph, self.stored.clone());
+        self.reconverge_with(
+            graph,
+            &view,
+            ia,
+            ib,
+            rel_of_b,
+            &mut ReconvergeScratch::new(),
+        )
     }
 
     /// [`RoutingTree::reconverge_after_link_event`] addressed by node
-    /// index, with caller-owned scratch: the link's endpoints `ia`–`ib`
-    /// and `rel_of_b`, `ib` as `ia` sees it (`None` when the link is
-    /// down), are resolved once per event by the caller, and one
-    /// queue/stamp buffer serves every tree and event, so the replay hot
-    /// loop neither looks up an ASN nor allocates per candidate tree.
+    /// index, over the caller's [`CoreView`] of `graph` and with
+    /// caller-owned scratch: the link's endpoints `ia`–`ib` and
+    /// `rel_of_b`, `ib` as `ia` sees it (`None` when the link is down),
+    /// are resolved once per event by the caller, and one queue/stamp
+    /// buffer serves every tree and event, so the replay hot loop
+    /// neither looks up an ASN nor allocates per candidate tree. `view`
+    /// must be over the tree's stored set and already reflect the
+    /// change; the worklist scans only its links, and the graph's links
+    /// of an elided destination (DESIGN.md §27).
     pub fn reconverge_with(
         &mut self,
         graph: &AsGraph,
+        view: &CoreView,
         ia: usize,
         ib: usize,
         rel_of_b: Option<Relationship>,
         scratch: &mut ReconvergeScratch,
+    ) -> bool {
+        let budget = BUDGET_PER_NODE
+            .saturating_mul(graph.len())
+            .max(BUDGET_FLOOR);
+        self.reconverge_within(graph, view, ia, ib, rel_of_b, scratch, budget)
+    }
+
+    /// [`RoutingTree::reconverge_with`] with a work budget of `budget`
+    /// `decide` calls, after which it rebuilds the tree over `view`.
+    #[allow(clippy::too_many_arguments)]
+    fn reconverge_within(
+        &mut self,
+        graph: &AsGraph,
+        view: &CoreView,
+        ia: usize,
+        ib: usize,
+        rel_of_b: Option<Relationship>,
+        scratch: &mut ReconvergeScratch,
+        mut budget: usize,
     ) -> bool {
         let n = graph.len();
         debug_assert_eq!(
@@ -769,7 +975,12 @@ impl RoutingTree {
                 .map_or(self.entries.len(), |s| s.slot.len()),
             "graph node set changed"
         );
-        scratch.begin(n);
+        debug_assert_eq!(
+            self.stored.as_ref().map(Arc::as_ptr),
+            view.stored.as_ref().map(Arc::as_ptr),
+            "the view is over another stored set"
+        );
+        scratch.begin(self.entries.len());
         // After a failure (`rel_of_b` is `None`) only an endpoint that
         // routed over the link has to move.
         for (at, via, rel) in [
@@ -777,22 +988,21 @@ impl RoutingTree {
             (ib, ia, rel_of_b),
         ] {
             if self.must_redecide(graph, at, via, rel) {
-                scratch.push(at);
+                self.queue(scratch, at);
             }
         }
         let mut changed_any = false;
-        // Budget: in safe policy networks the process is near-linear in
-        // the affected region; allow generous slack before bailing out.
-        // It also bounds every distance a transient tree can reach
-        // (`MAX_NODES`).
-        let mut budget = BUDGET_PER_NODE.saturating_mul(n).max(BUDGET_FLOOR);
-        while let Some(v) = scratch.pop() {
+        // The budget: in safe policy networks the process is
+        // near-linear in the affected region, and the default allows
+        // generous slack before bailing out. It also bounds every
+        // distance a transient tree can reach (`MAX_NODES`).
+        while let Some((v, s)) = scratch.pop() {
             if budget == 0 {
                 // Theory says we never get here; make sure practice
-                // agrees, via a full recompute — and make the silent
-                // O(n) cost visible in run reports.
+                // agrees, via a full recompute over the same view — and
+                // make the silent O(n) cost visible in run reports.
                 obs::incr("routing", "budget_fallback", 1);
-                let fresh = TreeBuilder::new(graph, self.stored.clone())
+                let fresh = TreeBuilder::new(graph, view)
                     .build(self.dest)
                     .expect("destination still in graph");
                 let changed = fresh.entries != self.entries;
@@ -814,17 +1024,18 @@ impl RoutingTree {
                 return changed;
             }
             budget -= 1;
-            let new = self.decide(graph, v);
-            let s = self.slot(v).expect("only stored nodes are queued");
+            let new = self.decide(graph, view, v);
             if new != self.entries[s] {
                 if self.tracing {
                     self.record_trace(v, self.entries[s], new);
                 }
                 self.entries[s] = new;
                 changed_any = true;
-                for &(w, rel) in graph.neighbors_idx(v) {
+                // Only a stored node can have to re-decide, and every
+                // stored neighbor is on the view's row.
+                for (w, rel) in view.links(v) {
                     if self.must_redecide(graph, w, v, Some(rel)) {
-                        scratch.push(w);
+                        self.queue(scratch, w);
                     }
                 }
             }
@@ -833,6 +1044,12 @@ impl RoutingTree {
             self.epoch += 1;
         }
         changed_any
+    }
+
+    /// Queue stored node `v` on `scratch`.
+    fn queue(&self, scratch: &mut ReconvergeScratch, v: usize) {
+        let s = self.slot(v).expect("only stored nodes are queued");
+        scratch.push(v, s);
     }
 
     /// Can node `at`'s decision change now that `via`'s entry has
@@ -890,17 +1107,45 @@ impl RoutingTree {
         }
     }
 
-    /// The decision process at node `v` over its neighbors' current
-    /// entries: valley-free export legality, loop rejection (by walking
-    /// the candidate's path), then LocalPref class > shortest path >
-    /// lowest neighbor ASN.
-    fn decide(&self, graph: &AsGraph, v: usize) -> Option<Entry> {
+    /// The decision process at stored node `v` over the view's links
+    /// and, when the tree elides its destination, `v`'s link to it in
+    /// `graph`: the only links a stored route can arrive over
+    /// (DESIGN.md §27).
+    fn decide(&self, graph: &AsGraph, view: &CoreView, v: usize) -> Option<Entry> {
+        let d = self.dest_idx;
+        let to_dest = match self.slot(d) {
+            Some(_) => None,
+            None => {
+                let links = graph.neighbors_idx(d);
+                let asn = graph.asn_of(v);
+                links
+                    .binary_search_by_key(&asn, |&(w, _)| graph.asn_of(w))
+                    .ok()
+                    .map(|k| (d, links[k].1.reversed()))
+            }
+        };
+        self.decide_over(graph, v, view.links(v).chain(to_dest))
+    }
+
+    /// The decision process at node `v` over `links`, its links as
+    /// `(neighbor, relationship of the neighbor w.r.t. v)`: valley-free
+    /// export legality, loop rejection (by walking the candidate's
+    /// path), then LocalPref class > shortest path > lowest neighbor
+    /// ASN. A link to a node that offers nothing (an elided one other
+    /// than the destination) is skipped; the result does not depend on
+    /// the order of `links`.
+    fn decide_over(
+        &self,
+        graph: &AsGraph,
+        v: usize,
+        links: impl Iterator<Item = (usize, Relationship)>,
+    ) -> Option<Entry> {
         if v == self.dest_idx {
             return Some(self.origin());
         }
         // The best loop-free offer so far as (preference word, ASN, node).
         let mut best: Option<(u32, Asn, usize)> = None;
-        for &(nb, rel_of_nb) in graph.neighbors_idx(v) {
+        for (nb, rel_of_nb) in links {
             let Some(e) = self.stored_route(nb) else {
                 continue;
             };
@@ -1319,6 +1564,106 @@ mod reconverge_tests {
             tree.path_from(&g, Asn(3)),
             Some(vec![Asn(3), Asn(2), Asn(1)])
         );
+    }
+
+    /// The budget fallback, forced by a budget of 0–2 decides, rebuilds
+    /// a with-vantages tree through its core view (DESIGN.md §27): every
+    /// route, stored or decided on read, equals a fresh full compute's,
+    /// its epoch moves whenever an entry
+    /// moved (exactly then at budget 0, when no partial update came
+    /// first), and its trace, composed in order, walks every stored
+    /// node's next hop from the pre-event tree to the post-event one.
+    #[test]
+    fn budget_fallback_rebuilds_through_the_core_view() {
+        let mut fallbacks = 0;
+        for seed in 0..3u64 {
+            let mut g = crate::gen::TopologyGenerator::new(
+                crate::gen::TopologyConfig::small(seed),
+            )
+            .generate()
+            .graph;
+            let n = g.len();
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xB0D6);
+            let vantages: Vec<Asn> = (0..6).map(|_| g.asn_of(rng.gen_range(0..n))).collect();
+            let stored = StoredSet::new(&g, vantages);
+            let mut view = CoreView::new(&g, Some(stored.clone()));
+            let dests: Vec<Asn> = g.asns().step_by(3).collect();
+            let elided = |d: &Asn| stored.slot(g.index_of(*d).unwrap()).is_none();
+            assert!(
+                dests.iter().any(elided),
+                "seed {seed}: no elided destination"
+            );
+            let mut trees: Vec<RoutingTree> = RoutingTree::compute_many_in(&g, &view, dests)
+                .map(|t| {
+                    let mut t = t.unwrap();
+                    t.set_tracing(true);
+                    t
+                })
+                .collect();
+            let links: Vec<(usize, usize, Relationship)> = (0..n)
+                .flat_map(|i| g.neighbors_idx(i).iter().map(move |&(j, r)| (i, j, r)))
+                .filter(|&(i, j, _)| i < j)
+                .collect();
+            let mut scratch = ReconvergeScratch::new();
+            for event in 0..30 {
+                let (ia, ib, rel) = links[rng.gen_range(0..links.len())];
+                let (a, b) = (g.asn_of(ia), g.asn_of(ib));
+                let up = g.relationship(a, b).is_none();
+                match (up, rel) {
+                    (false, _) => g.remove_link(a, b).unwrap(),
+                    (true, Relationship::Peer) => g.add_peering(a, b).unwrap(),
+                    (true, Relationship::Customer) => g.add_customer_provider(b, a).unwrap(),
+                    (true, Relationship::Provider) => g.add_customer_provider(a, b).unwrap(),
+                }
+                view.set_link(&g, ia, ib, up);
+                for tree in &mut trees {
+                    let what = format!("seed {seed}, event {event}, tree toward {}", tree.dest());
+                    let budget = event % 3;
+                    let (pre, epoch) = (tree.entries.clone(), tree.epoch());
+                    tree.clear_trace();
+                    let changed = tree.reconverge_within(
+                        &g,
+                        &view,
+                        ia,
+                        ib,
+                        up.then_some(rel),
+                        &mut scratch,
+                        budget,
+                    );
+                    fallbacks += usize::from(budget == 0 && changed);
+                    let fresh = RoutingTree::compute(&g, tree.dest()).unwrap();
+                    for i in 0..n {
+                        let at = g.asn_of(i);
+                        assert_eq!(
+                            tree.route_at(&g, i),
+                            fresh.route_at_idx(i),
+                            "{what} at {at}"
+                        );
+                    }
+                    assert_eq!(tree.epoch() != epoch, changed, "{what}");
+                    assert!(changed || tree.entries == pre, "{what}: moved, epoch kept");
+                    if budget == 0 {
+                        assert_eq!(changed, tree.entries != pre, "{what}");
+                    }
+                    let mut next: Vec<u32> = pre
+                        .iter()
+                        .map(|e| e.map_or(TRACE_UNROUTED, |e| e.next))
+                        .collect();
+                    for &(v, old, new) in tree.trace() {
+                        let s = stored.slot(v as usize).expect("a traced node is stored");
+                        assert_eq!(next[s], old, "{what}: trace does not compose");
+                        next[s] = new;
+                    }
+                    let post: Vec<u32> = tree
+                        .entries
+                        .iter()
+                        .map(|e| e.map_or(TRACE_UNROUTED, |e| e.next))
+                        .collect();
+                    assert_eq!(next, post, "{what}: trace misses a moved node");
+                }
+            }
+        }
+        assert!(fallbacks > 0, "no event reached the fallback");
     }
 }
 

@@ -4,7 +4,8 @@
 //! `RoutingTree::must_redecide` says its decision can change. Random
 //! single-link down/up events are applied to one traced tree per
 //! destination through the index-addressed `reconverge_with`, with the
-//! endpoints and relationship resolved once per event, and after every
+//! endpoints and relationship resolved once per event and one
+//! `CoreView` of every link flipped with the graph, and after every
 //! event each tree must
 //!
 //! 1. equal a fresh `RoutingTree::compute`, node for node;
@@ -22,8 +23,8 @@
 use proptest::TestRng;
 use quicksand_net::Asn;
 use quicksand_topology::{
-    AsGraph, ReconvergeScratch, Relationship, RouteClass, RoutingTree, Tier, TopologyConfig,
-    TopologyGenerator,
+    AsGraph, CoreView, ReconvergeScratch, Relationship, RouteClass, RoutingTree, Tier,
+    TopologyConfig, TopologyGenerator,
 };
 
 /// Seeds for the sweeps below; `QUICKSAND_TEST_SEEDS` overrides.
@@ -81,6 +82,7 @@ fn check_churn(label: &str, mut g: AsGraph, dests: &[Asn], events: usize, seed: 
             t
         })
         .collect();
+    let mut view = CoreView::new(&g, None);
     let mut scratch = ReconvergeScratch::new();
     let mut rng = TestRng::from_seed(seed);
     for event in 0..events {
@@ -94,6 +96,7 @@ fn check_churn(label: &str, mut g: AsGraph, dests: &[Asn], events: usize, seed: 
         }
         // Resolved once per event, as `FastConverge::apply` does.
         let (ia, ib) = (g.index_of(a).unwrap(), g.index_of(b).unwrap());
+        assert!(view.set_link(&g, ia, ib, up), "every link is in the view");
         let rel_of_b = up.then_some(rel);
         assert_eq!(rel_of_b, g.relationship(a, b));
         for tree in &mut trees {
@@ -101,7 +104,7 @@ fn check_churn(label: &str, mut g: AsGraph, dests: &[Asn], events: usize, seed: 
             let what = format!("{label}: event {event} ({a}-{b} up={up}), tree toward {dest}");
             let before = routes(tree, n);
             tree.clear_trace();
-            let changed = tree.reconverge_with(&g, ia, ib, rel_of_b, &mut scratch);
+            let changed = tree.reconverge_with(&g, &view, ia, ib, rel_of_b, &mut scratch);
             let after = routes(tree, n);
             let fresh = routes(&RoutingTree::compute(&g, dest).unwrap(), n);
             for i in 0..n {
