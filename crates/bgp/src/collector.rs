@@ -92,14 +92,39 @@ impl UpdateLog {
         h.finish()
     }
 
-    /// The set of sessions that appear in the log.
+    /// The set of sessions that appear in the log, ascending.
     pub fn sessions(&self) -> Vec<SessionId> {
-        let mut v: Vec<SessionId> = self.records.iter().map(|r| r.session).collect();
-        v.sort();
+        // The collector appends one session's records of an observation
+        // together, so collapsing consecutive repeats first leaves about
+        // one entry per (observation, session), not one per record.
+        let mut v: Vec<SessionId> = Vec::new();
+        for r in &self.records {
+            if v.last() != Some(&r.session) {
+                v.push(r.session);
+            }
+        }
+        v.sort_unstable();
         v.dedup();
         v
     }
+
+    /// Make room for `batch` more records. The log grows by the larger
+    /// of `batch` and a [`LOG_GROWTH_DIVISOR`]th of its length, not by
+    /// doubling: a doubling step leaves up to a full log's worth of
+    /// unused capacity, and during the copy the old buffer is live
+    /// beside the new one (DESIGN.md §28).
+    fn reserve_batch(&mut self, batch: usize) {
+        if self.records.capacity() - self.records.len() < batch {
+            self.records
+                .reserve_exact(batch.max(self.records.len() / LOG_GROWTH_DIVISOR));
+        }
+    }
 }
+
+/// The collector grows a log by a `1 / LOG_GROWTH_DIVISOR` share of
+/// its length at a time (or by one batch, when that is larger), so once
+/// a batch is in, the log's spare capacity is at most that share.
+pub const LOG_GROWTH_DIVISOR: usize = 5;
 
 /// Configuration for collector construction.
 #[derive(Clone)]
@@ -710,6 +735,7 @@ impl Collector {
             let (rt, si) = self.resets[self.next_reset];
             self.next_reset += 1;
             let id = self.sessions[si].id;
+            log.reserve_batch(self.state[si].entries.len());
             for &(prefix, pid) in &self.state[si].entries {
                 log.records.push(UpdateRecord {
                     at: rt,
@@ -739,6 +765,7 @@ impl Collector {
             return;
         }
         let sid = self.sessions[si].id;
+        log.reserve_batch(ops.len());
         for &(prefix, entry) in ops.iter() {
             let msg = match entry {
                 None => UpdateMessage::Withdraw(prefix),
@@ -871,6 +898,7 @@ pub fn clean_session_resets(
         // a withdraw.
         let mut last: Option<&AsPath> = None;
         for &i in run.indices() {
+            let i = i as usize;
             let r = &log.records[i];
             match &r.msg {
                 UpdateMessage::Announce(route) if last == Some(&route.as_path) => {

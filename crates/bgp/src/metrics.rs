@@ -26,7 +26,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// The one grouping step behind every per-(session, prefix) statistic
 /// and behind reset cleaning: the log's records regrouped into one run
 /// per (session, prefix), runs in `(session, prefix)` order, each run
-/// in log order, carried as log indices.
+/// in log order, carried as 4-byte log indices.
 ///
 /// The collector appends records in `(at, session)` order, so log order
 /// within a (session, prefix) is time order, and a stable sort by
@@ -40,7 +40,7 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct SessionPrefixRuns<'a> {
     records: &'a [UpdateRecord],
     /// Log indices, grouped into runs.
-    order: Vec<usize>,
+    order: Vec<u32>,
 }
 
 /// One run of [`SessionPrefixRuns`]: the log indices of one (session,
@@ -48,19 +48,19 @@ pub struct SessionPrefixRuns<'a> {
 #[derive(Clone, Copy)]
 pub struct Run<'a> {
     records: &'a [UpdateRecord],
-    indices: &'a [usize],
+    indices: &'a [u32],
 }
 
 impl<'a> Run<'a> {
     /// The run's positions in the log, ascending.
-    pub fn indices(&self) -> &'a [usize] {
+    pub fn indices(&self) -> &'a [u32] {
         self.indices
     }
 
     /// The run's records, in log order.
     pub fn records(&self) -> impl Iterator<Item = &'a UpdateRecord> + 'a {
         let records = self.records;
-        self.indices.iter().map(move |&i| &records[i])
+        self.indices.iter().map(move |&i| &records[i as usize])
     }
 }
 
@@ -71,23 +71,30 @@ fn run_key(r: &UpdateRecord) -> (SessionId, Ipv4Prefix) {
 impl<'a> SessionPrefixRuns<'a> {
     /// Group `log`, keeping only records whose prefix is in `only`
     /// (every record when `None`).
+    ///
+    /// # Panics
+    ///
+    /// When the log holds more than `u32::MAX` records, which a 4-byte
+    /// log index cannot address.
     pub fn new(log: &'a UpdateLog, only: Option<&BTreeSet<Ipv4Prefix>>) -> Self {
-        let mut order: Vec<(SessionId, Ipv4Prefix, usize)> = log
-            .records
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| only.map_or(true, |keep| keep.contains(&r.msg.prefix())))
-            .map(|(i, r)| (r.session, r.msg.prefix(), i))
-            .collect();
-        // The log index breaks every tie, so any sort gives the stable
-        // order by (session, prefix). The stable sort is chosen because
-        // it is adaptive: each table dump in the log is already one long
+        let records = log.records.as_slice();
+        let Ok(n) = u32::try_from(records.len()) else {
+            panic!(
+                "SessionPrefixRuns: a log of {} records exceeds the u32 run index",
+                records.len()
+            );
+        };
+        let mut order: Vec<u32> = match only {
+            None => (0..n).collect(),
+            Some(keep) => (0..n)
+                .filter(|&i| keep.contains(&records[i as usize].msg.prefix()))
+                .collect(),
+        };
+        // Stable, so ties keep log order. The stable sort is also
+        // adaptive: each table dump in the log is already one long
         // ascending run per session, so it mostly merges.
-        order.sort();
-        SessionPrefixRuns {
-            records: &log.records,
-            order: order.into_iter().map(|(_, _, i)| i).collect(),
-        }
+        order.sort_by_key(|&i| run_key(&records[i as usize]));
+        SessionPrefixRuns { records, order }
     }
 
     /// The runs in `(session, prefix)` order, each with its key and its
@@ -96,10 +103,10 @@ impl<'a> SessionPrefixRuns<'a> {
         let records = self.records;
         let mut rest = self.order.as_slice();
         std::iter::from_fn(move || {
-            let key = run_key(&records[*rest.first()?]);
+            let key = run_key(&records[*rest.first()? as usize]);
             let len = rest
                 .iter()
-                .position(|&i| run_key(&records[i]) != key)
+                .position(|&i| run_key(&records[i as usize]) != key)
                 .unwrap_or(rest.len());
             let (indices, tail) = rest.split_at(len);
             rest = tail;
@@ -231,45 +238,53 @@ pub fn path_changes(log: &UpdateLog) -> BTreeMap<(SessionId, Ipv4Prefix), u32> {
 
 /// The Fig-3-left ratios: for each (session, Tor prefix) pair, the
 /// prefix's change count divided by the session's median change count
-/// over *all* prefixes received on that session.
+/// over *all* prefixes received on that session, in `(session, prefix)`
+/// order.
+///
+/// One pass over the runs of `log`: they arrive session by session, so
+/// one session's counts are held at a time and no per-(session, prefix)
+/// map is built (DESIGN.md §28).
 ///
 /// Sessions whose median is zero use a median of 1 (the ratio is then
 /// the raw change count); the paper's feeds always had nonzero medians,
 /// ours may not at small scale.
-pub fn churn_ratios(
-    changes: &BTreeMap<(SessionId, Ipv4Prefix), u32>,
-    tor_prefixes: &BTreeSet<Ipv4Prefix>,
-) -> Vec<f64> {
-    // Median per session over all prefixes.
-    let mut per_session: BTreeMap<SessionId, Vec<u32>> = BTreeMap::new();
-    for (&(s, _), &c) in changes {
-        per_session.entry(s).or_default().push(c);
+pub fn churn_ratios(log: &UpdateLog, tor_prefixes: &BTreeSet<Ipv4Prefix>) -> Vec<f64> {
+    let mut ratios = Vec::new();
+    // The current session's change counts: every prefix, and the Tor
+    // prefixes in prefix order.
+    let mut counts: Vec<u32> = Vec::new();
+    let mut tor_counts: Vec<u32> = Vec::new();
+    let runs = SessionPrefixRuns::new(log, None);
+    let mut runs = runs.iter().peekable();
+    while let Some(((session, prefix), run)) = runs.next() {
+        let c = run_path_changes(run);
+        counts.push(c);
+        if tor_prefixes.contains(&prefix) {
+            tor_counts.push(c);
+        }
+        if runs.peek().map_or(true, |((next, _), _)| *next != session) {
+            let m = median(&mut counts).max(1.0);
+            ratios.extend(tor_counts.drain(..).map(|c| f64::from(c) / m));
+            counts.clear();
+        }
     }
-    let medians: BTreeMap<SessionId, f64> = per_session
-        .into_iter()
-        .map(|(s, mut v)| {
-            v.sort_unstable();
-            let m = if v.is_empty() {
-                0.0
-            } else if v.len() % 2 == 1 {
-                f64::from(v[v.len() / 2])
-            } else {
-                (f64::from(v[v.len() / 2 - 1]) + f64::from(v[v.len() / 2])) / 2.0
-            };
-            (s, m.max(1.0))
-        })
-        .collect();
-    // Walking the Tor set per session yields the ratios in the map's
-    // (session, prefix) order, with one lookup per (session, Tor prefix)
-    // instead of one membership test per map entry.
-    medians
-        .iter()
-        .flat_map(|(&s, &m)| {
-            tor_prefixes
-                .iter()
-                .filter_map(move |&p| changes.get(&(s, p)).map(|&c| f64::from(c) / m))
-        })
-        .collect()
+    ratios
+}
+
+/// The median of a non-empty sample, averaging the two middle values of
+/// an even-sized one. Reorders `v`.
+fn median(v: &mut [u32]) -> f64 {
+    let len = v.len();
+    let (low, &mut upper, _) = v.select_nth_unstable(len / 2);
+    if len % 2 == 1 {
+        f64::from(upper)
+    } else {
+        let lower = *low
+            .iter()
+            .max()
+            .expect("an even-sized sample has a lower half");
+        (f64::from(lower) + f64::from(upper)) / 2.0
+    }
 }
 
 /// The Fig-3-right quantity per prefix: the union over sessions of
@@ -610,8 +625,7 @@ mod tests {
         add_changes("12.0.0.0/8", 2, 2000);
         add_changes("13.0.0.0/8", 4, 3000);
         let log = UpdateLog { records };
-        let changes = path_changes(&log);
-        let ratios = churn_ratios(&changes, &[tor].into_iter().collect());
+        let ratios = churn_ratios(&log, &[tor].into_iter().collect());
         assert_eq!(ratios.len(), 1);
         assert!((ratios[0] - 2.0).abs() < 1e-9, "got {}", ratios[0]);
     }

@@ -5,6 +5,9 @@
 //!   extremes) for any sample set;
 //! * the churn-ratio distribution is invariant under session
 //!   relabeling — session IDs are collector bookkeeping, not signal;
+//! * the one-pass churn ratios (DESIGN.md §28) equal, bit for bit, the
+//!   per-(session, prefix) change-map formula they replaced, kept here
+//!   as the oracle;
 //! * path-change counts are invariant under log *fragment order*: a log
 //!   assembled by merging per-session fragments in the canonical
 //!   `(time, session)` order is indistinguishable from the serially
@@ -69,6 +72,64 @@ fn oracle_timelines(log: &UpdateLog) -> BTreeMap<(SessionId, Ipv4Prefix), Points
     out
 }
 
+/// The Fig-3-left formula over a per-(session, prefix) change map,
+/// which the one-pass [`churn_ratios`] replaced, kept as the oracle:
+/// each session's median over all its keys (clamped to 1), then the
+/// session's Tor keys in `(session, prefix)` order, each divided by it.
+fn oracle_churn_ratios(
+    changes: &BTreeMap<(SessionId, Ipv4Prefix), u32>,
+    tor_prefixes: &BTreeSet<Ipv4Prefix>,
+) -> Vec<f64> {
+    let mut per_session: BTreeMap<SessionId, Vec<u32>> = BTreeMap::new();
+    for (&(s, _), &c) in changes {
+        per_session.entry(s).or_default().push(c);
+    }
+    let medians: BTreeMap<SessionId, f64> = per_session
+        .into_iter()
+        .map(|(s, mut v)| {
+            v.sort_unstable();
+            let m = if v.len() % 2 == 1 {
+                f64::from(v[v.len() / 2])
+            } else {
+                (f64::from(v[v.len() / 2 - 1]) + f64::from(v[v.len() / 2])) / 2.0
+            };
+            (s, m.max(1.0))
+        })
+        .collect();
+    changes
+        .iter()
+        .filter(|((_, p), _)| tor_prefixes.contains(p))
+        .map(|(&(s, _), &c)| f64::from(c) / medians[&s])
+        .collect()
+}
+
+/// A log from generated `(seconds, session, prefix index, path index,
+/// kind)` tuples, one record in four a withdrawal, in the collector's
+/// append order (stable by time, then session) unless `faulted`, which
+/// keeps the generated order, out of time order.
+fn differential_log(recs: &[(u64, u32, usize, usize, u8)], faulted: bool) -> UpdateLog {
+    let mut records: Vec<UpdateRecord> = recs
+        .iter()
+        .map(|&(at, sess, pfx, path, kind)| UpdateRecord {
+            at: SimTime::from_secs(at),
+            session: SessionId(sess),
+            msg: if kind == 0 {
+                UpdateMessage::Withdraw(prefix(pfx))
+            } else {
+                UpdateMessage::Announce(Route {
+                    prefix: prefix(pfx),
+                    as_path: PATHS[path].iter().map(|&a| Asn(a)).collect(),
+                    communities: Default::default(),
+                })
+            },
+        })
+        .collect();
+    if !faulted {
+        records.sort_by_key(|r| (r.at, r.session));
+    }
+    UpdateLog { records }
+}
+
 /// Paths the differential generator draws from: empty, single-AS,
 /// reorderings, and prepending on either side, so consecutive updates
 /// often differ in sequence but not in AS set.
@@ -114,26 +175,23 @@ proptest! {
     }
 
     /// Relabeling sessions (any order-reversing injective map, so even
-    /// the `BTreeMap` iteration order changes) permutes — never alters —
-    /// the churn-ratio population: per-session medians and ratios are
+    /// the runs' session order changes) permutes — never alters — the
+    /// churn-ratio population: per-session medians and ratios are
     /// computed within each session's group, which relabeling preserves.
     #[test]
     fn churn_ratio_ccdf_invariant_under_session_relabeling(
-        counts in vec((0u32..5, 0usize..6, 0u32..20), 1..40),
+        recs in vec((0u64..20, 0u32..5, 0usize..6, 0usize..PATHS.len(), 0u8..4), 1..80),
         offset in 1u32..50,
     ) {
-        let mut changes: BTreeMap<(SessionId, Ipv4Prefix), u32> = BTreeMap::new();
-        for &(s, p, c) in &counts {
-            changes.insert((SessionId(s), prefix(p)), c);
-        }
+        let log = differential_log(&recs, false);
         let tor: BTreeSet<Ipv4Prefix> = [prefix(0), prefix(1)].into_iter().collect();
         // s ↦ offset + 7·(4 − s): injective on 0..5 and order-reversing.
-        let relabeled: BTreeMap<(SessionId, Ipv4Prefix), u32> = changes
-            .iter()
-            .map(|(&(s, p), &c)| ((SessionId(offset + 7 * (4 - s.0)), p), c))
-            .collect();
+        let mut relabeled = log.clone();
+        for r in &mut relabeled.records {
+            r.session = SessionId(offset + 7 * (4 - r.session.0));
+        }
 
-        let mut base = churn_ratios(&changes, &tor);
+        let mut base = churn_ratios(&log, &tor);
         let mut relab = churn_ratios(&relabeled, &tor);
         base.sort_by(f64::total_cmp);
         relab.sort_by(f64::total_cmp);
@@ -207,26 +265,7 @@ proptest! {
         recs in vec((0u64..20, 0u32..4, 0usize..5, 0usize..PATHS.len(), 0u8..4), 0..120),
         keep in vec(0usize..5, 0..4),
     ) {
-        let mut records: Vec<UpdateRecord> = recs
-            .iter()
-            .map(|&(at, sess, pfx, path, kind)| UpdateRecord {
-                at: SimTime::from_secs(at),
-                session: SessionId(sess),
-                // One record in four is a withdrawal.
-                msg: if kind == 0 {
-                    UpdateMessage::Withdraw(prefix(pfx))
-                } else {
-                    UpdateMessage::Announce(Route {
-                        prefix: prefix(pfx),
-                        as_path: PATHS[path].iter().map(|&a| Asn(a)).collect(),
-                        communities: Default::default(),
-                    })
-                },
-            })
-            .collect();
-        // The collector's append order: stable by (time, session).
-        records.sort_by_key(|r| (r.at, r.session));
-        let log = UpdateLog { records };
+        let log = differential_log(&recs, false);
         let oracle = oracle_timelines(&log);
 
         let want: BTreeMap<(SessionId, Ipv4Prefix), u32> = oracle
@@ -249,5 +288,25 @@ proptest! {
                 .collect();
             prop_assert_eq!(got, want);
         }
+    }
+
+    /// The one-pass churn ratios against the change-map oracle, bit for
+    /// bit and in order, on logs in append order and out of time order
+    /// (a faulted feed), with zero-median sessions (short logs leave
+    /// most keys a single record, so most counts are 0), and against a
+    /// random Tor subset, possibly empty or reaching past the logged
+    /// prefixes.
+    #[test]
+    fn one_pass_churn_ratios_match_change_map_oracle(
+        recs in vec((0u64..20, 0u32..4, 0usize..5, 0usize..PATHS.len(), 0u8..4), 0..120),
+        faulted in proptest::bool::ANY,
+        tor in vec(0usize..8, 0..6),
+    ) {
+        let log = differential_log(&recs, faulted);
+        let tor: BTreeSet<Ipv4Prefix> = tor.iter().map(|&i| prefix(i)).collect();
+        let got = churn_ratios(&log, &tor);
+        let want = oracle_churn_ratios(&path_changes(&log), &tor);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&got), bits(&want));
     }
 }

@@ -11,7 +11,7 @@ use crate::temporal;
 use quicksand_attack::community::{stealth_frontier, FrontierPoint};
 use quicksand_attack::hijack::origin_hijack;
 use quicksand_attack::intercept::plan_interception;
-use quicksand_bgp::metrics::{churn_ratios, path_changes, Ccdf, PathTimeline, SessionPrefixRuns};
+use quicksand_bgp::metrics::{churn_ratios, Ccdf, PathTimeline, SessionPrefixRuns};
 use quicksand_bgp::{Route, SessionId, SimConfig, UpdateMessage};
 use quicksand_net::{Asn, Ipv4Prefix, SimDuration, SimTime};
 use quicksand_obs as obs;
@@ -200,8 +200,7 @@ pub struct Fig3Left {
 /// Compute F3L from a month run.
 pub fn fig3_left(scenario: &Scenario, month: &MonthResult) -> Fig3Left {
     let _span = obs::prof::span("stats", "fig3_left");
-    let changes = path_changes(&month.cleaned);
-    let ratios = churn_ratios(&changes, &scenario.tor_prefix_set());
+    let ratios = churn_ratios(&month.cleaned, &scenario.tor_prefix_set());
     let ccdf = Ccdf::new(ratios);
     let fraction_above_one = ccdf.at(1.0 + 1e-9);
     let max_ratio = ccdf.max().unwrap_or(0.0);

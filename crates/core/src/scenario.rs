@@ -878,7 +878,8 @@ impl Scenario {
         // The replay state — routing trees, collector sessions, export
         // cache — is dead once the final dump is in the log; free it
         // before cleaning allocates (DESIGN.md §19), and give back the
-        // log's unused capacity, a growth step's worth of records.
+        // log's unused capacity, at most one of the collector's bounded
+        // growth steps (DESIGN.md §28).
         drop((fc, collector, cache, dirty));
         log.records.shrink_to_fit();
         let (cleaned, removed_duplicates, reset_bursts) =
@@ -1216,6 +1217,32 @@ mod tests {
         assert_eq!(custom.n_regions, ScaleSpec::large().n_regions);
         assert!(Scale::parse("bogus").is_err());
         assert!(Scale::parse("n_ases=notanumber").is_err());
+    }
+
+    /// The collector grows the log by a bounded step, not by doubling:
+    /// after every event of a medium month the log's spare capacity is
+    /// at most a `LOG_GROWTH_DIVISOR`th of its length. A step of
+    /// `max(batch, len / k)` taken when the spare room cannot hold the
+    /// next batch leaves at most `len / k` spare once that batch is in;
+    /// a doubling step leaves up to `len`.
+    #[test]
+    fn medium_month_log_grows_by_a_bounded_step() {
+        use quicksand_bgp::collector::LOG_GROWTH_DIVISOR;
+
+        let s = Scenario::build(ScenarioConfig::at_scale(&Scale::Medium, 275));
+        let mut checked = 0usize;
+        s.run_month_checkpointed(None, 1, |snap| {
+            let (len, cap) = (snap.log.records.len(), snap.log.records.capacity());
+            assert!(
+                cap <= len + len / LOG_GROWTH_DIVISOR,
+                "event {}: capacity {cap} for {len} records",
+                snap.cursor
+            );
+            checked += 1;
+            HookAction::Continue
+        })
+        .unwrap();
+        assert!(checked > 1000, "a medium month has thousands of events");
     }
 
     #[test]
