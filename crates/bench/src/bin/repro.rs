@@ -1509,6 +1509,7 @@ fn main() {
             let (raw, rep) = injector.apply(&attacked_raw);
             let (cleaned, removed, bursts) =
                 clean_session_resets(&raw, &CleaningConfig::default());
+            let cleaned = cleaned.to_log(&raw);
             text.push_str(&format!("== chaos: fault intensity {x:.2} ==\n"));
             text.push_str(&format!(
                 "  injected: {} dropped, {} duplicated, {} reordered, {} outage-dropped, \

@@ -873,88 +873,182 @@ impl Default for CleaningConfig {
 /// every duplicate announcement (per session and prefix, an announce
 /// whose AS path equals the previous announce with no intervening
 /// withdraw), and every withdraw with no announced route to withdraw.
-/// Returns the cleaned log, the number of removed records, and the
-/// number of detected reset bursts (for reporting).
+/// Returns the cleaned log as a [`CleanedLog`] view over `log`, the
+/// number of removed records, and the number of detected reset bursts
+/// (for reporting).
 ///
 /// "Previous" is log order within a (session, prefix), also on a
 /// faulted log whose records are out of time order. The walk runs on
 /// the statistics' run kernel, [`SessionPrefixRuns`]: each run sets
-/// keep flags, and the kept records are cloned in one pass in log
-/// order (DESIGN.md §19).
+/// keep bits, and the view keeps the kept records' indices in the
+/// kernel's run order, so no record is copied and the statistics
+/// regroup nothing (DESIGN.md §19, §29).
 pub fn clean_session_resets(
     log: &UpdateLog,
     config: &CleaningConfig,
-) -> (UpdateLog, usize, usize) {
+) -> (CleanedLog, usize, usize) {
     let _span = obs::prof::span("collector", "clean");
-    let mut keep = vec![false; log.records.len()];
+    let grouping = SessionPrefixRuns::new(log, None);
+    let mut keep = vec![0u64; log.records.len().div_ceil(64)];
     let mut removed = 0usize;
-    // Per session: its table size (distinct prefixes, i.e. runs) and
-    // the timestamps of its removed duplicate announcements.
-    let mut sessions: BTreeMap<SessionId, (usize, Vec<SimTime>)> = BTreeMap::new();
-    for ((session, _), run) in SessionPrefixRuns::new(log, None).iter() {
-        let (table_size, dup_times) = sessions.entry(session).or_default();
-        *table_size += 1;
-        // The last announced path, `None` before any announce and after
-        // a withdraw.
-        let mut last: Option<&AsPath> = None;
-        for &i in run.indices() {
-            let i = i as usize;
-            let r = &log.records[i];
-            match &r.msg {
-                UpdateMessage::Announce(route) if last == Some(&route.as_path) => {
-                    removed += 1;
-                    dup_times.push(r.at);
-                }
-                UpdateMessage::Announce(route) => {
-                    keep[i] = true;
-                    last = Some(&route.as_path);
-                }
-                UpdateMessage::Withdraw(_) if last.is_none() => removed += 1,
-                UpdateMessage::Withdraw(_) => {
-                    keep[i] = true;
-                    last = None;
-                }
-            }
-        }
-    }
-    let mut cleaned = UpdateLog {
-        records: Vec::with_capacity(log.records.len() - removed),
-    };
-    cleaned.records.extend(
-        log.records
-            .iter()
-            .zip(&keep)
-            .filter(|(_, &k)| k)
-            .map(|(r, _)| r.clone()),
-    );
-
-    // Burst detection for reporting: sliding window over duplicate
-    // timestamps per session.
     let mut bursts = 0usize;
-    for (table_size, mut times) in sessions.into_values() {
-        times.sort();
-        let threshold =
-            ((table_size as f64) * config.table_fraction).ceil().max(1.0) as usize;
-        let mut i = 0usize;
-        while i < times.len() {
-            let mut j = i;
-            while j < times.len()
-                && times[j].since(times[i]) <= config.burst_window
-            {
-                j += 1;
-            }
-            if j - i >= threshold {
-                bursts += 1;
-                i = j;
-            } else {
-                i += 1;
+    // The current session's removed duplicate announcements' times.
+    let mut dup_times: Vec<SimTime> = Vec::new();
+    for (_, session) in grouping.sessions() {
+        // The session's table size: its distinct prefixes, i.e. runs.
+        let mut table_size = 0usize;
+        for (_, run) in session.iter() {
+            table_size += 1;
+            // The last announced path, `None` before any announce and
+            // after a withdraw.
+            let mut last: Option<&AsPath> = None;
+            for (&i, r) in run.indices().iter().zip(run.records()) {
+                let keep_it = match &r.msg {
+                    UpdateMessage::Announce(route) if last == Some(&route.as_path) => {
+                        dup_times.push(r.at);
+                        false
+                    }
+                    UpdateMessage::Announce(route) => {
+                        last = Some(&route.as_path);
+                        true
+                    }
+                    UpdateMessage::Withdraw(_) if last.is_none() => false,
+                    UpdateMessage::Withdraw(_) => {
+                        last = None;
+                        true
+                    }
+                };
+                if keep_it {
+                    keep[i as usize / 64] |= 1 << (i % 64);
+                } else {
+                    removed += 1;
+                }
             }
         }
+        bursts += reset_bursts(&mut dup_times, table_size, config);
+        dup_times.clear();
     }
+    // The kept indices, still in run order, in the grouping's own
+    // buffer.
+    let mut order = grouping.into_indices();
+    order.retain(|&i| keep[i as usize / 64] & (1 << (i % 64)) != 0);
+    order.shrink_to_fit();
 
     obs::incr("collector", "cleaned_duplicates", removed as u64);
     obs::incr("collector", "cleaned_bursts", bursts as u64);
+    let cleaned = CleanedLog {
+        keep,
+        order,
+        raw_len: log.records.len(),
+    };
     (cleaned, removed, bursts)
+}
+
+/// Burst detection for reporting: the number of windows of
+/// `config.burst_window` that hold at least `config.table_fraction` of
+/// a session's `table_size` in removed duplicates, scanned left to
+/// right without overlap. Sorts `times`. The window's end only moves
+/// forward, so the scan is linear after the sort.
+fn reset_bursts(times: &mut [SimTime], table_size: usize, config: &CleaningConfig) -> usize {
+    times.sort_unstable();
+    let threshold = ((table_size as f64) * config.table_fraction).ceil().max(1.0) as usize;
+    let mut bursts = 0usize;
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < times.len() {
+        // `j` is the first duplicate past the window opened at `i`; it
+        // never moves back, since a later start only shrinks the window.
+        j = j.max(i);
+        while j < times.len() && times[j].since(times[i]) <= config.burst_window {
+            j += 1;
+        }
+        if j - i >= threshold {
+            bursts += 1;
+            i = j;
+        } else {
+            i += 1;
+        }
+    }
+    bursts
+}
+
+/// The cleaned log of one raw log, as a view over that raw log: which
+/// records [`clean_session_resets`] kept, and the grouping of the kept
+/// records into (session, prefix) runs that cleaning computed on the
+/// way. It holds no record, so a month keeps one copy of its records,
+/// in the raw log (DESIGN.md §29).
+///
+/// Every accessor takes the raw log the view was built from and panics
+/// when that log's length differs from the one the view was built
+/// over, so a view is not read against another log by mistake.
+#[derive(Clone, PartialEq, Eq)]
+pub struct CleanedLog {
+    /// Bit `i % 64` of word `i / 64` is set when raw record `i` is kept.
+    keep: Vec<u64>,
+    /// The kept records' raw indices in run order, as
+    /// [`SessionPrefixRuns::new`] orders a log's indices.
+    order: Vec<u32>,
+    /// The length of the raw log the view was built from.
+    raw_len: usize,
+}
+
+impl CleanedLog {
+    /// Number of kept records.
+    pub fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// True when cleaning kept no record.
+    pub fn is_empty(&self) -> bool {
+        self.order.is_empty()
+    }
+
+    fn check(&self, raw: &UpdateLog) {
+        assert_eq!(
+            raw.records.len(),
+            self.raw_len,
+            "CleanedLog: read against a log of {} records, built over one of {}",
+            raw.records.len(),
+            self.raw_len
+        );
+    }
+
+    /// The kept records, in log order.
+    pub fn records<'a>(&'a self, raw: &'a UpdateLog) -> impl Iterator<Item = &'a UpdateRecord> + 'a {
+        self.check(raw);
+        self.keep.iter().enumerate().flat_map(move |(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    &raw.records[w * 64 + b]
+                })
+            })
+        })
+    }
+
+    /// The kept records' (session, prefix) runs, grouped already.
+    pub fn runs<'a>(&'a self, raw: &'a UpdateLog) -> SessionPrefixRuns<'a> {
+        self.check(raw);
+        SessionPrefixRuns::grouped(&raw.records, &self.order)
+    }
+
+    /// The kept records as a log of their own, for callers that need
+    /// an [`UpdateLog`]. Clones every kept record.
+    pub fn to_log(&self, raw: &UpdateLog) -> UpdateLog {
+        let mut records = Vec::with_capacity(self.len());
+        records.extend(self.records(raw).cloned());
+        UpdateLog { records }
+    }
+}
+
+impl fmt::Debug for CleanedLog {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CleanedLog")
+            .field("kept", &self.order.len())
+            .field("raw_len", &self.raw_len)
+            .finish()
+    }
 }
 
 #[cfg(test)]
@@ -1147,6 +1241,49 @@ mod tests {
     }
 
     #[test]
+    fn sub_threshold_duplicate_cluster_is_scanned_in_one_pass() {
+        // One session with an 80,002-prefix table re-announces 40,000
+        // of its prefixes at one instant: one short of half its table,
+        // so no burst. Two more duplicates at that instant reach it.
+        let prefix = |k: u32| Ipv4Prefix::new(std::net::Ipv4Addr::from(k << 8), 24);
+        let announce_at = |at_s: u64, k: u32| UpdateRecord {
+            at: SimTime::from_secs(at_s),
+            session: SessionId(0),
+            msg: UpdateMessage::Announce(Route {
+                prefix: prefix(k),
+                as_path: path(&[1, 2]),
+                communities: Default::default(),
+            }),
+        };
+        let table = 80_002u32;
+        let mut log = UpdateLog {
+            records: (0..table).map(|k| announce_at(0, k)).collect(),
+        };
+        log.records.extend((0..40_000).map(|k| announce_at(100, k)));
+        let (cleaned, removed, bursts) = clean_session_resets(&log, &CleaningConfig::default());
+        assert_eq!((cleaned.len(), removed, bursts), (table as usize, 40_000, 0));
+        log.records.extend((40_000..40_002).map(|k| announce_at(100, k)));
+        let (cleaned, removed, bursts) = clean_session_resets(&log, &CleaningConfig::default());
+        assert_eq!((cleaned.len(), removed, bursts), (table as usize, 40_002, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "CleanedLog: read against a log of 1 records, built over one of 2")]
+    fn cleaned_view_rejects_another_raw_log() {
+        let log = UpdateLog {
+            records: vec![
+                announce(0, 0, "10.0.0.0/8", &[1, 2]),
+                announce(10, 0, "10.0.0.0/8", &[1, 2]),
+            ],
+        };
+        let (cleaned, _, _) = clean_session_resets(&log, &CleaningConfig::default());
+        let other = UpdateLog {
+            records: log.records[..1].to_vec(),
+        };
+        let _ = cleaned.to_log(&other);
+    }
+
+    #[test]
     fn resets_redump_table_and_cleaning_detects_burst() {
         let config = CollectorConfig {
             frac_full: 1.0,
@@ -1214,7 +1351,7 @@ mod tests {
         }
         let (cleaned, _, _) = clean_session_resets(&log, &CleaningConfig::default());
         assert_eq!(cleaned.len(), 4);
-        assert!(cleaned.records.iter().all(|r| match &r.msg {
+        assert!(cleaned.records(&log).all(|r| match &r.msg {
             UpdateMessage::Announce(route) => shares(&route.as_path),
             UpdateMessage::Withdraw(_) => false,
         }));

@@ -16,11 +16,14 @@
 //! All three reduce over one grouping of the log, [`SessionPrefixRuns`]:
 //! one time-ordered run of records per (session, prefix), optionally
 //! restricted to a prefix set before any per-record work (DESIGN.md §18).
+//! A cleaned month log carries the grouping its cleaning computed, so
+//! its statistics group nothing again (DESIGN.md §29).
 
 use crate::collector::{SessionId, UpdateLog, UpdateRecord};
 use crate::msg::UpdateMessage;
 use quicksand_net::{Asn, Ipv4Prefix, SimDuration, SimTime};
 use quicksand_obs as obs;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The one grouping step behind every per-(session, prefix) statistic
@@ -29,18 +32,22 @@ use std::collections::{BTreeMap, BTreeSet};
 /// in log order, carried as 4-byte log indices.
 ///
 /// The collector appends records in `(at, session)` order, so log order
-/// within a (session, prefix) is time order, and a stable sort by
-/// `(session, prefix)` turns every group into one time-ordered run
-/// (DESIGN.md §18). On a log whose records are out of time order (a
-/// faulted feed) a run is still in log order, which is the order
-/// [`crate::clean_session_resets`] walks (DESIGN.md §19). An optional
-/// prefix restriction is applied before the sort, so statistics over a
-/// handful of prefixes (the Tor ones) never touch the rest of the log
-/// beyond one membership test per record.
+/// within a (session, prefix) is time order, and grouping by
+/// `(session, prefix)` with ties in log order turns every group into
+/// one time-ordered run (DESIGN.md §18). On a log whose records are out
+/// of time order (a faulted feed) a run is still in log order, which is
+/// the order [`crate::clean_session_resets`] walks (DESIGN.md §19). An
+/// optional prefix restriction is applied before the grouping, so
+/// statistics over a handful of prefixes (the Tor ones) never touch the
+/// rest of the log beyond one membership test per record.
+///
+/// The grouping is either computed here ([`SessionPrefixRuns::new`]) or
+/// borrowed from a [`crate::CleanedLog`], which keeps the one its
+/// cleaning pass computed (DESIGN.md §29).
 pub struct SessionPrefixRuns<'a> {
     records: &'a [UpdateRecord],
     /// Log indices, grouped into runs.
-    order: Vec<u32>,
+    order: Cow<'a, [u32]>,
 }
 
 /// One run of [`SessionPrefixRuns`]: the log indices of one (session,
@@ -68,6 +75,20 @@ fn run_key(r: &UpdateRecord) -> (SessionId, Ipv4Prefix) {
     (r.session, r.msg.prefix())
 }
 
+/// Record `i`'s grouping key packed into one integer: session, prefix
+/// address, prefix length and log index, high bits to low. Each field
+/// has bits of its own, so the key is injective for every log a u32
+/// index can address, and the integer order is the order of
+/// `(session, prefix, log index)`: ascending keys are the runs, each in
+/// log order (DESIGN.md §29).
+fn packed_key(r: &UpdateRecord, i: u32) -> u128 {
+    let prefix = r.msg.prefix();
+    (u128::from(r.session.0) << 96)
+        | (u128::from(prefix.network_u32()) << 64)
+        | (u128::from(prefix.len()) << 32)
+        | u128::from(i)
+}
+
 impl<'a> SessionPrefixRuns<'a> {
     /// Group `log`, keeping only records whose prefix is in `only`
     /// (every record when `None`).
@@ -84,35 +105,121 @@ impl<'a> SessionPrefixRuns<'a> {
                 records.len()
             );
         };
-        let mut order: Vec<u32> = match only {
-            None => (0..n).collect(),
-            Some(keep) => (0..n)
-                .filter(|&i| keep.contains(&records[i as usize].msg.prefix()))
+        let mut keys: Vec<u128> = match only {
+            None => records.iter().zip(0..n).map(|(r, i)| packed_key(r, i)).collect(),
+            Some(keep) => records
+                .iter()
+                .zip(0..n)
+                .filter(|(r, _)| keep.contains(&r.msg.prefix()))
+                .map(|(r, i)| packed_key(r, i))
                 .collect(),
         };
-        // Stable, so ties keep log order. The stable sort is also
-        // adaptive: each table dump in the log is already one long
-        // ascending run per session, so it mostly merges.
-        order.sort_by_key(|&i| run_key(&records[i as usize]));
-        SessionPrefixRuns { records, order }
+        // The keys are distinct, so any sort gives the one order there
+        // is. The stable sort is adaptive: each table dump in the log
+        // is already one ascending run of keys per session, so it
+        // mostly merges, in half the time of the unstable sort.
+        keys.sort();
+        let order = keys.iter().map(|&k| k as u32).collect();
+        SessionPrefixRuns {
+            records,
+            order: Cow::Owned(order),
+        }
+    }
+
+    /// A grouping computed earlier over `records`: `order` must hold
+    /// log indices as [`SessionPrefixRuns::new`] orders them.
+    pub(crate) fn grouped(records: &'a [UpdateRecord], order: &'a [u32]) -> Self {
+        SessionPrefixRuns {
+            records,
+            order: Cow::Borrowed(order),
+        }
+    }
+
+    /// The grouped log indices, run after run.
+    pub(crate) fn into_indices(self) -> Vec<u32> {
+        self.order.into_owned()
     }
 
     /// The runs in `(session, prefix)` order, each with its key and its
     /// records in log order. Runs are never empty.
     pub fn iter(&self) -> impl Iterator<Item = ((SessionId, Ipv4Prefix), Run<'_>)> + '_ {
         let records = self.records;
-        let mut rest = self.order.as_slice();
+        let mut rest: &[u32] = &self.order;
         std::iter::from_fn(move || {
-            let key = run_key(&records[*rest.first()? as usize]);
-            let len = rest
+            let (&first, tail) = rest.split_first()?;
+            let key = run_key(&records[first as usize]);
+            let len = 1 + tail
                 .iter()
-                .position(|&i| run_key(&records[i as usize]) != key)
-                .unwrap_or(rest.len());
+                .take_while(|&&i| run_key(&records[i as usize]) == key)
+                .count();
             let (indices, tail) = rest.split_at(len);
             rest = tail;
             Some((key, Run { records, indices }))
         })
     }
+
+    /// The sessions in ascending order, each with the grouping of its
+    /// own runs. A session's extent is found by galloping over the
+    /// grouping, so this reads O(log n) records per session.
+    pub fn sessions(&self) -> impl Iterator<Item = (SessionId, SessionPrefixRuns<'_>)> + '_ {
+        let records = self.records;
+        session_ranges(records, &self.order).map(move |(session, order)| {
+            (session, SessionPrefixRuns::grouped(records, order))
+        })
+    }
+
+    /// The runs whose prefix is in `only`, exactly as
+    /// [`SessionPrefixRuns::new`] with `Some(only)` would group them.
+    /// Each session's ascending prefixes are merged with the sorted set
+    /// by galloping, so a handful of prefixes costs a handful of
+    /// binary searches per session, not a read of every run.
+    pub fn iter_only<'s>(
+        &'s self,
+        only: &'s BTreeSet<Ipv4Prefix>,
+    ) -> impl Iterator<Item = ((SessionId, Ipv4Prefix), Run<'s>)> + 's {
+        let records = self.records;
+        session_ranges(records, &self.order).flat_map(move |(session, mut rest)| {
+            only.iter().filter_map(move |&prefix| {
+                rest = &rest[leading(records, rest, |r| r.msg.prefix() < prefix)..];
+                let len = leading(records, rest, |r| r.msg.prefix() == prefix);
+                let (indices, tail) = rest.split_at(len);
+                rest = tail;
+                (len > 0).then_some(((session, prefix), Run { records, indices }))
+            })
+        })
+    }
+}
+
+/// Split grouped log indices into their sessions' extents, ascending.
+fn session_ranges<'s>(
+    records: &'s [UpdateRecord],
+    order: &'s [u32],
+) -> impl Iterator<Item = (SessionId, &'s [u32])> + 's {
+    let mut rest = order;
+    std::iter::from_fn(move || {
+        let session = records[*rest.first()? as usize].session;
+        let (extent, tail) = rest.split_at(leading(records, rest, |r| r.session == session));
+        rest = tail;
+        Some((session, extent))
+    })
+}
+
+/// How many of `order`'s records, from the front, satisfy `holds`,
+/// which must hold for a prefix of them and for none after it. An
+/// exponential probe brackets the answer and a binary search finds it,
+/// so an answer of k reads O(log k) records.
+fn leading(
+    records: &[UpdateRecord],
+    order: &[u32],
+    holds: impl Fn(&UpdateRecord) -> bool,
+) -> usize {
+    let holds = |&i: &u32| holds(&records[i as usize]);
+    let mut end = 1;
+    while end <= order.len() && holds(&order[end - 1]) {
+        end *= 2;
+    }
+    let start = end / 2;
+    start + order[start..end.min(order.len())].partition_point(holds)
 }
 
 /// Number of path changes in one run: consecutive records whose AS sets
@@ -241,32 +348,36 @@ pub fn path_changes(log: &UpdateLog) -> BTreeMap<(SessionId, Ipv4Prefix), u32> {
 /// over *all* prefixes received on that session, in `(session, prefix)`
 /// order.
 ///
-/// One pass over the runs of `log`: they arrive session by session, so
-/// one session's counts are held at a time and no per-(session, prefix)
-/// map is built (DESIGN.md §28).
+/// One pass over `runs`, a grouping of the whole log
+/// (`SessionPrefixRuns::new(&log, None)`, or a cleaned log's own
+/// [`crate::CleanedLog::runs`]): they arrive session by session, so one
+/// session's counts are held at a time and no per-(session, prefix) map
+/// is built (DESIGN.md §28).
 ///
 /// Sessions whose median is zero use a median of 1 (the ratio is then
 /// the raw change count); the paper's feeds always had nonzero medians,
 /// ours may not at small scale.
-pub fn churn_ratios(log: &UpdateLog, tor_prefixes: &BTreeSet<Ipv4Prefix>) -> Vec<f64> {
+pub fn churn_ratios(runs: &SessionPrefixRuns<'_>, tor_prefixes: &BTreeSet<Ipv4Prefix>) -> Vec<f64> {
     let mut ratios = Vec::new();
     // The current session's change counts: every prefix, and the Tor
     // prefixes in prefix order.
     let mut counts: Vec<u32> = Vec::new();
     let mut tor_counts: Vec<u32> = Vec::new();
-    let runs = SessionPrefixRuns::new(log, None);
-    let mut runs = runs.iter().peekable();
-    while let Some(((session, prefix), run)) = runs.next() {
-        let c = run_path_changes(run);
-        counts.push(c);
-        if tor_prefixes.contains(&prefix) {
-            tor_counts.push(c);
+    for (_, session) in runs.sessions() {
+        // The session's prefixes ascend, so a merge with the sorted Tor
+        // set finds its Tor runs.
+        let mut tor = tor_prefixes.iter().peekable();
+        for ((_, prefix), run) in session.iter() {
+            let c = run_path_changes(run);
+            counts.push(c);
+            while tor.next_if(|&&q| q < prefix).is_some() {}
+            if tor.next_if_eq(&&prefix).is_some() {
+                tor_counts.push(c);
+            }
         }
-        if runs.peek().map_or(true, |((next, _), _)| *next != session) {
-            let m = median(&mut counts).max(1.0);
-            ratios.extend(tor_counts.drain(..).map(|c| f64::from(c) / m));
-            counts.clear();
-        }
+        let m = median(&mut counts).max(1.0);
+        ratios.extend(tor_counts.drain(..).map(|c| f64::from(c) / m));
+        counts.clear();
     }
     ratios
 }
@@ -625,7 +736,7 @@ mod tests {
         add_changes("12.0.0.0/8", 2, 2000);
         add_changes("13.0.0.0/8", 4, 3000);
         let log = UpdateLog { records };
-        let ratios = churn_ratios(&log, &[tor].into_iter().collect());
+        let ratios = churn_ratios(&SessionPrefixRuns::new(&log, None), &[tor].into_iter().collect());
         assert_eq!(ratios.len(), 1);
         assert!((ratios[0] - 2.0).abs() < 1e-9, "got {}", ratios[0]);
     }

@@ -191,8 +191,8 @@ proptest! {
             r.session = SessionId(offset + 7 * (4 - r.session.0));
         }
 
-        let mut base = churn_ratios(&log, &tor);
-        let mut relab = churn_ratios(&relabeled, &tor);
+        let mut base = churn_ratios(&SessionPrefixRuns::new(&log, None), &tor);
+        let mut relab = churn_ratios(&SessionPrefixRuns::new(&relabeled, None), &tor);
         base.sort_by(f64::total_cmp);
         relab.sort_by(f64::total_cmp);
         // Same arithmetic on the same per-session groups ⇒ the sorted
@@ -304,7 +304,7 @@ proptest! {
     ) {
         let log = differential_log(&recs, faulted);
         let tor: BTreeSet<Ipv4Prefix> = tor.iter().map(|&i| prefix(i)).collect();
-        let got = churn_ratios(&log, &tor);
+        let got = churn_ratios(&SessionPrefixRuns::new(&log, None), &tor);
         let want = oracle_churn_ratios(&path_changes(&log), &tor);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&got), bits(&want));

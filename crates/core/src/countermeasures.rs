@@ -369,8 +369,7 @@ pub fn evaluate_monitoring(
     let first: UpdateLog = UpdateLog {
         records: month
             .cleaned
-            .records
-            .iter()
+            .records(&month.raw)
             .filter(|r| r.at <= mid)
             .cloned()
             .collect(),
@@ -378,8 +377,7 @@ pub fn evaluate_monitoring(
     let second: UpdateLog = UpdateLog {
         records: month
             .cleaned
-            .records
-            .iter()
+            .records(&month.raw)
             .filter(|r| r.at > mid)
             .cloned()
             .collect(),
@@ -491,7 +489,7 @@ pub fn evaluate_realtime_monitoring(
     // Build the attacked stream: the clean log plus splice
     // announcements arriving shortly after the attack starts (BGP
     // propagation delay drawn per attack).
-    let mut stream: Vec<UpdateRecord> = month.cleaned.records.clone();
+    let mut stream: Vec<UpdateRecord> = month.cleaned.to_log(&month.raw).records;
     for (p, o) in &attacked {
         let delay = SimDuration::from_secs(rng.gen_range(30..300));
         stream.push(UpdateRecord {

@@ -12,7 +12,7 @@ use quicksand_attack::community::{stealth_frontier, FrontierPoint};
 use quicksand_attack::hijack::origin_hijack;
 use quicksand_attack::intercept::plan_interception;
 use quicksand_bgp::metrics::{churn_ratios, Ccdf, PathTimeline, SessionPrefixRuns};
-use quicksand_bgp::{Route, SessionId, SimConfig, UpdateMessage};
+use quicksand_bgp::{Route, SimConfig, UpdateMessage};
 use quicksand_net::{Asn, Ipv4Prefix, SimDuration, SimTime};
 use quicksand_obs as obs;
 use quicksand_tor::TorPrefixStats;
@@ -50,26 +50,34 @@ pub struct Table1 {
 
 /// Compute T1 from a built scenario and its month run.
 pub fn table1(scenario: &Scenario, month: &MonthResult) -> Table1 {
+    table1_over(scenario, &month.cleaned.runs(&month.raw))
+}
+
+/// T1 over `runs`, a grouping of a cleaned log: the month's own
+/// ([`table1`]), or any other with the same runs.
+pub fn table1_over(scenario: &Scenario, runs: &SessionPrefixRuns<'_>) -> Table1 {
     let _span = obs::prof::span("stats", "table1");
     let c = &scenario.consensus;
     let tor = scenario.tor_prefix_set();
-    let log = &month.cleaned;
-    let sessions = log.sessions();
-    let n_sessions = sessions.len().max(1);
 
-    // One pass over the Tor runs. Each run is one (session, prefix), so
-    // a run per session counts a distinct Tor prefix seen there, and a
-    // run containing an announcement counts one session that announced
-    // its prefix.
+    // One pass over the cleaned log's sessions, which are also its
+    // session roster, and each one's Tor runs. A run is one (session,
+    // prefix), so a Tor run counts a distinct Tor prefix seen on its
+    // session, and a Tor run containing an announcement counts one
+    // session that announced its prefix.
     let mut announced_on: BTreeMap<Ipv4Prefix, usize> = BTreeMap::new();
-    let mut per_session: BTreeMap<SessionId, usize> =
-        sessions.iter().map(|&s| (s, 0)).collect();
-    for ((s, p), run) in SessionPrefixRuns::new(log, Some(&tor)).iter() {
-        *per_session.get_mut(&s).expect("a run's session is in the log") += 1;
-        if run.records().any(|r| !r.msg.is_withdraw()) {
-            *announced_on.entry(p).or_default() += 1;
+    let mut per_session: Vec<usize> = Vec::new();
+    for (_, session) in runs.sessions() {
+        let mut tor_prefixes = 0;
+        for ((_, p), run) in session.iter_only(&tor) {
+            tor_prefixes += 1;
+            if run.records().any(|r| !r.msg.is_withdraw()) {
+                *announced_on.entry(p).or_default() += 1;
+            }
         }
+        per_session.push(tor_prefixes);
     }
+    let n_sessions = per_session.len().max(1);
     let fractions: Vec<f64> = tor
         .iter()
         .map(|p| announced_on.get(p).map_or(0.0, |&n| n as f64) / n_sessions as f64)
@@ -77,7 +85,6 @@ pub fn table1(scenario: &Scenario, month: &MonthResult) -> Table1 {
     let mean_vis = fractions.iter().sum::<f64>() / fractions.len().max(1) as f64;
     let max_vis = fractions.iter().copied().fold(0.0f64, f64::max);
 
-    let mut per_session: Vec<usize> = per_session.into_values().collect();
     per_session.sort_unstable();
     let median = per_session.get(per_session.len() / 2).copied().unwrap_or(0);
     let max = per_session.last().copied().unwrap_or(0);
@@ -199,8 +206,13 @@ pub struct Fig3Left {
 
 /// Compute F3L from a month run.
 pub fn fig3_left(scenario: &Scenario, month: &MonthResult) -> Fig3Left {
+    fig3_left_over(scenario, &month.cleaned.runs(&month.raw))
+}
+
+/// F3L over `runs`, a grouping of a cleaned log (see [`table1_over`]).
+pub fn fig3_left_over(scenario: &Scenario, runs: &SessionPrefixRuns<'_>) -> Fig3Left {
     let _span = obs::prof::span("stats", "fig3_left");
-    let ratios = churn_ratios(&month.cleaned, &scenario.tor_prefix_set());
+    let ratios = churn_ratios(runs, &scenario.tor_prefix_set());
     let ccdf = Ccdf::new(ratios);
     let fraction_above_one = ccdf.at(1.0 + 1e-9);
     let max_ratio = ccdf.max().unwrap_or(0.0);
@@ -231,13 +243,23 @@ pub struct Fig3Right {
 /// [`quicksand_bgp::metrics::extra_ases_per_prefix`]; it reads ~one
 /// order of magnitude higher since 70 vantages see 70 different paths.)
 pub fn fig3_right(scenario: &Scenario, month: &MonthResult) -> Fig3Right {
+    fig3_right_over(scenario, &month.cleaned.runs(&month.raw), month.horizon_end)
+}
+
+/// F3R over `runs`, a grouping of a cleaned log (see [`table1_over`]),
+/// closing every timeline at `horizon_end`.
+pub fn fig3_right_over(
+    scenario: &Scenario,
+    runs: &SessionPrefixRuns<'_>,
+    horizon_end: SimTime,
+) -> Fig3Right {
     let _span = obs::prof::span("stats", "fig3_right");
     let tor = scenario.tor_prefix_set();
-    let counts: Vec<f64> = SessionPrefixRuns::new(&month.cleaned, Some(&tor))
-        .iter()
+    let counts: Vec<f64> = runs
+        .iter_only(&tor)
         .map(|(_, run)| {
             PathTimeline::from_run(run)
-                .extra_ases(month.horizon_end, SimDuration::from_mins(5))
+                .extra_ases(horizon_end, SimDuration::from_mins(5))
                 .len() as f64
         })
         .collect();
@@ -630,7 +652,7 @@ pub fn static_vs_dynamic(
     // Gao inference over the month's observed AS paths — the same
     // estimation pipeline prior AS-aware Tor work used.
     let mut paths: Vec<quicksand_net::AsPath> = Vec::new();
-    for r in &month.cleaned.records {
+    for r in month.cleaned.records(&month.raw) {
         if let UpdateMessage::Announce(route) = &r.msg {
             if route.as_path.len() >= 2 {
                 paths.push(route.as_path.clone());

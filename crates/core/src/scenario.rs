@@ -15,8 +15,8 @@
 
 use quicksand_bgp::metrics::PathTimeline;
 use quicksand_bgp::{
-    clean_session_resets, ChurnConfig, ChurnEvent, ChurnGenerator, CleaningConfig, Collector,
-    CollectorConfig, ExportCache, FastConverge, LinkChange, PrefixTable, UpdateLog,
+    clean_session_resets, ChurnConfig, ChurnEvent, ChurnGenerator, CleanedLog, CleaningConfig,
+    Collector, CollectorConfig, ExportCache, FastConverge, LinkChange, PrefixTable, UpdateLog,
 };
 use quicksand_net::{Asn, Ipv4Prefix, QsResult, QuicksandError, SimTime};
 use quicksand_obs as obs;
@@ -393,8 +393,10 @@ pub struct Scenario {
 pub struct MonthResult {
     /// The raw update log (reset artifacts included).
     pub raw: UpdateLog,
-    /// The cleaned log (duplicates removed, as the paper does).
-    pub cleaned: UpdateLog,
+    /// The cleaned log (duplicates removed, as the paper does), a view
+    /// over `raw`: read it with `cleaned.records(&raw)`,
+    /// `cleaned.runs(&raw)` or `cleaned.to_log(&raw)`.
+    pub cleaned: CleanedLog,
     /// How many duplicate records the cleaning removed.
     pub removed_duplicates: usize,
     /// How many session-reset bursts were detected.
@@ -1033,10 +1035,10 @@ mod tests {
         assert!(m.cleaned.len() <= m.raw.len());
         assert!(m.removed_duplicates > 0, "resets should create duplicates");
         // Every session produced at least one record.
-        assert!(!m.cleaned.sessions().is_empty());
+        assert!(!m.cleaned.to_log(&m.raw).sessions().is_empty());
         // Some Tor prefix changed paths during the week.
         let tor = s.tor_prefix_set();
-        let changes = quicksand_bgp::metrics::path_changes(&m.cleaned);
+        let changes = quicksand_bgp::metrics::path_changes(&m.cleaned.to_log(&m.raw));
         let tor_changes: u32 = changes
             .iter()
             .filter(|((_, p), _)| tor.contains(p))
@@ -1117,7 +1119,10 @@ mod tests {
             b
         };
         assert_eq!(encode(&resumed.raw), encode(&full.raw));
-        assert_eq!(encode(&resumed.cleaned), encode(&full.cleaned));
+        assert_eq!(
+            encode(&resumed.cleaned.to_log(&resumed.raw)),
+            encode(&full.cleaned.to_log(&full.raw))
+        );
         assert_eq!(resumed.removed_duplicates, full.removed_duplicates);
         assert_eq!(resumed.reset_bursts, full.reset_bursts);
         assert_eq!(resumed.horizon_end, full.horizon_end);

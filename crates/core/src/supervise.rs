@@ -637,7 +637,7 @@ impl ScenarioCell<'_> {
                         let identical = match &batch {
                             Ok(b) => {
                                 crate::feed::month_fnv(b) == crate::feed::month_fnv(&month)
-                                    && b.cleaned.records == month.cleaned.records
+                                    && b.cleaned.records(&b.raw).eq(month.cleaned.records(&month.raw))
                             }
                             Err(_) => false,
                         };

@@ -56,6 +56,12 @@ impl AsPath {
         AsPath(std::iter::once(asn).chain(self.0.iter().copied()).collect())
     }
 
+    /// How many `AsPath` values share this path's one allocation: a
+    /// clone shares it instead of copying the hops.
+    pub fn share_count(&self) -> usize {
+        Arc::strong_count(&self.0)
+    }
+
     /// Number of AS hops (counting duplicates from prepending).
     pub fn len(&self) -> usize {
         self.0.len()

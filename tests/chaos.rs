@@ -122,6 +122,7 @@ fn run_pipeline_probed(profile: FaultProfile, probe: Option<SimTime>) -> ChaosOu
     let injector = FaultInjector::new(profile).expect("valid chaos profile");
     let (faulted, report) = injector.apply(&base);
     let (cleaned, _, _) = clean_session_resets(&faulted, &CleaningConfig::default());
+    let cleaned = cleaned.to_log(&faulted);
 
     let mut monitor = StreamingMonitor::new(
         (0..N_PREFIXES).map(|p| (prefix(p), origin(p))),
@@ -468,6 +469,7 @@ fn scenario_month_survives_fault_profile() {
     let pristine = scenario.run_month().expect("valid configs");
     let (raw, report) = injector.apply(&pristine.raw);
     let (cleaned, _, _) = clean_session_resets(&raw, &CleaningConfig::default());
+    let cleaned = cleaned.to_log(&raw);
     assert!(!raw.is_empty());
     assert!(cleaned.len() <= raw.len());
     assert!(report.total_lost() > 0, "a 0.3-intensity profile lost nothing");

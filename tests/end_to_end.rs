@@ -74,7 +74,7 @@ fn cleaning_fingerprint(m: &MonthResult) -> (u64, usize, usize) {
         }
     }
     let mut h = Fnv(quicksand_bgp::feed::FnvHasher::new());
-    std::fmt::Write::write_fmt(&mut h, format_args!("{:?}", m.cleaned.records))
+    std::fmt::Write::write_fmt(&mut h, format_args!("{:?}", m.cleaned.to_log(&m.raw).records))
         .expect("hashing cannot fail");
     (h.0.finish(), m.removed_duplicates, m.reset_bursts)
 }
@@ -295,7 +295,7 @@ fn pipeline_is_deterministic() {
     let a = Scenario::build(ScenarioConfig::small(606)).run_month().unwrap();
     let b = Scenario::build(ScenarioConfig::small(606)).run_month().unwrap();
     assert_eq!(a.raw.len(), b.raw.len());
-    assert_eq!(a.cleaned.records, b.cleaned.records);
+    assert_eq!(a.cleaned.to_log(&a.raw), b.cleaned.to_log(&b.raw));
 }
 
 /// A full month's log survives the MRT-style binary round trip, and the
@@ -304,9 +304,10 @@ fn pipeline_is_deterministic() {
 fn month_log_roundtrips_through_mrt() {
     let (s, m) = world();
     let mut buf = Vec::new();
-    quicksand_bgp::mrt::write_log(&m.cleaned, &mut buf).expect("serialize");
+    let cleaned = m.cleaned.to_log(&m.raw);
+    quicksand_bgp::mrt::write_log(&cleaned, &mut buf).expect("serialize");
     let back = quicksand_bgp::mrt::read_log(&mut buf.as_slice()).expect("parse");
-    assert_eq!(back.records, m.cleaned.records);
+    assert_eq!(back.records, cleaned.records);
     // Metrics computed on the decoded log agree exactly.
     let before = fig3_left(s, m);
     let reparsed = crate_month(back, m.horizon_end);
@@ -316,11 +317,14 @@ fn month_log_roundtrips_through_mrt() {
 }
 
 /// Helper: wrap a decoded log in a MonthResult shell for the figure
-/// functions.
+/// functions. The log is clean already, so cleaning it keeps it whole.
 fn crate_month(cleaned: quicksand_bgp::UpdateLog, horizon_end: quicksand_net::SimTime) -> MonthResult {
+    let config = quicksand_bgp::CleaningConfig::default();
+    let (view, removed, _) = quicksand_bgp::clean_session_resets(&cleaned, &config);
+    assert_eq!(removed, 0, "a cleaned log cleans to itself");
     MonthResult {
-        raw: cleaned.clone(),
-        cleaned,
+        raw: cleaned,
+        cleaned: view,
         removed_duplicates: 0,
         reset_bursts: 0,
         horizon_end,

@@ -26,8 +26,8 @@ fn assert_months_bitwise_identical(a: &MonthResult, b: &MonthResult, context: &s
         "raw logs differ ({context})"
     );
     assert_eq!(
-        a.cleaned.fingerprint(),
-        b.cleaned.fingerprint(),
+        a.cleaned.to_log(&a.raw).fingerprint(),
+        b.cleaned.to_log(&b.raw).fingerprint(),
         "cleaned logs differ ({context})"
     );
     assert_eq!(a.removed_duplicates, b.removed_duplicates, "{context}");

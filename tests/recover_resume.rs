@@ -33,8 +33,8 @@ fn scratch_dir(name: &str) -> PathBuf {
 fn assert_months_bitwise_identical(a: &MonthResult, b: &MonthResult) {
     assert_eq!(a.raw.fingerprint(), b.raw.fingerprint(), "raw logs differ");
     assert_eq!(
-        a.cleaned.fingerprint(),
-        b.cleaned.fingerprint(),
+        a.cleaned.to_log(&a.raw).fingerprint(),
+        b.cleaned.to_log(&b.raw).fingerprint(),
         "cleaned logs differ"
     );
     assert_eq!(a.removed_duplicates, b.removed_duplicates);
