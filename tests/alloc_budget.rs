@@ -163,14 +163,15 @@ fn statistics_peak_bytes(scenario: &Scenario, month: &MonthResult) -> u64 {
 }
 
 /// Statistics peak-heap budgets, the measured peak plus a declared
-/// ~9% margin. Medium seed 275 peaks at 0.19 MB and large seed 28 at
-/// 8.27 MB: Fig 3 left's 4-byte index per record for the full-log run
-/// grouping, its sort scratch, and one session's change counts
-/// (DESIGN.md §28). With 24-byte grouping tuples and a per-(session,
-/// prefix) change map they peaked at 1.36 MB and 59.1 MB, which these
-/// budgets reject.
-const MEDIUM_STATS_BUDGET_MB: f64 = 0.21;
-const LARGE_STATS_BUDGET_MB: f64 = 9.0;
+/// ~10% margin. Medium seed 275 peaks at 0.040 MB and large seed 28 at
+/// 0.79 MB: the statistics read the grouping the cleaned month carries
+/// (DESIGN.md §29), so what is left is one session's change counts and
+/// the results. Regrouping the cleaned log on every call peaked at
+/// 0.19 MB and 8.27 MB (DESIGN.md §28); with 24-byte grouping tuples
+/// and a per-(session, prefix) change map at 1.36 MB and 59.1 MB.
+/// These budgets reject all of them.
+const MEDIUM_STATS_BUDGET_MB: f64 = 0.045;
+const LARGE_STATS_BUDGET_MB: f64 = 0.88;
 
 /// Assert the statistics' peak over `scenario`'s month against
 /// `budget_mb`, printing both.
