@@ -131,7 +131,7 @@ use quicksand_bgp::{
 use quicksand_net::{AsPath, Asn, Ipv4Prefix, QuicksandError, SimDuration, SimTime};
 use quicksand_obs::{self as obs, Event, Level, RunReport, Subscriber};
 use quicksand_recover::{
-    load_file, CheckpointStore, HookAction, PipelineSnapshot, DEFAULT_RETAIN,
+    load_file, CheckpointStore, HookAction, LogImage, PipelineSnapshot, DEFAULT_RETAIN,
 };
 use quicksand_traffic::{CircuitFlowConfig, TcpConfig};
 use std::sync::Arc;
@@ -432,12 +432,15 @@ impl Ctx {
         });
         let mut saves = 0u64;
         let halt_after = self.recover.halt_after;
+        // The run's snapshots extend one log, so each save encodes only
+        // the records appended since the previous one.
+        let mut image = LogImage::new();
         let result = self.scenario.run_month_checkpointed(
             resume.as_ref(),
             self.recover.every,
             |snap| {
                 if let Some(store) = &store {
-                    if let Err(e) = store.save(snap) {
+                    if let Err(e) = store.save_with(snap, &mut image) {
                         eprintln!("error: checkpoint save failed: {e}");
                         std::process::exit(exitcode::USAGE);
                     }

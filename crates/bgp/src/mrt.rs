@@ -133,7 +133,15 @@ fn encode_record(rec: &UpdateRecord, w: &mut impl Write) -> Result<(), MrtError>
 /// Serialize a log to a writer.
 pub fn write_log(log: &UpdateLog, w: &mut impl Write) -> Result<(), MrtError> {
     w.write_all(MAGIC)?;
-    for rec in &log.records {
+    write_records(&log.records, w)
+}
+
+/// Serialize `records` without the magic header: the bytes
+/// [`write_log`] writes for them after it. A stream written by
+/// `write_log` and then extended with `write_records` reads back as one
+/// log (the checkpoint log image appends this way).
+pub fn write_records(records: &[UpdateRecord], w: &mut impl Write) -> Result<(), MrtError> {
+    for rec in records {
         encode_record(rec, w)?;
     }
     Ok(())

@@ -505,17 +505,34 @@ impl Scenario {
 
     /// All tracked prefixes (Tor + control), with their origins.
     pub fn tracked_prefixes(&self) -> BTreeMap<Ipv4Prefix, Asn> {
-        let mut out: BTreeMap<Ipv4Prefix, Asn> = self
+        self.tracked_in_prefix_order().into_iter().collect()
+    }
+
+    /// The tracked prefixes with their origins, in ascending prefix
+    /// order: the Tor prefixes and the table's control-origin entries,
+    /// two prefix-sorted runs merged by one stable sort. A control
+    /// entry for a Tor prefix replaces the Tor entry, as a map insert
+    /// would.
+    fn tracked_in_prefix_order(&self) -> Vec<(Ipv4Prefix, Asn)> {
+        // One pass over the table: per-origin `prefixes_of` calls would
+        // each scan all of it.
+        let control: BTreeSet<Asn> = self.control_origins.iter().copied().collect();
+        let mut tracked: Vec<(Ipv4Prefix, Asn)> = self
             .tor_prefixes
             .origin_by_prefix
             .iter()
             .map(|(p, a)| (*p, *a))
+            .chain(self.plan.table.iter().filter(|(_, o)| control.contains(o)))
             .collect();
-        // One pass over the table: per-origin `prefixes_of` calls would
-        // each scan all of it.
-        let control: BTreeSet<Asn> = self.control_origins.iter().copied().collect();
-        out.extend(self.plan.table.iter().filter(|(_, o)| control.contains(o)));
-        out
+        tracked.sort_by_key(|&(p, _)| p);
+        tracked.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = later.1;
+            }
+            same
+        });
+        tracked
     }
 
     /// The Tor prefixes (guard/exit-hosting).
@@ -634,14 +651,29 @@ impl Scenario {
         mut hook: impl FnMut(&PipelineSnapshot) -> HookAction,
     ) -> QsResult<MonthResult> {
         let prep_span = obs::prof::span("scenario", "prep");
-        let tracked = self.tracked_prefixes();
-        let origins: BTreeSet<Asn> = tracked.values().copied().collect();
-        let prefixes_by_origin: BTreeMap<Asn, Vec<Ipv4Prefix>> = {
-            let mut m: BTreeMap<Asn, Vec<Ipv4Prefix>> = BTreeMap::new();
-            for (p, o) in &tracked {
-                m.entry(*o).or_default().push(*p);
+        // In prefix order the tracked origins never decrease and each
+        // origin's prefixes are one contiguous run (the address plan
+        // hands each AS its blocks in index order), so one pass yields
+        // the ascending origins and each one's run of `prefixes`:
+        // origin `k`'s run is `runs[k]..runs[k + 1]`.
+        let (prefixes, origins, runs) = {
+            let tracked = self.tracked_in_prefix_order();
+            let mut origins: Vec<Asn> = Vec::new();
+            let mut runs: Vec<usize> = Vec::new();
+            for (i, &(_, o)) in tracked.iter().enumerate() {
+                match origins.last() {
+                    Some(&last) if last == o => continue,
+                    Some(&last) => {
+                        assert!(last < o, "tracked origins decrease in prefix order at {o}")
+                    }
+                    None => {}
+                }
+                origins.push(o);
+                runs.push(i);
             }
-            m
+            runs.push(tracked.len());
+            let prefixes: Vec<Ipv4Prefix> = tracked.into_iter().map(|(p, _)| p).collect();
+            (prefixes, origins, runs)
         };
         drop(prep_span);
 
@@ -659,7 +691,6 @@ impl Scenario {
         let mut collector = Collector::new(&self.session_peers, &self.config.collector)?;
         let mut log = UpdateLog::default();
         let horizon_end = SimTime::ZERO + self.config.churn.horizon;
-        let all_origins: Vec<Asn> = origins.iter().copied().collect();
 
         // Per-(origin, peer) memo of the interned recorded path, keyed
         // on tree epochs, with one watch row per origin. Refreshed for
@@ -707,7 +738,7 @@ impl Scenario {
                 // have seen, keeping resume-exactness counter-for-
                 // counter (first-computation sentinels would otherwise
                 // read as spuriously dirty).
-                refresh(&fc, &mut collector, &mut cache, &all_origins);
+                refresh(&fc, &mut collector, &mut cache, &origins);
                 log = snap.log.clone();
                 snap.metrics.restore_into(&obs::metrics());
                 obs::incr("recover", "resumes", 1);
@@ -728,7 +759,11 @@ impl Scenario {
             None => 0,
         };
 
-        let prefixes_of = |o: Asn| prefixes_by_origin.get(&o).map_or(&[][..], |v| v.as_slice());
+        let prefixes_of = |o: Asn| {
+            origins
+                .binary_search(&o)
+                .map_or(&[][..], |k| &prefixes[runs[k]..runs[k + 1]])
+        };
         // Every observation — the two full dumps included — diffs the
         // per-session dirty-origin lists `dirty` (DESIGN.md §16).
         let observe = |collector: &mut Collector,
@@ -749,9 +784,9 @@ impl Scenario {
         // Initial table dump at t = 0 (already in the log on resume).
         if resume.is_none() {
             let _span = obs::prof::span("collector", "dump");
-            refresh(&fc, &mut collector, &mut cache, &all_origins);
+            refresh(&fc, &mut collector, &mut cache, &origins);
             for d in dirty.iter_mut() {
-                d.extend_from_slice(&all_origins);
+                d.extend_from_slice(&origins);
             }
             observe(&mut collector, &mut log, SimTime::ZERO, &dirty, &cache);
         }

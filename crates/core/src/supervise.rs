@@ -42,7 +42,7 @@ use quicksand_bgp::{CrashKind, ReplayChaosPlan};
 use quicksand_net::{decorrelated_jitter, splitmix64, QuicksandError};
 use quicksand_obs as obs;
 use quicksand_obs::{Key, Registry};
-use quicksand_recover::{CheckpointStore, HookAction, DEFAULT_RETAIN};
+use quicksand_recover::{CheckpointStore, HookAction, LogImage, DEFAULT_RETAIN};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -535,11 +535,15 @@ impl ScenarioCell<'_> {
                         })?,
                         None => None,
                     };
+                    // One log image per attempt: this attempt's
+                    // snapshots extend one log, which a resume or a
+                    // fallback restarts from an earlier cursor.
+                    let mut image = LogImage::new();
                     let hook = |snap: &quicksand_recover::PipelineSnapshot| {
                             // Persist BEFORE anything can fail, so a
                             // crash at cursor K restarts from K.
                             if let Some(s) = &store {
-                                if let Err(e) = s.save(snap) {
+                                if let Err(e) = s.save_with(snap, &mut image) {
                                     save_error = Some(e.to_string());
                                     return HookAction::Stop;
                                 }

@@ -181,6 +181,45 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// The CRC-32 of `a ‖ b` from `crc32(a)`, `crc32(b)` and `b`'s length
+/// alone, without reading either buffer: zlib's `crc32_combine`.
+///
+/// CRC-32 is affine over GF(2), and the initial and final inversions
+/// cancel between the two parts, so `crc32(a ‖ b)` is `crc32(a)`
+/// shifted through `len_b` zero bytes, XOR `crc32(b)`. The shift is a
+/// multiplication by `x^(8·len_b)` modulo the CRC polynomial, raised
+/// by square-and-multiply: O(log `len_b`) products of 32 steps each
+/// (DESIGN.md §30).
+pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    // In the reflected representation bit 31 is x^0, so x^8 (one byte
+    // of shift) is bit 23.
+    let mut shift = 1u32 << 31;
+    let mut square = 1u32 << 23;
+    let mut n = len_b;
+    while n != 0 {
+        if n & 1 == 1 {
+            shift = gf2_mulmod(square, shift);
+        }
+        square = gf2_mulmod(square, square);
+        n >>= 1;
+    }
+    gf2_mulmod(shift, crc_a) ^ crc_b
+}
+
+/// `a · b` modulo the CRC polynomial, both in the reflected
+/// representation (bit 31 is the x^0 coefficient).
+fn gf2_mulmod(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    for k in (0..32).rev() {
+        if (a >> k) & 1 == 1 {
+            product ^= b;
+        }
+        // b · x: a right shift, reduced by the polynomial on carry-out.
+        b = (b >> 1) ^ (CRC32_POLY & (b & 1).wrapping_neg());
+    }
+    product
+}
+
 impl Frame {
     /// Builds a frame from its parts.
     pub fn new(kind: u8, cursor: u64, payload: Vec<u8>) -> Self {
@@ -381,6 +420,29 @@ mod tests {
                 prop_assert_eq!(crc32(s), crc32_bitwise(s));
             }
         }
+
+        /// Combining the CRCs of the two halves of any split, empty
+        /// halves included, gives the bit-at-a-time CRC of the whole.
+        #[test]
+        fn crc32_combine_matches_bitwise_oracle(
+            bytes in arb_bytes(),
+            cut in any::<prop::sample::Index>(),
+        ) {
+            let at = cut.index(bytes.len() + 1);
+            let (a, b) = bytes.split_at(at);
+            prop_assert_eq!(
+                crc32_combine(crc32(a), crc32(b), b.len() as u64),
+                crc32_bitwise(&bytes)
+            );
+        }
+    }
+
+    #[test]
+    fn crc32_combine_handles_empty_parts() {
+        let whole = crc32(b"123456789");
+        assert_eq!(crc32_combine(whole, crc32(b""), 0), whole);
+        assert_eq!(crc32_combine(crc32(b""), whole, 9), whole);
+        assert_eq!(crc32_combine(crc32(b"1234"), crc32(b"56789"), 5), whole);
     }
 
     #[test]

@@ -15,6 +15,9 @@
 //! * [`CheckpointStore`] — crash-safe persistence: temp file + fsync +
 //!   atomic rename, bounded retention, and fallback past corrupt files
 //!   to the newest valid predecessor.
+//! * [`LogImage`] — a run's log section encoded so far, with its CRC,
+//!   so that each save encodes only the records appended since the
+//!   previous one ([`CheckpointStore::save_with`]).
 //! * [`MetricsState`] — capture/restore of the obs registry so a
 //!   resumed run's final report is indistinguishable from an
 //!   uninterrupted one.
@@ -26,7 +29,8 @@
 //! tests). The determinism argument is documented in DESIGN.md §9.
 //!
 //! Checkpoint activity is observable under the `recover` stage:
-//! `saves`, `save_bytes`, `load_corrupt`, and `fallbacks` counters,
+//! `saves`, `save_bytes`, `records_encoded` (log records a
+//! [`LogImage`] encoded), `load_corrupt`, and `fallbacks` counters,
 //! plus `checkpoint-saved` / `checkpoint-corrupt` /
 //! `checkpoint-fallback` events.
 
@@ -38,7 +42,7 @@ pub mod snapshot;
 pub mod store;
 
 pub use codec::CheckpointError;
-pub use snapshot::{MetricsState, PipelineSnapshot, MAGIC, VERSION};
+pub use snapshot::{LogImage, MetricsState, PipelineSnapshot, MAGIC, VERSION};
 pub use store::{load_file, CheckpointStore, DEFAULT_RETAIN};
 
 /// What a checkpoint hook tells the running pipeline to do next.

@@ -43,8 +43,9 @@ use crate::codec::{CheckpointError, Dec, Enc};
 use quicksand_attack::detect::{Alarm, AlarmKind};
 use quicksand_attack::monitord::MonitorState;
 use quicksand_bgp::{mrt, CollectorState, SessionId, UpdateLog};
-use quicksand_net::frame::crc32;
+use quicksand_net::frame::{crc32, crc32_combine};
 use quicksand_net::{AsPath, Asn, Ipv4Prefix, SimTime};
+use quicksand_obs as obs;
 
 /// File magic: "QS" + checkpoint + format revision.
 pub const MAGIC: &[u8; 8] = b"QSCKPT01";
@@ -146,42 +147,142 @@ pub struct PipelineSnapshot {
     pub metrics: MetricsState,
 }
 
-impl PipelineSnapshot {
-    /// Serialize to the checkpoint wire format. Everything, the MRT log
-    /// included, is written once into one buffer: each section's length
-    /// is patched in after its payload, and the CRC is taken over the
-    /// body in place.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Enc::new();
-        out.bytes(MAGIC);
-        out.u32(VERSION);
-        out.u64(self.config_hash);
-        out.u64(self.seed);
-        out.u64(self.cursor);
-        let n_sections = 4 + u32::from(self.monitor.is_some());
-        out.u32(n_sections);
+/// The encoded MRT log section of one run's checkpoints, kept between
+/// saves so that each save encodes only the records appended since the
+/// previous one (DESIGN.md §30).
+///
+/// It holds the log section's payload (the MRT magic and every record
+/// encoded so far), the CRC-32 of that payload, and how many records it
+/// has encoded. A fresh image is empty; [`PipelineSnapshot::encode`]
+/// uses one per call. A hook that saves a run's snapshots keeps one
+/// image for all of them: the replay's snapshot logs only grow
+/// (DESIGN.md §23.3), so the records an image has encoded are a prefix
+/// of every later snapshot's log. A resumed run starts a fresh image.
+#[derive(Debug)]
+pub struct LogImage {
+    payload: Vec<u8>,
+    crc: u32,
+    records: usize,
+}
 
-        section(&mut out, TAG_LINKS, |e| {
+impl Default for LogImage {
+    fn default() -> Self {
+        LogImage::new()
+    }
+}
+
+impl LogImage {
+    /// An image that has encoded no record: the MRT magic alone.
+    pub fn new() -> LogImage {
+        let mut payload = Vec::new();
+        mrt::write_log(&UpdateLog::default(), &mut payload).expect("writing to memory cannot fail");
+        let crc = crc32(&payload);
+        LogImage {
+            payload,
+            crc,
+            records: 0,
+        }
+    }
+
+    /// Encode `log.records[self.records()..]` onto the payload and fold
+    /// their bytes into the CRC. Each appended record is counted in the
+    /// `recover` stage's `records_encoded`.
+    ///
+    /// Panics if the image has encoded more records than `log` holds.
+    pub fn extend(&mut self, log: &UpdateLog) {
+        assert!(
+            self.records <= log.len(),
+            "log image holds {} records, the snapshot's log only {}",
+            self.records,
+            log.len()
+        );
+        let start = self.payload.len();
+        mrt::write_records(&log.records[self.records..], &mut self.payload)
+            .expect("writing to memory cannot fail");
+        let appended = &self.payload[start..];
+        self.crc = crc32_combine(self.crc, crc32(appended), appended.len() as u64);
+        obs::incr(
+            "recover",
+            "records_encoded",
+            (log.len() - self.records) as u64,
+        );
+        self.records = log.len();
+    }
+
+    /// The log section's payload so far.
+    pub fn bytes(&self) -> &[u8] {
+        &self.payload
+    }
+
+    /// The CRC-32 of [`LogImage::bytes`].
+    pub(crate) fn crc(&self) -> u32 {
+        self.crc
+    }
+
+    /// How many records of the log the image has encoded.
+    pub fn records(&self) -> usize {
+        self.records
+    }
+}
+
+impl PipelineSnapshot {
+    /// Serialize to the checkpoint wire format: the head, a fresh
+    /// [`LogImage`] of the whole log, and the tail, as
+    /// [`PipelineSnapshot::encode_parts`] lays them out.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut image = LogImage::new();
+        let (mut out, tail) = self.encode_parts(&mut image);
+        out.extend_from_slice(image.bytes());
+        out.extend_from_slice(&tail);
+        out
+    }
+
+    /// The checkpoint bytes as `head ‖ image ‖ tail`, after extending
+    /// `image` over the records of `self.log` it has not yet encoded.
+    ///
+    /// The head runs from the magic through the log section's tag and
+    /// length; the image's bytes are the log section's payload; the
+    /// tail holds the sections after it and the CRC trailer. The body
+    /// CRC is combined from the three parts' CRCs, so the image, which
+    /// holds nearly all of the bytes, is never re-read (DESIGN.md §30).
+    ///
+    /// Panics if `image` has encoded more records than `self.log` holds:
+    /// an image follows one run's snapshots, whose logs only grow.
+    pub fn encode_parts(&self, image: &mut LogImage) -> (Vec<u8>, Vec<u8>) {
+        image.extend(&self.log);
+
+        let mut head = Enc::new();
+        head.bytes(MAGIC);
+        head.u32(VERSION);
+        head.u64(self.config_hash);
+        head.u64(self.seed);
+        head.u64(self.cursor);
+        let n_sections = 4 + u32::from(self.monitor.is_some());
+        head.u32(n_sections);
+        section(&mut head, TAG_LINKS, |e| {
             e.u64(self.down_links.len() as u64);
             for &(a, b) in &self.down_links {
                 e.u32(a.0);
                 e.u32(b.0);
             }
         });
-        section(&mut out, TAG_COLLECTOR, |e| {
+        section(&mut head, TAG_COLLECTOR, |e| {
             encode_collector(e, &self.collector)
         });
-        section(&mut out, TAG_LOG, |e| {
-            mrt::write_log(&self.log, e).expect("writing to memory cannot fail");
-        });
-        if let Some(m) = &self.monitor {
-            section(&mut out, TAG_MONITOR, |e| encode_monitor(e, m));
-        }
-        section(&mut out, TAG_METRICS, |e| encode_metrics(e, &self.metrics));
+        head.u8(TAG_LOG);
+        head.u64(image.bytes().len() as u64);
 
-        let crc = crc32(&out.as_bytes()[MAGIC.len()..]);
-        out.u32(crc);
-        out.into_bytes()
+        let mut tail = Enc::new();
+        if let Some(m) = &self.monitor {
+            section(&mut tail, TAG_MONITOR, |e| encode_monitor(e, m));
+        }
+        section(&mut tail, TAG_METRICS, |e| encode_metrics(e, &self.metrics));
+
+        let body_head = crc32(&head.as_bytes()[MAGIC.len()..]);
+        let with_log = crc32_combine(body_head, image.crc(), image.bytes().len() as u64);
+        let crc = crc32_combine(with_log, crc32(tail.as_bytes()), tail.len() as u64);
+        tail.u32(crc);
+        (head.into_bytes(), tail.into_bytes())
     }
 
     /// Deserialize from the checkpoint wire format, verifying the CRC

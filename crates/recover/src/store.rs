@@ -11,7 +11,7 @@
 //! load_latest`] walks newest → oldest until one validates.
 
 use crate::codec::CheckpointError;
-use crate::snapshot::PipelineSnapshot;
+use crate::snapshot::{LogImage, PipelineSnapshot};
 use quicksand_obs as obs;
 use std::fs;
 use std::io::Write;
@@ -53,14 +53,35 @@ impl CheckpointStore {
     }
 
     /// Write `snapshot` crash-safely and prune beyond the retention
-    /// bound. Returns the final path.
+    /// bound. Returns the final path. Encodes the whole log: the same
+    /// as [`CheckpointStore::save_with`] with a fresh [`LogImage`].
     pub fn save(&self, snapshot: &PipelineSnapshot) -> Result<PathBuf, CheckpointError> {
-        let bytes = snapshot.encode();
+        self.save_with(snapshot, &mut LogImage::new())
+    }
+
+    /// [`CheckpointStore::save`] with the log section taken from
+    /// `image`, which is first extended over the records of
+    /// `snapshot.log` it has not yet encoded. A hook that passes every
+    /// snapshot of one run through the same image encodes each record
+    /// once; the file's bytes are [`PipelineSnapshot::encode`]'s either
+    /// way (DESIGN.md §30).
+    ///
+    /// Panics if `image` has encoded more records than `snapshot.log`
+    /// holds.
+    pub fn save_with(
+        &self,
+        snapshot: &PipelineSnapshot,
+        image: &mut LogImage,
+    ) -> Result<PathBuf, CheckpointError> {
+        let (head, tail) = snapshot.encode_parts(image);
+        let len = head.len() + image.bytes().len() + tail.len();
         let final_path = self.dir.join(Self::file_name(snapshot.cursor));
         let tmp_path = final_path.with_extension("tmp");
         {
             let mut f = fs::File::create(&tmp_path)?;
-            f.write_all(&bytes)?;
+            f.write_all(&head)?;
+            f.write_all(image.bytes())?;
+            f.write_all(&tail)?;
             f.sync_all()?;
         }
         fs::rename(&tmp_path, &final_path)?;
@@ -69,7 +90,7 @@ impl CheckpointStore {
         // the checkpoint the caller was just promised.
         self.sync_dir()?;
         obs::incr("recover", "saves", 1);
-        obs::incr("recover", "save_bytes", bytes.len() as u64);
+        obs::incr("recover", "save_bytes", len as u64);
         if obs::enabled(obs::Level::Info) {
             obs::emit(
                 obs::Event::new(
@@ -79,7 +100,7 @@ impl CheckpointStore {
                     "pipeline snapshot persisted",
                 )
                 .with("cursor", snapshot.cursor)
-                .with("bytes", bytes.len() as u64)
+                .with("bytes", len as u64)
                 .with("path", final_path.display().to_string()),
             );
         }

@@ -10,8 +10,9 @@ use quicksand_attack::monitord::MonitorState;
 use quicksand_bgp::{
     Community, CollectorState, Route, SessionId, UpdateLog, UpdateMessage, UpdateRecord,
 };
+use quicksand_net::frame::crc32;
 use quicksand_net::{AsPath, Asn, Ipv4Prefix, SimTime};
-use quicksand_recover::{CheckpointError, MetricsState, PipelineSnapshot, MAGIC};
+use quicksand_recover::{CheckpointError, LogImage, MetricsState, PipelineSnapshot, MAGIC};
 
 fn arb_asn() -> impl Strategy<Value = Asn> {
     any::<u32>().prop_map(Asn)
@@ -230,4 +231,53 @@ proptest! {
         let cut = idx.index(bytes.len());
         prop_assert!(PipelineSnapshot::decode(&bytes[..cut]).is_err(), "cut {}", cut);
     }
+
+    /// One log image extended over a growing log, in random chunks
+    /// (empty ones included), yields at every cut exactly the bytes a
+    /// fresh `encode()` writes for that prefix of the log. Each file's
+    /// trailer equals a CRC read straight over its body, and the file
+    /// decodes back to its snapshot.
+    #[test]
+    fn extended_image_matches_fresh_encode(
+        base in arb_snapshot(),
+        records in prop::collection::vec(arb_record(), 0..40),
+        chunks in prop::collection::vec(0usize..8, 1..12),
+    ) {
+        let mut image = LogImage::new();
+        let mut cut = 0;
+        for (i, step) in chunks.into_iter().enumerate() {
+            cut = (cut + step).min(records.len());
+            let snap = PipelineSnapshot {
+                cursor: i as u64,
+                log: UpdateLog { records: records[..cut].to_vec() },
+                ..base.clone()
+            };
+            let (head, tail) = snap.encode_parts(&mut image);
+            prop_assert_eq!(image.records(), cut);
+            let bytes = [&head[..], image.bytes(), &tail[..]].concat();
+            prop_assert_eq!(&bytes, &snap.encode(), "cut {}", cut);
+            let body_end = bytes.len() - 4;
+            let trailer = u32::from_le_bytes(bytes[body_end..].try_into().unwrap());
+            prop_assert_eq!(trailer, crc32(&bytes[MAGIC.len()..body_end]));
+            prop_assert_eq!(PipelineSnapshot::decode(&bytes).unwrap(), snap);
+        }
+    }
+}
+
+/// An image that has encoded more records than a snapshot's log holds
+/// belongs to another run (or a later cursor of this one): extending it
+/// panics instead of writing a file whose log is not the snapshot's.
+#[test]
+#[should_panic(expected = "log image holds 1 records")]
+fn image_ahead_of_the_log_panics() {
+    let record = UpdateRecord {
+        at: SimTime(1),
+        session: SessionId(0),
+        msg: UpdateMessage::Withdraw(Ipv4Prefix::from_u32(0x0a00_0000, 8)),
+    };
+    let mut image = LogImage::new();
+    image.extend(&UpdateLog {
+        records: vec![record],
+    });
+    image.extend(&UpdateLog::default());
 }

@@ -259,3 +259,179 @@ fn small_tier_checkpoint_bytes_are_pinned() {
     let fnv = quicksand_bgp::feed::fnv64(&snap.encode());
     assert_eq!(fnv, 0x2729b55350ad952f, "got {fnv:#018x}");
 }
+
+// ---------------------------------------------------------------------------
+// Supervised checkpoint files against fresh encodes (DESIGN.md §30): the
+// supervisor's cell hook saves through one `LogImage` per attempt, so
+// each save encodes only the records appended since the previous one.
+// Its files must still be exactly `PipelineSnapshot::encode()` at their
+// cursors, after a resume from a fallback checkpoint too.
+// ---------------------------------------------------------------------------
+
+mod supervised_image {
+    use super::scratch_dir;
+    use quicksand_bgp::{CrashKind, ReplayChaosPlan};
+    use quicksand_core::scenario::{Scenario, ScenarioConfig};
+    use quicksand_core::supervise::{
+        CellOutcome, CellResult, RestartPolicy, ScenarioJob, SuperviseConfig, Supervisor,
+    };
+    use quicksand_obs::{self as obs, FieldValue, Registry};
+    use quicksand_recover::{CheckpointStore, HookAction};
+    use std::collections::BTreeMap;
+    use std::path::{Path, PathBuf};
+    use std::sync::{Arc, OnceLock};
+
+    const SEED: u64 = 0xbd;
+    const EVERY: u64 = 100;
+
+    fn config() -> ScenarioConfig {
+        ScenarioConfig::medium(SEED)
+    }
+
+    /// `snap.encode()` and the log length at every checkpoint cursor of
+    /// an unsupervised checkpointed month, in its own registry.
+    fn reference() -> &'static BTreeMap<u64, (Vec<u8>, usize)> {
+        static R: OnceLock<BTreeMap<u64, (Vec<u8>, usize)>> = OnceLock::new();
+        R.get_or_init(|| {
+            let scenario = Scenario::build(config());
+            let mut files = BTreeMap::new();
+            obs::with_metrics(Arc::new(Registry::new()), || {
+                scenario
+                    .run_month_checkpointed(None, EVERY, |snap| {
+                        files.insert(snap.cursor, (snap.encode(), snap.log.len()));
+                        HookAction::Continue
+                    })
+                    .expect("valid scenario config")
+            });
+            assert!(files.len() >= 10, "only {} checkpoints", files.len());
+            files
+        })
+    }
+
+    /// One supervised medium cell, checkpointing every `EVERY` events
+    /// into `dir` and keeping every file it writes.
+    fn run_cell(dir: &Path, chaos: Option<ReplayChaosPlan>) -> CellOutcome {
+        let mut sup = Supervisor::new(SuperviseConfig {
+            width: 1,
+            checkpoint_every: EVERY,
+            retain: 1000,
+            restart: RestartPolicy {
+                base_ms: 1,
+                cap_ms: 1,
+                max_restarts: 2,
+                seed: 1,
+            },
+            ..SuperviseConfig::default()
+        });
+        sup.submit(ScenarioJob {
+            store_dir: Some(dir.to_path_buf()),
+            chaos,
+            ..ScenarioJob::new("image", config())
+        });
+        let mut outcome = obs::with_metrics(Arc::new(Registry::new()), || sup.run());
+        outcome.cells.pop().expect("one cell")
+    }
+
+    /// Every checkpoint file in `dir` equals the reference encode at its
+    /// cursor, and every reference cursor has a file.
+    fn assert_files_match_reference(dir: &Path) {
+        let store = CheckpointStore::open(dir, 1000).expect("store");
+        let files: Vec<PathBuf> = store.list().expect("listable");
+        let reference = reference();
+        assert_eq!(files.len(), reference.len(), "one file per checkpoint");
+        for (path, (cursor, (want, _))) in files.iter().zip(reference) {
+            let got = std::fs::read(path).expect("readable");
+            assert!(
+                got == *want,
+                "{} differs from snap.encode() at cursor {cursor}",
+                path.display()
+            );
+        }
+    }
+
+    fn counter(outcome: &CellOutcome, name: &str) -> u64 {
+        let CellResult::Completed { metrics, .. } = &outcome.result else {
+            panic!("cell did not complete: {:?}", outcome.result);
+        };
+        metrics
+            .counters
+            .iter()
+            .find(|c| c.stage == "recover" && c.name == name)
+            .map_or(0, |c| c.value)
+    }
+
+    /// A save encodes only the records appended since the previous save:
+    /// over a whole medium month the records encoded sum to the last
+    /// save's log length, where re-encoding the log at every save would
+    /// sum every save's length.
+    #[test]
+    fn supervised_saves_encode_each_record_once() {
+        let dir = scratch_dir("image-plain");
+        let cell = run_cell(&dir, None);
+        assert_eq!(cell.restarts, 0);
+        let reference = reference();
+        let (_, last_len) = reference.values().next_back().expect("a checkpoint");
+        assert_eq!(counter(&cell, "saves"), reference.len() as u64);
+        assert_eq!(counter(&cell, "records_encoded"), *last_len as u64);
+        let quadratic: usize = reference.values().map(|(_, len)| len).sum();
+        assert!(quadratic > 2 * last_len, "the month must have many saves");
+        assert_files_match_reference(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Corrupts the checkpoint files of the first attempt at the given
+    /// cursors as soon as the cell reports them saved.
+    struct CorruptFirstAttempt {
+        dir: PathBuf,
+        cursors: [u64; 2],
+    }
+
+    impl obs::Subscriber for CorruptFirstAttempt {
+        fn event(&self, e: &obs::Event) {
+            let field = |k| match e.field(k) {
+                Some(FieldValue::U64(v)) => Some(*v),
+                _ => None,
+            };
+            if e.name != "checkpoint" || field("attempt") != Some(0) {
+                return;
+            }
+            let Some(cursor) = field("cursor").filter(|c| self.cursors.contains(c)) else {
+                return;
+            };
+            let path = self.dir.join(format!("ckpt-{cursor:012}.qsck"));
+            let mut bytes = std::fs::read(&path).expect("just saved");
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x01;
+            std::fs::write(&path, bytes).expect("writable");
+        }
+    }
+
+    /// A chaos panic at cursor `C` whose two newest checkpoints (`C` and
+    /// `C − EVERY`) are corrupt: the restart falls back to `C − 2·EVERY`
+    /// and starts an empty image, re-saving both cursors. Every file
+    /// still equals the fresh encode at its cursor, and the restarted
+    /// attempt's image encodes each record of the log once.
+    #[test]
+    fn supervised_files_equal_fresh_encodes_across_a_fallback_restart() {
+        let crash = 6 * EVERY;
+        let dir = scratch_dir("image-fallback");
+        let sink = Arc::new(CorruptFirstAttempt {
+            dir: dir.clone(),
+            cursors: [crash - EVERY, crash],
+        });
+        let cell = obs::with_subscriber(sink, || {
+            run_cell(
+                &dir,
+                Some(ReplayChaosPlan::single(0, crash, CrashKind::Panic)),
+            )
+        });
+        assert_eq!(cell.restarts, 1, "one injected crash: {:?}", cell.failures);
+        assert_eq!(counter(&cell, "load_corrupt"), 2);
+        assert_eq!(counter(&cell, "fallbacks"), 1);
+        assert_eq!(counter(&cell, "resumes"), 1);
+        let (_, last_len) = reference().values().next_back().expect("a checkpoint");
+        assert_eq!(counter(&cell, "records_encoded"), *last_len as u64);
+        assert_files_match_reference(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
