@@ -147,19 +147,6 @@ impl Enc {
     }
 }
 
-/// Byte-stream writers (the MRT log encoder) append straight into the
-/// encoder's buffer.
-impl io::Write for Enc {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.bytes(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
 /// A bounds-checked little-endian reader over a byte slice.
 pub struct Dec<'a> {
     buf: &'a [u8],
